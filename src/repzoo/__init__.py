@@ -3,7 +3,6 @@
 from .characters import (
     CharacterTableModP,
     DegreeMultiset,
-    abelian_degrees,
     character_degrees,
     character_table_modp,
 )

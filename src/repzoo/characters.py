@@ -11,18 +11,15 @@ output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .groups import ConjugacyClassData, FiniteGroup, conjugacy_classes
+from .intlinalg import nullspace, rref
+from .localring import fp_gcd, fp_powmod, fp_sub, is_prime
 
 
 class ModulusSearchError(RuntimeError):
     """No usable prime ell below the configured bound."""
-
-
-class NonAbelianError(ValueError):
-    """abelian_degrees called on a non-abelian group."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,15 @@ class DegreeMultiset:
     def degrees_set(self) -> set[int]:
         return {d for d, _ in self.entries}
 
+    def diff(self, other: "DegreeMultiset") -> tuple[tuple[int, int, int], ...]:
+        """(degree, mult here, mult in other) for each degree where they differ."""
+        mine, theirs = dict(self.entries), dict(other.entries)
+        return tuple(
+            (d, mine.get(d, 0), theirs.get(d, 0))
+            for d in sorted(mine.keys() | theirs.keys())
+            if mine.get(d, 0) != theirs.get(d, 0)
+        )
+
     def validate(self, order: int, n_classes: int | None = None) -> None:
         """Regular-representation identity, count identity, degree divisibility."""
         assert self.sum_of_squares == order, (self.sum_of_squares, order)
@@ -74,45 +80,6 @@ class DegreeMultiset:
 
 
 # -- Z/ell linear algebra ----------------------------------------------------------
-
-
-def _rref(rows: list[list[int]], ell: int) -> tuple[list[list[int]], list[int]]:
-    """Row-reduce in place over Z/ell; returns (rows, pivot column list)."""
-    rows = [r[:] for r in rows]
-    pivots = []
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % ell), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, ell)
-        rows[rank] = [x * inv % ell for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % ell:
-                c = rows[r][col]
-                rows[r] = [(x - c * y) % ell for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
-
-
-def _nullspace(mat: list[list[int]], ell: int) -> list[list[int]]:
-    """Basis of the right nullspace of mat over Z/ell."""
-    n = len(mat[0])
-    rows, pivots = _rref(mat, ell)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rows[r][fc]) % ell
-        basis.append(v)
-    return basis
 
 
 def _charpoly(a: list[list[int]], ell: int) -> list[int]:
@@ -163,9 +130,9 @@ def _poly_eval(p: list[int], x: int, ell: int) -> int:
     return acc
 
 
-def _poly_roots(p: list[int], ell: int) -> list[int]:
+def _poly_roots(poly: list[int], ell: int) -> list[int]:
     """Distinct roots in Z/ell, by gcd with x^ell - x then scan."""
-    g = _modpoly_gcd(p, _xq_minus_x(p, ell), ell)
+    g = fp_gcd(poly, fp_sub(fp_powmod((0, 1), ell, poly, ell), (0, 1), ell), ell)
     target = len(g) - 1
     roots = []
     if target == 0:
@@ -176,63 +143,6 @@ def _poly_roots(p: list[int], ell: int) -> list[int]:
             if len(roots) == target:
                 break
     return roots
-
-
-def _xq_minus_x(mod: list[int], ell: int) -> list[int]:
-    """x^ell - x reduced mod the polynomial `mod` over Z/ell."""
-    base = [0, 1]
-    result = [1]
-    n = ell
-    while n:
-        if n & 1:
-            result = _modpoly_mod(_modpoly_mul(result, base, ell), mod, ell)
-        base = _modpoly_mod(_modpoly_mul(base, base, ell), mod, ell)
-        n >>= 1
-    out = result[:]
-    while len(out) < 2:
-        out.append(0)
-    out[1] = (out[1] - 1) % ell
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _modpoly_mul(a, b, ell):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % ell
-    return out
-
-
-def _modpoly_mod(a, m, ell):
-    a = [x % ell for x in a]
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, ell)
-    for k in range(len(a) - 1, dm - 1, -1):
-        c = a[k] * inv % ell
-        if c:
-            for j in range(dm + 1):
-                a[k - dm + j] = (a[k - dm + j] - c * m[j]) % ell
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _modpoly_gcd(a, b, ell):
-    a = [x % ell for x in a]
-    b = [x % ell for x in b]
-    while b and any(b):
-        a, b = b, _modpoly_mod(a, b, ell)
-    while a and a[-1] == 0:
-        a.pop()
-    if a:
-        inv = pow(a[-1], -1, ell)
-        a = [x * inv % ell for x in a]
-    return a
 
 
 def _sqrt_mod(a: int, ell: int) -> int:
@@ -260,12 +170,6 @@ def _sqrt_mod(a: int, ell: int) -> int:
     return r
 
 
-def _is_prime(n: int) -> bool:
-    from .localring import is_prime
-
-    return is_prime(n)
-
-
 # -- the mod-ell table ---------------------------------------------------------------
 
 
@@ -288,7 +192,7 @@ def choose_ell(order: int, exponent: int, bound: int = 10**7) -> int:
     """Smallest prime ell = 1 mod exp(G) with ell^2 > 4|G|."""
     ell = exponent + 1
     while ell <= bound:
-        if ell * ell > 4 * order and _is_prime(ell):
+        if ell * ell > 4 * order and is_prime(ell):
             return ell
         ell += exponent
     raise ModulusSearchError(f"no prime = 1 mod {exponent} above 2 sqrt({order}) below {bound}")
@@ -322,8 +226,7 @@ def character_table_modp(
         classes = conjugacy_classes(group)
     k = classes.n_classes
     order = group.order
-    exponent = math.lcm(*(group.element_order(r) for r in classes.representatives))
-    ell = choose_ell(order, exponent)
+    ell = choose_ell(order, group.exponent())
 
     id_class = classes.class_of[group.identity]
     # subspaces of (Z/ell)^k, split until all are lines
@@ -341,7 +244,7 @@ def character_table_modp(
                 new_spaces.append(basis)
                 continue
             # keep the basis in rref so coordinates read off the pivot columns
-            bt_rows, pivots = _rref(basis, ell)
+            bt_rows, pivots = rref(basis, ell)
             d = len(bt_rows)
             assert d == len(basis)
             a = [[0] * d for _ in range(d)]
@@ -359,7 +262,7 @@ def character_table_modp(
             roots = _poly_roots(cp, ell)
             for lam in roots:
                 shifted = [[(a[r][c] - (lam if r == c else 0)) % ell for c in range(d)] for r in range(d)]
-                null = _nullspace(shifted, ell)
+                null = nullspace(shifted, ell)
                 vecs = []
                 for nv in null:
                     vec = [0] * k
@@ -369,7 +272,7 @@ def character_table_modp(
                                 vec[idx] = (vec[idx] + coef * bt_rows[ci][idx]) % ell
                     vecs.append(vec)
                 # keep each eigenspace in rref form so coordinate-solving stays trivial
-                vecs, _ = _rref(vecs, ell)
+                vecs, _ = rref(vecs, ell)
                 new_spaces.append(vecs)
         subspaces = new_spaces
 
@@ -424,9 +327,3 @@ def character_degrees(
     out.validate(group.order, classes.n_classes)
     return out
 
-
-def abelian_degrees(group: FiniteGroup) -> DegreeMultiset:
-    """Fast path: [(1, |G|)] for abelian G."""
-    if not group.is_abelian():
-        raise NonAbelianError("abelian_degrees requires an abelian group")
-    return DegreeMultiset(((1, group.order),))

@@ -30,17 +30,6 @@ from .polynomials import RationalPoly
 from .porc import PorcFunction, porc_consolidate, porc_quotient
 
 
-def _level_ring(q: int, level: int) -> RingSpec:
-    p = min(f for f in range(2, q + 1) if q % f == 0)
-    f, n = 0, q
-    while n > 1:
-        if n % p:
-            raise RingConstructionError(f"{q} is not a prime power")
-        n //= p
-        f += 1
-    return RingSpec("unramified", p, f, level)
-
-
 def _cmd_dimirr(args) -> int:
     scheme = GroupScheme.parse(args.scheme)
     specs = tuple(RingSpec.parse(tok) for tok in args.ring)
@@ -58,7 +47,7 @@ def _cmd_fit(args) -> int:
     sample_qs = [int(tok) for tok in args.samples.split(",")]
     samples = {}
     for q in sample_qs:
-        spec = _level_ring(q, level)
+        spec = RingSpec.for_q(q, level)
         if level >= 2:
             samples[q] = compute_clifford_report(scheme, spec, args.budget)
         else:
@@ -66,7 +55,7 @@ def _cmd_fit(args) -> int:
     holdout = None
     if args.holdout is not None:
         hq = int(args.holdout)
-        holdout = (hq, compute_degrees(scheme, _level_ring(hq, level), "auto", args.budget))
+        holdout = (hq, compute_degrees(scheme, RingSpec.for_q(hq, level), "auto", args.budget))
     report = fit_polynomials(scheme, level, samples, holdout=holdout)
     if args.out:
         write_report(report, args.format, args.out)

@@ -27,14 +27,17 @@ from .characters import DegreeMultiset, character_degrees, character_table_modp
 from .groups import (
     FiniteGroup,
     FiniteMatrixGroup,
+    NotNormalError,
     QuotientGroup,
     SubgroupView,
     center,
     congruence_kernel,
     conjugacy_classes,
     quotient_group,
+    require_normal,
 )
 from .intlinalg import smith_normal_form, unimodular_inverse
+from .localring import prime_power
 
 
 class NotAbelianNormalError(ValueError):
@@ -314,15 +317,6 @@ class CliffordReport:
         }
 
 
-def _is_prime_power(n: int) -> bool:
-    if n == 1:
-        return True
-    p = min(f for f in range(2, n + 1) if n % f == 0)
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def _faithful_dims(
     s_bar: FiniteGroup, n_bar_labels: list[int], M: int
 ) -> tuple[tuple[tuple[int, int], ...], bool | None]:
@@ -353,12 +347,12 @@ def _faithful_dims(
     table = character_table_modp(s_bar, classes)
     ell = table.ell
 
-    prime_divisors = {f for f in range(2, M + 1) if M % f == 0 and all(f % d for d in range(2, f))}
+    p, _ = prime_power(M)  # M divides exp(N), and N is a p-group
 
     def has_order_m(v: int) -> bool:
         if pow(v, M, ell) != 1:
             raise AssertionError("central character value of wrong order")
-        return all(pow(v, M // p, ell) != 1 for p in prime_divisors)
+        return pow(v, M // p, ell) != 1
 
     faithful = [
         t for t in range(len(table.degrees)) if has_order_m(table.omega[t][gen_class])
@@ -391,14 +385,12 @@ class _Pipeline:
     def __init__(self, group: FiniteGroup, n_view: SubgroupView):
         if not n_view.is_abelian():
             raise NotAbelianNormalError("N must be abelian")
-        if not _is_prime_power(n_view.order):
+        if n_view.order > 1 and prime_power(n_view.order) is None:
             raise NotAbelianNormalError("N must be a p-group")
-        members = set(n_view.ordinals)
-        for g in group.generators():
-            gi = group.inv(g)
-            for x in n_view.ordinals:
-                if group.mul(gi, group.mul(x, g)) not in members:
-                    raise NotAbelianNormalError("N is not normal in G")
+        try:
+            require_normal(group, n_view.ordinals)
+        except NotNormalError as exc:
+            raise NotAbelianNormalError("N is not normal in G") from exc
         self.group = group
         self.n_view = n_view
         self.dual = DualGroup(n_view)
@@ -514,11 +506,7 @@ def default_normal_subgroup(group: FiniteMatrixGroup) -> SubgroupView:
     ring = group.ring
     if ring.r >= 2:
         return congruence_kernel(group, math.ceil(ring.r / 2))
-    order = group.order
-    p = ring.p
-    n = order
-    while n > 1 and n % p == 0:
-        n //= p
-    if n == 1 and order > 1:
+    split = prime_power(group.order)
+    if split is not None and split[0] == ring.p:
         return SubgroupView(group, center(group))
     return SubgroupView(group, [group.identity])

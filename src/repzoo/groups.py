@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .localring import QuotientRing, RingSpec, make_ring
 from .polynomials import RationalPoly
@@ -69,18 +68,7 @@ class GroupScheme:
 
 
 def predicted_order(scheme: GroupScheme, spec: RingSpec) -> int:
-    q, r, n = spec.q, spec.r, scheme.n
-    gl1 = reduce(lambda acc, i: acc * (q**n - q**i), range(n), 1)
-    units = q**r - q ** (r - 1)
-    if scheme.family == "GL":
-        return q ** ((r - 1) * n * n) * gl1
-    if scheme.family == "SL":
-        return q ** ((r - 1) * n * n) * gl1 // units
-    if scheme.family == "U":
-        return (q**r) ** (n * (n - 1) // 2)
-    if scheme.family == "B":
-        return units**n * (q**r) ** (n * (n - 1) // 2)
-    return units**n  # T
+    return int(scheme_order_poly(scheme, spec.r)(spec.q))
 
 
 def scheme_order_poly(scheme: GroupScheme, r: int) -> RationalPoly:
@@ -491,13 +479,19 @@ def congruence_kernel(group: FiniteMatrixGroup, i: int) -> SubgroupView:
     return view
 
 
-def quotient_group(group: FiniteGroup, normal) -> QuotientGroup:
-    """Coset group; raises NotNormalError with a witness conjugator if not normal."""
-    ordinals = normal.ordinals if isinstance(normal, SubgroupView) else tuple(sorted(normal))
+def require_normal(group: FiniteGroup, ordinals) -> None:
+    """Raise NotNormalError, with a witness conjugator, unless conjugation by
+    every generator of G maps the ordinals into themselves."""
     members = set(ordinals)
     for g in group.generators():
         gi = group.inv(g)
         for x in ordinals:
             if group.mul(gi, group.mul(x, g)) not in members:
                 raise NotNormalError(g, x)
+
+
+def quotient_group(group: FiniteGroup, normal) -> QuotientGroup:
+    """Coset group; raises NotNormalError with a witness conjugator if not normal."""
+    ordinals = normal.ordinals if isinstance(normal, SubgroupView) else tuple(sorted(normal))
+    require_normal(group, ordinals)
     return QuotientGroup(group, ordinals)

@@ -35,6 +35,7 @@ from .groups import (
     build_group,
     scheme_order_poly,
 )
+from .intlinalg import nullspace
 from .localring import RingSpec
 from .polynomials import RationalPoly, interpolate
 
@@ -143,7 +144,9 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
                 payload["strata"] = _strata_json(report)
                 payload["dual_order"] = sum(o.orbit_size for o in report.orbits)
         except BudgetExceededError as exc:
-            payload = {"key": key_obj, "error": str(exc), "predicted": exc.predicted}
+            # the key leaves out the budget, so the error must not be cached
+            results[spec.label()] = {"key": key_obj, "error": str(exc), "predicted": exc.predicted}
+            continue
         path.write_text(_canonical_json(payload))
         results[spec.label()] = payload
     return results
@@ -191,13 +194,7 @@ def compare_rings(
     """Multiset equality verdict for dimirr over two rings, with per-degree diff."""
     da = compute_degrees(scheme, spec_a, engine, budget)
     db = compute_degrees(scheme, spec_b, engine, budget)
-    all_degrees = sorted(da.degrees_set() | db.degrees_set())
-    ma, mb = dict(da.entries), dict(db.entries)
-    diff = tuple(
-        (d, ma.get(d, 0), mb.get(d, 0))
-        for d in all_degrees
-        if ma.get(d, 0) != mb.get(d, 0)
-    )
+    diff = da.diff(db)
     return CompareReport(
         scheme.label(), spec_a.label(), spec_b.label(), not diff, da, db, diff
     )
@@ -319,40 +316,16 @@ def _slot_assignments(entries, k: int):
 
 
 def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Exact solve; returns (particular, nullspace basis) or None if inconsistent."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [rows[i][:] + [rhs[i]] for i in range(m)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if aug[r][n] != 0:
-            return None
-    particular = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        particular[pc] = aug[r][n]
-    nullspace = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -aug[r][fc]
-        nullspace.append(v)
-    return particular, nullspace
+    """Exact solve; returns (particular, nullspace basis) or None if inconsistent.
+
+    Solutions are the nullspace vectors of [rows | -rhs] whose last coordinate
+    is 1.  The rhs column is the last free column unless the system is
+    inconsistent, so its basis vector comes last and is the particular solution.
+    """
+    basis = nullspace([row + [-b] for row, b in zip(rows, rhs)])
+    if not basis or basis[-1][-1] != 1:
+        return None
+    return basis[-1][:-1], [v[:-1] for v in basis[:-1]]
 
 
 def _poly_coeff_vector(p: RationalPoly, length: int) -> list[Fraction]:
@@ -594,7 +567,7 @@ def _fit_table(
 # -- flat and stratified drivers --------------------------------------------------------
 
 
-def _fit_flat(scheme, level, samples, den_bound, notes):
+def _fit_flat(scheme, level, samples, den_bound, ceiling, notes):
     qs = sorted(samples)
     order_poly = scheme_order_poly(scheme, level)
     for q in qs:
@@ -602,7 +575,6 @@ def _fit_flat(scheme, level, samples, den_bound, notes):
             "sample inconsistent with the group order",
             q,
         )
-    ceiling = scheme.n * (scheme.n - 1) // 2 * level + scheme.n
     entries_by_q = {q: samples[q].entries for q in qs}
     winners = _fit_table(
         qs, entries_by_q, order_poly, ceiling, den_bound, True, notes
@@ -629,7 +601,7 @@ def _stratify(report: CliffordReport):
     return sorted(groups.items())
 
 
-def _fit_stratified(scheme, level, reports, den_bound, notes):
+def _fit_stratified(scheme, level, reports, den_bound, ceiling, notes):
     qs = sorted(reports)
     s = len(qs)
     order_poly = scheme_order_poly(scheme, level)
@@ -644,7 +616,6 @@ def _fit_stratified(scheme, level, reports, den_bound, notes):
     if len(exps) != 1:
         raise AlignmentError(f"inconsistent kernel exponents across samples: {exps}")
     e_n = exps.pop()
-    ceiling = scheme.n * (scheme.n - 1) // 2 * level + scheme.n
 
     strata_by_q = {q: _stratify(reports[q]) for q in qs}
     k_st = max(len(strata_by_q[q]) for q in qs)
@@ -768,22 +739,19 @@ def fit_polynomials(
         den_bound = math.factorial(scheme.n)
     qs = sorted(samples)
     notes: list[str] = []
-    stratified = all(isinstance(samples[q], CliffordReport) for q in qs)
-    if stratified:
-        rows, score = _fit_stratified(scheme, level, samples, den_bound, notes)
-    else:
-        flat = {
-            q: samples[q].degrees if isinstance(samples[q], CliffordReport) else samples[q]
-            for q in qs
-        }
-        rows, score = _fit_flat(scheme, level, flat, den_bound, notes)
-
-    report = FitReport(scheme.label(), level, len(rows), rows, tuple(qs), score, tuple(notes))
-
+    # degree cap for every fitted row polynomial
+    ceiling = scheme.n * (scheme.n - 1) // 2 * level + scheme.n
     observed = {
         q: samples[q].degrees if isinstance(samples[q], CliffordReport) else samples[q]
         for q in qs
     }
+    if all(isinstance(samples[q], CliffordReport) for q in qs):
+        rows, score = _fit_stratified(scheme, level, samples, den_bound, ceiling, notes)
+    else:
+        rows, score = _fit_flat(scheme, level, observed, den_bound, ceiling, notes)
+
+    report = FitReport(scheme.label(), level, len(rows), rows, tuple(qs), score, tuple(notes))
+
     for q in qs:
         predicted = report.predicted_multiset(q)
         assert predicted.entries == observed[q].entries, (q, predicted.entries)
@@ -791,12 +759,7 @@ def fit_polynomials(
     if holdout is not None:
         hq, oracle = holdout
         predicted = report.predicted_multiset(hq)
-        pa, po = dict(predicted.entries), dict(oracle.entries)
-        diff = tuple(
-            (d, pa.get(d, 0), po.get(d, 0))
-            for d in sorted(set(pa) | set(po))
-            if pa.get(d, 0) != po.get(d, 0)
-        )
+        diff = predicted.diff(oracle)
         report.holdout_q = hq
         report.holdout_predicted = predicted.entries
         report.holdout_oracle = oracle.entries

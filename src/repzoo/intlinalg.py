@@ -1,8 +1,10 @@
-"""Small exact integer matrix utilities: Smith normal form and unimodular inverse.
+"""Small exact matrix utilities: row reduction over Q or Z/ell, Smith normal form.
 
-Matrices are lists of lists of Python ints.  Sizes here are tiny (ranks of
-root lattices, generator counts of abelian groups), so the classical
-elementary-operation SNF is plenty.
+Matrices are lists of lists of Python ints (or Fractions over Q).  Row
+reduction serves the mod-ell eigenspace splitting, the fitter's linear solves
+and unimodular inverses; the SNF inputs are tiny (ranks of root lattices,
+generator counts of abelian groups), so the classical elementary-operation
+SNF is plenty.
 """
 
 from __future__ import annotations
@@ -112,20 +114,72 @@ def smith_normal_form(mat):
     return u, a, v
 
 
+def rref(rows, ell=None):
+    """Reduced row echelon form over Z/ell (ell prime) or, for ell=None, over Q.
+
+    Returns (nonzero rows, pivot columns).  Each pivot is the first row at or
+    below the current rank with a nonzero entry in the column.
+    """
+    if ell is None:
+        rows = [r[:] for r in rows]
+    else:
+        rows = [[x % ell for x in r] for r in rows]
+    pivots = []
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        if rank == len(rows):
+            break
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank]
+        if ell is None:
+            inv = 1 / Fraction(prow[col])
+            prow = [x * inv for x in prow]
+        else:
+            inv = pow(prow[col], -1, ell)
+            prow = [x * inv % ell for x in prow]
+        rows[rank] = prow
+        for r, row in enumerate(rows):
+            c = row[col]
+            if r == rank or not c:
+                continue
+            if ell is None:
+                rows[r] = [x - c * y for x, y in zip(row, prow)]
+            else:
+                rows[r] = [(x - c * y) % ell for x, y in zip(row, prow)]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def nullspace(rows, ell=None):
+    """Basis of the right nullspace over Z/ell or Q: one vector per free column,
+    in column order, with a 1 in that column."""
+    n = len(rows[0])
+    red, pivots = rref(rows, ell)
+    zero, one = (Fraction(0), Fraction(1)) if ell is None else (0, 1)
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [zero] * n
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc] if ell is None else -red[r][fc] % ell
+        basis.append(v)
+    return basis
+
+
 def unimodular_inverse(u):
     """Exact inverse of a unimodular integer matrix, returned over the ints."""
     n = len(u)
-    aug = [[Fraction(u[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
+    red, pivots = rref([list(row) + e for row, e in zip(u, identity_matrix(n))])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is not unimodular")
+    out = [row[n:] for row in red]
     for row in out:
         for x in row:
             if x.denominator != 1:

@@ -434,8 +434,7 @@ def verify_containment(
     results = []
     witnesses: dict[int, dict[int, tuple[int, ...]]] = {}
     for q in q_list:
-        p, f = _prime_power_split(q)
-        group = build_group(scheme, RingSpec("unramified", p, f, 1), budget)
+        group = build_group(scheme, RingSpec.for_q(q, 1), budget)
         degrees = character_degrees(group).degrees_set()
         values = {}
         for poly in cands.polynomials:
@@ -450,14 +449,3 @@ def verify_containment(
         results.append((q, ok, missing))
     return ContainmentReport(scheme.label(), twist, tuple(results), witnesses)
 
-
-def _prime_power_split(q: int) -> tuple[int, int]:
-    p = min(f for f in range(2, q + 1) if q % f == 0)
-    f = 0
-    n = q
-    while n > 1:
-        if n % p:
-            raise ValueError(f"{q} is not a prime power")
-        n //= p
-        f += 1
-    return p, f

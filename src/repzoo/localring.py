@@ -46,16 +46,32 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- polynomials over F_p (dense int tuples, ascending) ----------------------
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, f) with n = p^f and f >= 1, or None when n is not a prime power."""
+    if n < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    f = 0
+    while n % p == 0:
+        n //= p
+        f += 1
+    return (p, f) if n == 1 else None
 
 
-def _fp_trim(a: list[int]) -> tuple[int, ...]:
+# -- polynomials over F_p (dense int tuples, ascending, no trailing zeros) -----
+
+
+def fp_trim(a: list[int]) -> tuple[int, ...]:
     while a and a[-1] == 0:
         a.pop()
     return tuple(a)
 
 
-def _fp_mul(a, b, p):
+def fp_sub(a, b, p):
+    return fp_trim([(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def fp_mul(a, b, p):
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -63,11 +79,11 @@ def _fp_mul(a, b, p):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % p
-    return _fp_trim(out)
+    return fp_trim(out)
 
 
-def _fp_mod(a, m, p):
-    a = list(a)
+def fp_mod(a, m, p):
+    a = [x % p for x in a]
     dm = len(m) - 1
     inv = pow(m[-1], -1, p)
     for k in range(len(a) - 1, dm - 1, -1):
@@ -75,32 +91,28 @@ def _fp_mod(a, m, p):
         if c:
             for j in range(dm + 1):
                 a[k - dm + j] = (a[k - dm + j] - c * m[j]) % p
-    return _fp_trim(a)
+    return fp_trim(a)
 
 
-def _fp_powmod(a, n, m, p):
+def fp_powmod(a, n, m, p):
     result = (1,)
-    base = _fp_mod(a, m, p)
+    base = fp_mod(a, m, p)
     while n:
         if n & 1:
-            result = _fp_mod(_fp_mul(result, base, p), m, p)
-        base = _fp_mod(_fp_mul(base, base, p), m, p)
+            result = fp_mod(fp_mul(result, base, p), m, p)
+        base = fp_mod(fp_mul(base, base, p), m, p)
         n >>= 1
     return result
 
 
-def _fp_gcd(a, b, p):
-    a, b = tuple(a), tuple(b)
+def fp_gcd(a, b, p):
+    """Monic gcd over F_p."""
+    a, b = fp_trim([x % p for x in a]), fp_trim([x % p for x in b])
     while b:
-        r = list(a)
-        dm = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        for k in range(len(r) - 1, dm - 1, -1):
-            c = r[k] * inv % p
-            if c:
-                for j in range(dm + 1):
-                    r[k - dm + j] = (r[k - dm + j] - c * b[j]) % p
-        a, b = b, _fp_trim(r)
+        a, b = b, fp_mod(a, b, p)
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = tuple(x * inv % p for x in a)
     return a
 
 
@@ -115,17 +127,15 @@ def fp_irreducible(poly: tuple[int, ...], p: int) -> bool:
     # x^(p^f) == x mod poly
     xq = x
     for _ in range(f):
-        xq = _fp_powmod(xq, p, poly, p)
-    if _fp_trim([(a - b) % p for a, b in itertools.zip_longest(xq, x, fillvalue=0)]):
+        xq = fp_powmod(xq, p, poly, p)
+    if fp_sub(xq, x, p):
         return False
     for ell in {d for d in range(2, f + 1) if f % d == 0 and is_prime(d)}:
         xq = x
         for _ in range(f // ell):
-            xq = _fp_powmod(xq, p, poly, p)
-        diff = _fp_trim(
-            [(a - b) % p for a, b in itertools.zip_longest(xq, x, fillvalue=0)]
-        )
-        g = _fp_gcd(poly, diff, p) if diff else poly
+            xq = fp_powmod(xq, p, poly, p)
+        diff = fp_sub(xq, x, p)
+        g = fp_gcd(poly, diff, p) if diff else poly
         if len(g) - 1 > 0:
             return False
     return True
@@ -206,6 +216,14 @@ class RingSpec:
         if self.kind == "eisenstein":
             return f"{short}:{self.p},{self.f},{self.e},{self.r}"
         return f"{short}:{self.p},{self.f},{self.r}"
+
+    @classmethod
+    def for_q(cls, q: int, r: int) -> "RingSpec":
+        """The unramified ring of level r with residue field F_q."""
+        split = prime_power(q)
+        if split is None:
+            raise RingConstructionError(f"{q} is not a prime power")
+        return cls("unramified", *split, r)
 
     @classmethod
     def parse(cls, text: str) -> "RingSpec":
@@ -474,7 +492,7 @@ class QuotientRing:
 
     def _fq_inverse(self, res: tuple[int, ...]) -> tuple[int, ...]:
         # a^(q-2) in F_q = F_p[x]/modulus
-        out = _fp_powmod(_fp_trim(list(res)), self.q - 2, self.modulus, self.p)
+        out = fp_powmod(fp_trim(list(res)), self.q - 2, self.modulus, self.p)
         return tuple(list(out) + [0] * (self.f - len(out)))
 
     def _embed_residue(self, res: tuple[int, ...]) -> tuple[int, ...]:

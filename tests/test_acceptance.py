@@ -47,15 +47,6 @@ def _report(num, label, started):
     print(f"[PASS] criterion {num}: {label} ({time.time() - started:.1f}s)")
 
 
-def _field_spec(q, r=1):
-    p = min(f for f in range(2, q + 1) if q % f == 0)
-    f, n = 0, q
-    while n > 1:
-        n //= p
-        f += 1
-    return RingSpec("unramified", p, f, r)
-
-
 def _record(dm, order, n_classes=None):
     dm.validate(order, n_classes)
     _produced_multisets.append((dm, order, n_classes))
@@ -65,7 +56,7 @@ def _record(dm, order, n_classes=None):
 def test_criterion_1_example_table_reproduction():
     started = time.time()
     for q in (2, 3, 5):
-        group = build_group(GL2, _field_spec(q))
+        group = build_group(GL2, RingSpec.for_q(q, 1))
         dm = _record(character_degrees(group), group.order, conjugacy_classes(group).n_classes)
         expected = {}
         for d, m in (
@@ -84,17 +75,17 @@ def test_criterion_1_example_table_reproduction():
 def test_criterion_2_regular_representation_identity():
     started = time.time()
     battery = [
-        (GL2, _field_spec(q)) for q in (2, 3, 4, 5, 7)
+        (GL2, RingSpec.for_q(q, 1)) for q in (2, 3, 4, 5, 7)
     ] + [
-        (SL2, _field_spec(q)) for q in (2, 3, 4, 5)
+        (SL2, RingSpec.for_q(q, 1)) for q in (2, 3, 4, 5)
     ] + [
-        (U3, _field_spec(q)) for q in (2, 3, 4)
+        (U3, RingSpec.for_q(q, 1)) for q in (2, 3, 4)
     ] + [
-        (U4, _field_spec(q)) for q in (2, 3)
+        (U4, RingSpec.for_q(q, 1)) for q in (2, 3)
     ] + [
-        (GroupScheme("B", 2), _field_spec(q)) for q in (2, 3, 5)
+        (GroupScheme("B", 2), RingSpec.for_q(q, 1)) for q in (2, 3, 5)
     ] + [
-        (GroupScheme("T", 2), _field_spec(q)) for q in (3, 5)
+        (GroupScheme("T", 2), RingSpec.for_q(q, 1)) for q in (3, 5)
     ] + [
         (GL2, RingSpec("unramified", 2, 1, 2)),
         (GL2, RingSpec("unramified", 3, 1, 2)),
@@ -102,7 +93,7 @@ def test_criterion_2_regular_representation_identity():
         (GL2, RingSpec("eqchar", 3, 1, 2)),
         (SL2, RingSpec("unramified", 2, 1, 2)),
         (GroupScheme("GL", 1), RingSpec("unramified", 3, 1, 3)),
-        (GroupScheme("GL", 3), _field_spec(2)),
+        (GroupScheme("GL", 3), RingSpec.for_q(2, 1)),
     ]
     count = 0
     for scheme, spec in battery:
@@ -122,7 +113,7 @@ def test_criterion_3_dual_engine_equivalence():
         for s in (GL2, SL2)
         for kind in ("unramified", "eqchar")
         for p in (2, 3)
-    ] + [(U3, _field_spec(q)) for q in (2, 3, 4)]
+    ] + [(U3, RingSpec.for_q(q, 1)) for q in (2, 3, 4)]
     for scheme, spec in cases:
         group = build_group(scheme, spec)
         direct = character_degrees(group)
@@ -164,9 +155,9 @@ def test_criterion_6_lie_type_polynomials():
     assert torus_order(datum, "split", id_idx) == (x - 1) * (x - 1)
     assert torus_order(datum, "split", s_idx) == x * x - 1
     for q in (2, 3, 5):
-        group = build_group(GL2, _field_spec(q))
+        group = build_group(GL2, RingSpec.for_q(q, 1))
         assert order_polynomial(datum)(q) == group.order
-        field = make_ring(_field_spec(q))
+        field = make_ring(RingSpec.for_q(q, 1))
         units = sum(1 for _ in field.units())
         assert torus_order(datum, "split", id_idx)(q) == units * units
         ext = make_ring(RingSpec("unramified", field.p, 2 * field.f, 1))
@@ -178,7 +169,7 @@ def test_criterion_7_unipotent_power_law():
     started = time.time()
     for scheme in (U3, U4):
         for q in (2, 3):
-            group = build_group(scheme, _field_spec(q))
+            group = build_group(scheme, RingSpec.for_q(q, 1))
             dm = _record(character_degrees(group), group.order)
             for d, _ in dm.entries:
                 k = round(math.log(d, q)) if d > 1 else 0

@@ -3,11 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from repzoo.characters import (
     DegreeMultiset,
-    NonAbelianError,
     _charpoly,
     _poly_eval,
     _sqrt_mod,
-    abelian_degrees,
     character_degrees,
     character_table_modp,
     choose_ell,
@@ -70,11 +68,17 @@ def test_structural_identities(family, n, kind, p, f, r):
 def test_abelian_fast_paths():
     group = build_group(GroupScheme("GL", 2), RingSpec("unramified", 2, 1, 2))
     kernel = congruence_kernel(group, 1)
-    assert abelian_degrees(kernel).entries == ((1, 16),)
+    assert character_degrees(kernel).entries == ((1, 16),)
     torus = build_group(GroupScheme("T", 2), RingSpec("unramified", 3, 1, 1))
-    assert abelian_degrees(torus).entries == ((1, 4),)
-    with pytest.raises(NonAbelianError):
-        abelian_degrees(group)
+    assert character_degrees(torus).entries == ((1, 4),)
+
+
+def test_degree_multiset_diff():
+    a = DegreeMultiset(((1, 2), (2, 3), (3, 2)))
+    b = DegreeMultiset(((1, 2), (2, 1), (4, 1)))
+    assert a.diff(b) == ((2, 3, 1), (3, 2, 0), (4, 0, 1))
+    assert b.diff(a) == ((2, 1, 3), (3, 0, 2), (4, 1, 0))
+    assert a.diff(a) == ()
 
 
 def test_modp_table_is_deterministic_and_lifts_degrees():

@@ -16,6 +16,7 @@ from repzoo.harness import (
     render_fit_markdown,
     run_dimirr,
     write_report,
+    _solve_linear,
 )
 from repzoo.localring import RingSpec
 from repzoo.polynomials import RationalPoly
@@ -70,6 +71,27 @@ def test_run_dimirr_budget_error_entry(tmp_path):
     results = run_dimirr(config)
     payload = results["unram:5,1,2"]
     assert "error" in payload and payload["predicted"] > 10**4
+
+
+def test_run_dimirr_budget_error_is_not_cached(tmp_path):
+    # B1 over F_3 (order 2) is built by no other test, so the group memo is cold
+    def run(budget):
+        config = ExperimentConfig(
+            GroupScheme("B", 1), (RingSpec("unramified", 3, 1, 1),), budget=budget,
+            cache_dir=str(tmp_path),
+        )
+        return run_dimirr(config)["unram:3,1,1"]
+
+    assert "error" in run(1)
+    assert run(10**7)["degrees"] == [[1, 2]]
+
+
+def test_solve_linear_particular_and_kernel():
+    rows = [[Fraction(1), Fraction(2), Fraction(3)]]
+    particular, kernel = _solve_linear(rows, [Fraction(4)])
+    assert particular == [4, 0, 0]
+    assert kernel == [[-2, 1, 0], [-3, 0, 1]]
+    assert _solve_linear([[Fraction(1), Fraction(1)]] * 2, [Fraction(1), Fraction(2)]) is None
 
 
 def test_compare_rings_equal_and_self():
@@ -181,6 +203,11 @@ def test_cli_lietype_verify(capsys):
 
 def test_cli_config_error_exit_2(capsys):
     assert cli_main(["dimirr", "--scheme", "GL2", "--ring", "bogus:1"]) == 2
+
+
+def test_cli_fit_rejects_non_prime_power_samples(capsys):
+    assert cli_main(["fit", "--scheme", "GL2", "--level", "1", "--samples", "1,2,3"]) == 2
+    assert "1 is not a prime power" in capsys.readouterr().err
 
 
 def test_cli_porc_demo(capsys):

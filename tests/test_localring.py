@@ -8,7 +8,22 @@ from repzoo.localring import (
     RingSpec,
     iso_check_truncated,
     make_ring,
+    prime_power,
 )
+
+
+@pytest.mark.parametrize(
+    "q, split",
+    [(2, (2, 1)), (4, (2, 2)), (9, (3, 2)), (25, (5, 2)), (49, (7, 2)),
+     (1, None), (0, None), (6, None), (12, None)],
+)
+def test_prime_power_and_for_q(q, split):
+    assert prime_power(q) == split
+    if split is None:
+        with pytest.raises(RingConstructionError, match="not a prime power"):
+            RingSpec.for_q(q, 2)
+    else:
+        assert RingSpec.for_q(q, 2) == RingSpec("unramified", *split, 2)
 
 
 def test_z9_basics():
