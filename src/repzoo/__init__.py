@@ -11,8 +11,6 @@ from .clifford import (
     DualGroup,
     clifford_dimirr,
     default_normal_subgroup,
-    dual_group,
-    irr_above,
     orbits_and_stabilizers,
 )
 from .groups import (
@@ -52,7 +50,7 @@ from .lietype import (
     weyl_group,
 )
 from .localring import QuotientRing, RingSpec, iso_check_truncated, make_ring
-from .polynomials import RationalPoly, SamplePointSet, eval_poly, interpolate
+from .polynomials import RationalPoly, SamplePointSet, interpolate
 from .porc import PorcFunction, porc_consolidate, porc_quotient
 
 __all__ = [name for name in dir() if not name.startswith("_")]

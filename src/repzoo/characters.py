@@ -182,11 +182,6 @@ class CharacterTableModP:
     omega: tuple[tuple[int, ...], ...]  # omega[t][j] in Z/ell
     classes: ConjugacyClassData
 
-    def char_value(self, t: int, j: int) -> int:
-        """chi_t(g_j) mod ell."""
-        inv_size = pow(self.classes.sizes[j], -1, self.ell)
-        return self.degrees[t] * self.omega[t][j] * inv_size % self.ell
-
 
 def choose_ell(order: int, exponent: int, bound: int = 10**7) -> int:
     """Smallest prime ell = 1 mod exp(G) with ell^2 > 4|G|."""
@@ -219,9 +214,8 @@ def character_table_modp(
     group: FiniteGroup, classes: ConjugacyClassData | None = None
 ) -> CharacterTableModP:
     """Full Dixon-Schneider eigen-separation for the class algebra of G."""
-    cached = getattr(group, "_modp_table", None)
-    if cached is not None:
-        return cached
+    if group.modp_table is not None:
+        return group.modp_table
     if classes is None:
         classes = conjugacy_classes(group)
     k = classes.n_classes
@@ -308,7 +302,7 @@ def character_table_modp(
     )
     result = DegreeMultiset.from_degrees(table.degrees)
     result.validate(order, k)
-    group._modp_table = table
+    group.modp_table = table
     return table
 
 

@@ -57,7 +57,7 @@ class DualGroup:
 
     def __init__(self, n_view: SubgroupView):
         if not n_view.is_abelian():
-            raise NotAbelianNormalError("dual_group requires an abelian group")
+            raise NotAbelianNormalError("DualGroup requires an abelian group")
         self.group = n_view
         self.order = n_view.order
         self.basis, self.orders = self._abelian_basis(n_view)
@@ -180,11 +180,6 @@ def _power(group: FiniteGroup, x: int, e: int) -> int:
     return acc
 
 
-def dual_group(n_view: SubgroupView) -> DualGroup:
-    """Spec entry point: the full character group of an abelian N."""
-    return DualGroup(n_view)
-
-
 # -- orbits and stabilizers -----------------------------------------------------------
 
 
@@ -234,13 +229,6 @@ class _DualAction:
 
     def orbit_of(self, chi):
         return {self.apply(key, chi) for key in self.buckets}
-
-    def stabilizer_of(self, chi) -> tuple[int, ...]:
-        fixing = [k for k in self.buckets if self.apply(k, chi) == chi]
-        out: list[int] = []
-        for k in fixing:
-            out.extend(self.buckets[k])
-        return tuple(sorted(out))
 
 
 def orbits_and_stabilizers(
@@ -379,82 +367,70 @@ def _faithful_dims(
     return dims, matches
 
 
-class _Pipeline:
-    """Shared state for clifford_dimirr / irr_above on a fixed (G, N)."""
+def _galois_classes(dual: DualGroup, records: list[OrbitRecord]) -> list[int]:
+    """For each orbit, the least orbit index of its Galois-power class."""
+    chi_to_orbit = {chi: i for i, r in enumerate(records) for chi in r.orbit}
+    E = dual.exponent
+    units = [u for u in range(1, E + 1) if math.gcd(u, E) == 1]
+    parent = list(range(len(records)))
 
-    def __init__(self, group: FiniteGroup, n_view: SubgroupView):
-        if not n_view.is_abelian():
-            raise NotAbelianNormalError("N must be abelian")
-        if n_view.order > 1 and prime_power(n_view.order) is None:
-            raise NotAbelianNormalError("N must be a p-group")
-        try:
-            require_normal(group, n_view.ordinals)
-        except NotNormalError as exc:
-            raise NotAbelianNormalError("N is not normal in G") from exc
-        self.group = group
-        self.n_view = n_view
-        self.dual = DualGroup(n_view)
-        self.records = orbits_and_stabilizers(group, n_view, self.dual)
-        self.orbit_id = {r.representative: i for i, r in enumerate(self.records)}
-        self.chi_to_orbit = {}
-        for i, r in enumerate(self.records):
-            for chi in r.orbit:
-                self.chi_to_orbit[chi] = i
-        self._class_of_orbit, self._classes = self._galois_classes()
-        self._dims_cache: dict[int, tuple] = {}
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-    def _galois_classes(self):
-        E = self.dual.exponent
-        units = [u for u in range(1, E + 1) if math.gcd(u, E) == 1]
-        parent = list(range(len(self.records)))
+    for i, rec in enumerate(records):
+        for u in units:
+            j = chi_to_orbit[dual.power(rec.representative, u)]
+            ra, rb = find(i), find(j)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return [find(i) for i in range(len(records))]
 
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
 
-        for i, rec in enumerate(self.records):
-            for u in units:
-                j = self.chi_to_orbit[self.dual.power(rec.representative, u)]
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        classes: dict[int, list[int]] = {}
-        for i in range(len(self.records)):
-            classes.setdefault(find(i), []).append(i)
-        return {i: find(i) for i in range(len(self.records))}, classes
-
-    def dims_for_class(self, class_id: int):
-        cached = self._dims_cache.get(class_id)
-        if cached is not None:
-            return cached
-        rep_rec = self.records[class_id]
-        psi = rep_rec.representative
-        M = self.dual.char_order(psi)
-        if M == 1:
-            # trivial character: Irr(G | 1) = Irr(G/N)
-            if self.n_view.order == 1:
-                dm = character_degrees(self.group)
-            else:
-                dm = character_degrees(quotient_group(self.group, self.n_view.ordinals))
-            result = (dm.entries, True)
+def _dims_above(group: FiniteGroup, n_view: SubgroupView, dual: DualGroup, rec: OrbitRecord):
+    """(dims of Irr(Stab | psi), extension observable) for psi = rec.representative."""
+    psi = rec.representative
+    M = dual.char_order(psi)
+    if M == 1:
+        # trivial character: Irr(G | 1) = Irr(G/N)
+        if n_view.order == 1:
+            dm = character_degrees(group)
         else:
-            s_view = SubgroupView(self.group, rep_rec.stabilizer)
-            kernel_parent = self.dual.kernel(psi)
-            kernel_local = [s_view.local[k] for k in kernel_parent]
-            s_bar = QuotientGroup(s_view, kernel_local)
-            n_bar = sorted(
-                {s_bar.label[s_view.local[n]] for n in self.n_view.ordinals}
-            )
-            result = _faithful_dims(s_bar, n_bar, M)
-        self._dims_cache[class_id] = result
-        return result
+            dm = character_degrees(quotient_group(group, n_view.ordinals))
+        return dm.entries, True
+    s_view = SubgroupView(group, rec.stabilizer)
+    kernel_local = [s_view.local[k] for k in dual.kernel(psi)]
+    s_bar = QuotientGroup(s_view, kernel_local)
+    n_bar = sorted({s_bar.label[s_view.local[n]] for n in n_view.ordinals})
+    return _faithful_dims(s_bar, n_bar, M)
 
-    def orbit_dims(self, orbit_index: int) -> OrbitDims:
-        rec = self.records[orbit_index]
-        dims, ext = self.dims_for_class(self._class_of_orbit[orbit_index])
-        return OrbitDims(
+
+def clifford_dimirr(group: FiniteGroup, n) -> CliffordReport:
+    """Assemble dimirr(G) orbit by orbit from the normal abelian p-subgroup N,
+    given as a SubgroupView or as parent ordinals."""
+    n_view = n if isinstance(n, SubgroupView) else SubgroupView(group, n)
+    if not n_view.is_abelian():
+        raise NotAbelianNormalError("N must be abelian")
+    if n_view.order > 1 and prime_power(n_view.order) is None:
+        raise NotAbelianNormalError("N must be a p-group")
+    try:
+        require_normal(group, n_view.ordinals)
+    except NotNormalError as exc:
+        raise NotAbelianNormalError("N is not normal in G") from exc
+    dual = DualGroup(n_view)
+    records = orbits_and_stabilizers(group, n_view, dual)
+    # orbits in one Galois-power class share their dimension data
+    class_dims: dict[int, tuple] = {}
+    orbit_slices = []
+    pairs = []
+    iso_count = 0
+    for rec, c in zip(records, _galois_classes(dual, records)):
+        if c not in class_dims:
+            class_dims[c] = _dims_above(group, n_view, dual, records[c])
+        dims, ext = class_dims[c]
+        od = OrbitDims(
             rec.representative,
             rec.orbit_size,
             rec.stabilizer_order,
@@ -462,41 +438,13 @@ class _Pipeline:
             rec.orbit_size == 1,
             ext,
         )
-
-
-def _as_view(group: FiniteGroup, n) -> SubgroupView:
-    if isinstance(n, SubgroupView):
-        return n
-    return SubgroupView(group, n)
-
-
-def irr_above(group: FiniteGroup, n, psi: tuple[int, ...]) -> list[int]:
-    """Dims of Irr(G | psi): each member of Irr(Stab | psi) induced up by [G:Stab]."""
-    pipe = _Pipeline(group, _as_view(group, n))
-    idx = pipe.chi_to_orbit[tuple(psi)]
-    od = pipe.orbit_dims(idx)
-    out = []
-    for d, m in od.dims:
-        out.extend([d * od.orbit_size] * m)
-    return sorted(out)
-
-
-def clifford_dimirr(group: FiniteGroup, n) -> CliffordReport:
-    """Assemble dimirr(G) orbit by orbit from the normal abelian p-subgroup N."""
-    pipe = _Pipeline(group, _as_view(group, n))
-    orbit_slices = [pipe.orbit_dims(i) for i in range(len(pipe.records))]
-    pairs = []
-    iso_count = 0
-    total_irr = 0
-    for od in orbit_slices:
-        total_irr += od.irr_count
+        orbit_slices.append(od)
         if od.isotypic:
             iso_count += od.irr_count
-        for d, m in od.dims:
-            pairs.append((d * od.orbit_size, m))
+        pairs.extend((d * od.orbit_size, m) for d, m in od.dims)
     degrees = DegreeMultiset.from_pairs(pairs)
     degrees.validate(group.order)
-    assert degrees.total_count == total_irr
+    assert degrees.total_count == sum(od.irr_count for od in orbit_slices)
     return CliffordReport(degrees, tuple(orbit_slices), iso_count)
 
 

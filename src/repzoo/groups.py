@@ -8,18 +8,26 @@ the Clifford pipeline oblivious to where a group came from.
 
 Enumeration of GL lifts the residue-field group through the congruence
 kernel fibers instead of filtering all q^(r n^2) matrices.
+
+Memo policy: value-keyed builders (make_ring, build_group, and the Clifford
+report of each built group) are memoized with functools.cache for the life of
+the process; data derived from one group lives on that group; and a budget is
+checked on every call, before any memo is consulted.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .localring import QuotientRing, RingSpec, make_ring
 from .polynomials import RationalPoly
+
+if TYPE_CHECKING:
+    from .characters import CharacterTableModP
 
 DEFAULT_BUDGET = 10**7
 
@@ -98,6 +106,11 @@ class FiniteGroup:
 
     order: int
     identity: int
+    # derived data, filled in on first use by generators(), conjugacy_classes()
+    # and character_table_modp()
+    gens: list[int] | None = None
+    classes: ConjugacyClassData | None = None
+    modp_table: CharacterTableModP | None = None
 
     def mul(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -114,9 +127,8 @@ class FiniteGroup:
 
     def generators(self) -> list[int]:
         """Greedy generating set: first ordinals that strictly grow the closure."""
-        cached = getattr(self, "_generators", None)
-        if cached is not None:
-            return cached
+        if self.gens is not None:
+            return self.gens
         gens: list[int] = []
         closure = {self.identity}
         for i in range(self.order):
@@ -136,7 +148,7 @@ class FiniteGroup:
                 frontier = nxt
             if len(closure) == self.order:
                 break
-        self._generators = gens
+        self.gens = gens
         return gens
 
     def is_abelian(self) -> bool:
@@ -177,20 +189,6 @@ class FiniteMatrixGroup(FiniteGroup):
             v = self.index[_mat_inv(self.ring, self.n, self.elements[i])]
             self._inv_cache[i] = v
         return v
-
-    def fingerprint(self, include_classes: bool = True) -> dict:
-        """Cache identity: scheme, ring spec, order, class-sizes hash."""
-        data = {
-            "scheme": self.scheme.label(),
-            "ring": self.ring.spec.to_json(),
-            "order": self.order,
-        }
-        if include_classes:
-            sizes = conjugacy_classes(self).sizes
-            data["class_sizes_sha256"] = hashlib.sha256(
-                json.dumps(sizes).encode()
-            ).hexdigest()
-        return data
 
 
 class SubgroupView(FiniteGroup):
@@ -357,19 +355,22 @@ def _enumerate_upper(ring: QuotientRing, n: int, diagonal: str):
     return out
 
 
-_GROUP_CACHE: dict[tuple, FiniteMatrixGroup] = {}
-
-
 def build_group(
     scheme: GroupScheme, spec: RingSpec, budget: int = DEFAULT_BUDGET
 ) -> FiniteMatrixGroup:
-    """Enumerate the group, with constant-time membership via canonical hashing."""
-    cached = _GROUP_CACHE.get((scheme, spec))
-    if cached is not None:
-        return cached
+    """The enumerated group, built once per process; the budget is checked on
+    every call, before the memo."""
     predicted = predicted_order(scheme, spec)
     if predicted > budget:
         raise BudgetExceededError(scheme, spec, predicted, budget)
+    group = _enumerate_group(scheme, spec)
+    assert group.order == predicted, (group.order, predicted)
+    return group
+
+
+@cache
+def _enumerate_group(scheme: GroupScheme, spec: RingSpec) -> FiniteMatrixGroup:
+    """Enumerate the group, with constant-time membership via canonical hashing."""
     ring = make_ring(spec)
     n = scheme.n
     fam = scheme.family
@@ -392,10 +393,7 @@ def build_group(
             )
             for diag in itertools.product(list(ring.units()), repeat=n)
         ]
-    group = FiniteMatrixGroup(scheme, ring, mats)
-    assert group.order == predicted, (group.order, predicted)
-    _GROUP_CACHE[(scheme, spec)] = group
-    return group
+    return FiniteMatrixGroup(scheme, ring, mats)
 
 
 # -- conjugacy classes -------------------------------------------------------------
@@ -416,9 +414,8 @@ class ConjugacyClassData:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
-    cached = getattr(group, "_classes", None)
-    if cached is not None:
-        return cached
+    if group.classes is not None:
+        return group.classes
     gens = group.generators()
     gen_invs = [group.inv(g) for g in gens]
     class_of = [-1] * group.order
@@ -446,7 +443,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
     inverse_class = tuple(class_of[group.inv(r)] for r in reps)
     data = ConjugacyClassData(tuple(class_of), tuple(reps), tuple(sizes), inverse_class)
     assert sum(sizes) == group.order
-    group._classes = data
+    group.classes = data
     return data
 
 

@@ -22,8 +22,10 @@ import itertools
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .characters import DegreeMultiset, character_degrees
@@ -31,8 +33,10 @@ from .clifford import CliffordReport, clifford_dimirr, default_normal_subgroup
 from .groups import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    FiniteMatrixGroup,
     GroupScheme,
     build_group,
+    predicted_order,
     scheme_order_poly,
 )
 from .intlinalg import nullspace
@@ -99,23 +103,27 @@ def compute_degrees(
     return a
 
 
-_REPORT_CACHE: dict[tuple, CliffordReport] = {}
-
-
 def compute_clifford_report(
     scheme: GroupScheme, spec: RingSpec, budget: int = DEFAULT_BUDGET
 ) -> CliffordReport:
-    key = (scheme, spec)
-    rep = _REPORT_CACHE.get(key)
-    if rep is None:
-        group = build_group(scheme, spec, budget)
-        rep = clifford_dimirr(group, default_normal_subgroup(group))
-        _REPORT_CACHE[key] = rep
-    return rep
+    """The Clifford report of the group, built once per process; build_group
+    checks the budget on every call, before the memo."""
+    return _clifford_report(build_group(scheme, spec, budget))
+
+
+@cache
+def _clifford_report(group: FiniteMatrixGroup) -> CliffordReport:
+    # build_group returns one group object per (scheme, spec)
+    return clifford_dimirr(group, default_normal_subgroup(group))
 
 
 def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
-    """Per-ring degree multisets, cached on disk keyed by (scheme, ring, engine)."""
+    """Per-ring degree multisets, cached on disk keyed by (scheme, ring, engine).
+
+    An entry that does not parse, was written for another key, or whose degrees
+    fail the order identity is recomputed and rewritten; entries are written to
+    a temporary file and renamed into place, so a reader never sees half of one.
+    """
     cache_dir = config.resolved_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {}
@@ -127,8 +135,9 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
         }
         key = hashlib.sha256(_canonical_json(key_obj).encode()).hexdigest()
         path = cache_dir / f"{key}.json"
-        if path.exists():
-            results[spec.label()] = json.loads(path.read_text())
+        cached = _read_entry(path, key_obj, predicted_order(config.scheme, spec))
+        if cached is not None:
+            results[spec.label()] = cached
             continue
         engine = _resolve_engine(config.engine, spec)
         try:
@@ -147,9 +156,25 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
             # the key leaves out the budget, so the error must not be cached
             results[spec.label()] = {"key": key_obj, "error": str(exc), "predicted": exc.predicted}
             continue
-        path.write_text(_canonical_json(payload))
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            fh.write(_canonical_json(payload))
+        os.replace(tmp, path)
         results[spec.label()] = payload
     return results
+
+
+def _read_entry(path: Path, key_obj: dict, order: int) -> dict | None:
+    """The cache entry at path, or None if it is missing, unparsable, written
+    for another key, or its degrees fail the checks of DegreeMultiset.validate."""
+    try:
+        payload = json.loads(path.read_text())
+        if payload["key"] != key_obj:
+            return None
+        DegreeMultiset.from_json(payload["degrees"]).validate(order)
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, AssertionError):
+        return None
+    return payload
 
 
 def _strata_json(report: CliffordReport) -> list:

@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .characters import character_degrees
+from .groups import GroupScheme, build_group
 from .intlinalg import mat_mul, mat_vec, smith_normal_form, unimodular_inverse
-from .groups import GroupScheme
+from .localring import RingSpec
 from .polynomials import RationalPoly
 
 _TWISTS = ("split", "unitary")
@@ -421,10 +423,6 @@ def verify_containment(
     scheme: GroupScheme, twist: str, q_list, budget: int = 10**7
 ) -> ContainmentReport:
     """Check dimirr(G(F_q)) against candidate evaluations at each listed q."""
-    from .characters import character_degrees
-    from .groups import build_group
-    from .localring import RingSpec
-
     if twist != "split":
         raise UnsupportedTwistError(
             "containment verification runs on split forms (the scheme menu has no unitary schemes)"

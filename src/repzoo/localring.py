@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Iterator
 
 _TABLE_LIMIT = 1024  # build full add/mul tables when the ring is this small
@@ -141,7 +141,7 @@ def fp_irreducible(poly: tuple[int, ...], p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@cache
 def default_modulus(p: int, f: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree f over F_p."""
     if f == 1:
@@ -307,7 +307,6 @@ class QuotientRing:
         self.zero = self.index[tuple([0] * len(self._ranges))]
         self.one = self.index[self._one_tuple()]
 
-        self._residue_cache: list[int] | None = None
         self._inv_cache: dict[int, int] = {}
         if self.size <= _TABLE_LIMIT:
             els = self.elements
@@ -458,9 +457,6 @@ class QuotientRing:
     def is_unit(self, i: int) -> bool:
         return any(self.residue_coords(i))
 
-    def units_count(self) -> int:
-        return self.size - self.size // self.q
-
     def units(self) -> Iterator[int]:
         return (i for i in range(self.size) if self.is_unit(i))
 
@@ -538,16 +534,12 @@ class QuotientRing:
         return target, mapping
 
 
-_RING_CACHE: dict[RingSpec, QuotientRing] = {}
-
-
 def make_ring(spec: RingSpec) -> QuotientRing:
-    """Construct (and memoize) the ring for a spec."""
-    ring = _RING_CACHE.get(spec)
-    if ring is None:
-        ring = QuotientRing(spec)
-        _RING_CACHE[spec] = ring
-    return ring
+    """The ring for a spec, built once per process."""
+    return _ring(spec)
+
+
+_ring = cache(QuotientRing)
 
 
 # -- Eisenstein truncation isomorphism ------------------------------------------

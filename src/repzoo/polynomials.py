@@ -277,7 +277,3 @@ def interpolate(samples) -> RationalPoly:
         result = result + num * (yi / den)
     return result
 
-
-def eval_poly(p: RationalPoly, x: Rat) -> Fraction:
-    """Exact evaluation; alias of p(x) for the public API."""
-    return p(x)

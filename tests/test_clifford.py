@@ -2,11 +2,10 @@ import pytest
 
 from repzoo.characters import character_degrees
 from repzoo.clifford import (
+    DualGroup,
     NotAbelianNormalError,
     clifford_dimirr,
     default_normal_subgroup,
-    dual_group,
-    irr_above,
     orbits_and_stabilizers,
 )
 from repzoo.groups import (
@@ -29,7 +28,7 @@ def heisenberg(q_spec):
 def test_dual_of_elementary_abelian():
     group = build_group(GL2, RingSpec("unramified", 2, 1, 2))
     kernel = congruence_kernel(group, 1)
-    dual = dual_group(kernel)
+    dual = DualGroup(kernel)
     chars = list(dual.characters())
     assert len(chars) == 16
     assert len(set(chars)) == 16
@@ -49,13 +48,13 @@ def test_dual_of_elementary_abelian():
 def test_dual_of_trivial_group():
     group = build_group(GL2, RingSpec("unramified", 2, 1, 1))
     triv = SubgroupView(group, [group.identity])
-    assert len(list(dual_group(triv).characters())) == 1
+    assert len(list(DualGroup(triv).characters())) == 1
 
 
 def test_dual_orders_divide_exponent():
     group = build_group(GL2, RingSpec("unramified", 3, 1, 2))
     kernel = congruence_kernel(group, 1)
-    dual = dual_group(kernel)
+    dual = DualGroup(kernel)
     assert len(list(dual.characters())) == 81
     assert all(dual.char_order(chi) in (1, 3) for chi in dual.characters())
 
@@ -63,13 +62,13 @@ def test_dual_orders_divide_exponent():
 def test_dual_requires_abelian():
     group = build_group(GL2, RingSpec("unramified", 2, 1, 1))
     with pytest.raises(NotAbelianNormalError):
-        dual_group(SubgroupView(group, range(group.order)))
+        DualGroup(SubgroupView(group, range(group.order)))
 
 
 def test_orbit_stabilizer_identity():
     group = build_group(GL2, RingSpec("unramified", 2, 1, 2))
     kernel = congruence_kernel(group, 1)
-    dual = dual_group(kernel)
+    dual = DualGroup(kernel)
     records = orbits_and_stabilizers(group, kernel, dual)
     assert sum(r.orbit_size for r in records) == 16
     for rec in records:
@@ -84,20 +83,21 @@ def test_abelian_group_acting_on_own_dual_fixes_everything():
     torus = build_group(GroupScheme("T", 2), RingSpec("unramified", 3, 1, 1))
     # T is abelian of order 4 = 2^2, its own normal p-subgroup
     full = SubgroupView(torus, range(torus.order))
-    dual = dual_group(full)
+    dual = DualGroup(full)
     records = orbits_and_stabilizers(torus, full, dual)
     assert all(r.orbit_size == 1 for r in records)
 
 
 def test_heisenberg_irr_above_central_characters():
     group, zed = heisenberg(RingSpec("unramified", 3, 1, 1))
-    dual = dual_group(zed)
-    for chi in dual.characters():
-        dims = irr_above(group, zed, chi)
+    dual = DualGroup(zed)
+    orbits = {o.representative: o for o in clifford_dimirr(group, zed).orbits}
+    assert sorted(orbits) == sorted(dual.characters())
+    for chi, orbit in orbits.items():
         if dual.char_order(chi) == 1:
-            assert dims == [1] * 9
+            assert orbit.dims == ((1, 9),)
         else:
-            assert dims == [3]
+            assert orbit.dims == ((3, 1),) and orbit.orbit_size == 1
 
 
 def test_clifford_report_structure():

@@ -166,12 +166,7 @@ def test_scheme_parse():
         GroupScheme.parse("E8")
 
 
-def test_fingerprint_serializes_and_is_stable():
-    import json
-
-    group = build_group(GL2, F3)
-    fp = group.fingerprint()
-    assert fp["order"] == 48 and fp["scheme"] == "GL2"
-    assert len(fp["class_sizes_sha256"]) == 64
-    assert json.loads(json.dumps(fp)) == fp
-    assert group.fingerprint() == fp
+def test_budget_is_checked_after_the_group_is_built():
+    assert build_group(GL2, F2).order == 6
+    with pytest.raises(BudgetExceededError):
+        build_group(GL2, F2, budget=1)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from repzoo.cli import main as cli_main
-from repzoo.groups import GroupScheme
+from repzoo.groups import BudgetExceededError, GroupScheme
 from repzoo.harness import (
     AlignmentError,
     ExperimentConfig,
@@ -74,7 +74,7 @@ def test_run_dimirr_budget_error_entry(tmp_path):
 
 
 def test_run_dimirr_budget_error_is_not_cached(tmp_path):
-    # B1 over F_3 (order 2) is built by no other test, so the group memo is cold
+    # a budget error must not be cached on disk, so the second run computes
     def run(budget):
         config = ExperimentConfig(
             GroupScheme("B", 1), (RingSpec("unramified", 3, 1, 1),), budget=budget,
@@ -84,6 +84,37 @@ def test_run_dimirr_budget_error_is_not_cached(tmp_path):
 
     assert "error" in run(1)
     assert run(10**7)["degrees"] == [[1, 2]]
+
+
+def test_clifford_report_budget_is_checked_after_the_report_is_built():
+    spec = RingSpec("unramified", 2, 1, 2)
+    assert compute_clifford_report(GL2, spec).degrees.sum_of_squares == 96
+    with pytest.raises(BudgetExceededError):
+        compute_clifford_report(GL2, spec, budget=1)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: text.replace('"degrees":[[1,2],[2,1]]', '"degrees":[[1,2],[2,2]]'),
+        lambda text: text.replace('"engine":"chardeg"', '"engine":"both"'),
+    ],
+    ids=["truncated", "wrong_degrees", "foreign_key"],
+)
+def test_run_dimirr_recomputes_a_bad_cache_entry(tmp_path, corrupt):
+    config = ExperimentConfig(
+        GL2, (RingSpec("unramified", 2, 1, 1),), engine="chardeg", cache_dir=str(tmp_path)
+    )
+    good = run_dimirr(config)["unram:2,1,1"]
+    (path,) = tmp_path.iterdir()
+    text = path.read_text()
+    bad = corrupt(text)
+    assert bad != text
+    path.write_text(bad)
+    assert run_dimirr(config)["unram:2,1,1"] == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_text() == text
 
 
 def test_solve_linear_particular_and_kernel():
