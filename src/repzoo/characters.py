@@ -5,7 +5,7 @@ coefficient matrices: their simultaneous eigenvectors over Z/ell (ell prime,
 ell = 1 mod exp(G), ell > 2 sqrt(|G|)) recover the algebra homomorphisms
 omega_t, from which degrees follow by the column orthogonality relation and
 lift uniquely below ell/2.  Everything is integer arithmetic; the structural
-identities (sum of squares, class count, divisibility) are asserted on every
+identities (sum of squares, class count, divisibility) are checked on every
 output.
 """
 
@@ -65,11 +65,13 @@ class DegreeMultiset:
 
     def validate(self, order: int, n_classes: int | None = None) -> None:
         """Regular-representation identity, count identity, degree divisibility."""
-        assert self.sum_of_squares == order, (self.sum_of_squares, order)
-        if n_classes is not None:
-            assert self.total_count == n_classes, (self.total_count, n_classes)
+        if self.sum_of_squares != order:
+            raise AssertionError(f"sum of squares {self.sum_of_squares} != |G|={order}")
+        if n_classes is not None and self.total_count != n_classes:
+            raise AssertionError(f"{self.total_count} irreducibles != {n_classes} classes")
         for d, _ in self.entries:
-            assert order % d == 0, f"degree {d} does not divide |G|={order}"
+            if order % d:
+                raise AssertionError(f"degree {d} does not divide |G|={order}")
 
     def to_json(self) -> list[list[int]]:
         return [[d, m] for d, m in self.entries]
@@ -210,14 +212,11 @@ def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, j: int) -> li
     return mat
 
 
-def character_table_modp(
-    group: FiniteGroup, classes: ConjugacyClassData | None = None
-) -> CharacterTableModP:
+def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     """Full Dixon-Schneider eigen-separation for the class algebra of G."""
     if group.modp_table is not None:
         return group.modp_table
-    if classes is None:
-        classes = conjugacy_classes(group)
+    classes = conjugacy_classes(group)
     k = classes.n_classes
     order = group.order
     ell = choose_ell(order, group.exponent())
@@ -306,17 +305,14 @@ def character_table_modp(
     return table
 
 
-def character_degrees(
-    group: FiniteGroup, classes: ConjugacyClassData | None = None
-) -> DegreeMultiset:
+def character_degrees(group: FiniteGroup) -> DegreeMultiset:
     """Exact multiset {dim rho : rho in Irr(G)} with multiplicities."""
-    if classes is None:
-        classes = conjugacy_classes(group)
+    classes = conjugacy_classes(group)
     if group.is_abelian():
         out = DegreeMultiset(((1, group.order),))
         out.validate(group.order, classes.n_classes)
         return out
-    table = character_table_modp(group, classes)
+    table = character_table_modp(group)
     out = DegreeMultiset.from_degrees(table.degrees)
     out.validate(group.order, classes.n_classes)
     return out

@@ -287,23 +287,6 @@ class CliffordReport:
     orbits: tuple[OrbitDims, ...]
     isotypic_count: int
 
-    def to_json(self) -> dict:
-        return {
-            "orbits": [
-                {
-                    "rep": list(o.representative),
-                    "orbit_size": o.orbit_size,
-                    "stabilizer_order": o.stabilizer_order,
-                    "dims": [list(p) for p in o.dims],
-                    "isotypic": o.isotypic,
-                    "extension_matches": o.extension_matches,
-                }
-                for o in self.orbits
-            ],
-            "degrees": self.degrees.to_json(),
-            "isotypic_count": self.isotypic_count,
-        }
-
 
 def _faithful_dims(
     s_bar: FiniteGroup, n_bar_labels: list[int], M: int
@@ -332,7 +315,7 @@ def _faithful_dims(
         nb for nb in n_bar_labels if s_bar.element_order(nb) == M
     )
     gen_class = classes.class_of[gen]
-    table = character_table_modp(s_bar, classes)
+    table = character_table_modp(s_bar)
     ell = table.ell
 
     p, _ = prime_power(M)  # M divides exp(N), and N is a p-group

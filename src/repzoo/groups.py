@@ -79,6 +79,14 @@ def predicted_order(scheme: GroupScheme, spec: RingSpec) -> int:
     return int(scheme_order_poly(scheme, spec.r)(spec.q))
 
 
+def check_budget(scheme: GroupScheme, spec: RingSpec, budget: int) -> int:
+    """The predicted order; raises BudgetExceededError when it exceeds budget."""
+    predicted = predicted_order(scheme, spec)
+    if predicted > budget:
+        raise BudgetExceededError(scheme, spec, predicted, budget)
+    return predicted
+
+
 def scheme_order_poly(scheme: GroupScheme, r: int) -> RationalPoly:
     """|G(o_r)| as an exact polynomial in q (kind-independent)."""
     x = RationalPoly.x()
@@ -307,7 +315,7 @@ def _mat_inv(ring: QuotientRing, n: int, a):
 
 
 def _enumerate_gl(ring: QuotientRing, n: int):
-    residue, red_map = ring.reduce_to(1)
+    residue = make_ring(ring.spec.at_level(1))
     # invertible matrices over the residue field
     res_gl = [
         m
@@ -317,11 +325,7 @@ def _enumerate_gl(ring: QuotientRing, n: int):
     if ring.r == 1:
         return res_gl
     # lift through the congruence kernel: coordinate section + ideal tails entrywise
-    section = {}
-    for ri in range(residue.size):
-        coords = residue.elements[ri]
-        lift = tuple(coords) + (0,) * (len(ring._ranges) - len(coords))
-        section[ri] = ring.index[lift]
+    section = [ring.from_coords(coords) for coords in residue.elements]
     ideal = ring.maximal_ideal()
     add = ring.add
     out = []
@@ -360,9 +364,7 @@ def build_group(
 ) -> FiniteMatrixGroup:
     """The enumerated group, built once per process; the budget is checked on
     every call, before the memo."""
-    predicted = predicted_order(scheme, spec)
-    if predicted > budget:
-        raise BudgetExceededError(scheme, spec, predicted, budget)
+    predicted = check_budget(scheme, spec, budget)
     group = _enumerate_group(scheme, spec)
     assert group.order == predicted, (group.order, predicted)
     return group

@@ -36,7 +36,7 @@ from .groups import (
     FiniteMatrixGroup,
     GroupScheme,
     build_group,
-    predicted_order,
+    check_budget,
     scheme_order_poly,
 )
 from .intlinalg import nullspace
@@ -134,28 +134,29 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
             "engine": config.engine,
         }
         key = hashlib.sha256(_canonical_json(key_obj).encode()).hexdigest()
+        try:
+            order = check_budget(config.scheme, spec, config.budget)
+        except BudgetExceededError as exc:
+            # the key leaves out the budget, so the budget is checked before the
+            # cache is read, and the error is not cached
+            results[spec.label()] = {"key": key_obj, "error": str(exc), "predicted": exc.predicted}
+            continue
         path = cache_dir / f"{key}.json"
-        cached = _read_entry(path, key_obj, predicted_order(config.scheme, spec))
+        cached = _read_entry(path, key_obj, order)
         if cached is not None:
             results[spec.label()] = cached
             continue
-        engine = _resolve_engine(config.engine, spec)
-        try:
-            dm = compute_degrees(config.scheme, spec, config.engine, config.budget)
-            payload = {
-                "key": key_obj,
-                "order": dm.sum_of_squares,
-                "n_irr": dm.total_count,
-                "degrees": dm.to_json(),
-            }
-            if engine in ("clifford", "both"):
-                report = compute_clifford_report(config.scheme, spec, config.budget)
-                payload["strata"] = _strata_json(report)
-                payload["dual_order"] = sum(o.orbit_size for o in report.orbits)
-        except BudgetExceededError as exc:
-            # the key leaves out the budget, so the error must not be cached
-            results[spec.label()] = {"key": key_obj, "error": str(exc), "predicted": exc.predicted}
-            continue
+        dm = compute_degrees(config.scheme, spec, config.engine, config.budget)
+        payload = {
+            "key": key_obj,
+            "order": dm.sum_of_squares,
+            "n_irr": dm.total_count,
+            "degrees": dm.to_json(),
+        }
+        if _resolve_engine(config.engine, spec) in ("clifford", "both"):
+            report = compute_clifford_report(config.scheme, spec, config.budget)
+            payload["strata"] = _strata_json(report)
+            payload["dual_order"] = sum(o.orbit_size for o in report.orbits)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(_canonical_json(payload))
@@ -280,27 +281,6 @@ class FitReport:
                 "diff": [list(p) for p in self.holdout_diff],
             },
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FitReport":
-        holdout = data.get("holdout")
-        return cls(
-            data["scheme"],
-            data["level"],
-            data["k"],
-            tuple(
-                FitRow(RationalPoly.from_json(r["d"]), RationalPoly.from_json(r["m"]))
-                for r in data["rows"]
-            ),
-            tuple(data["samples"]),
-            data["score"],
-            tuple(data.get("notes", ())),
-            holdout["q"] if holdout else None,
-            holdout["match"] if holdout else None,
-            tuple(tuple(p) for p in holdout["predicted"]) if holdout else None,
-            tuple(tuple(p) for p in holdout["oracle"]) if holdout else None,
-            tuple(tuple(p) for p in holdout["diff"]) if holdout else None,
-        )
 
 
 def _slot_assignments(entries, k: int):

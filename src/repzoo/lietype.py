@@ -328,9 +328,6 @@ class CandidateSet:
     weyl_order: int
     provenance: dict[RationalPoly, tuple[int, ...]] = field(default_factory=dict)
 
-    def values_at(self, q: int) -> set[Fraction]:
-        return {p(q) for p in self.polynomials}
-
     def to_json(self) -> dict:
         return {
             "polys": [p.to_json() for p in sorted(self.polynomials, key=lambda p: p.coeffs)],

@@ -1,8 +1,12 @@
-"""Finite quotient rings o/p^r of local fields, in three flavors.
+"""Finite quotient rings o/p^r of local fields, all built one way.
 
-Unramified(p, f, r)   : Galois ring Z[x]/(p^r, h(x)), h monic irreducible mod p.
-EqChar(p, f, r)       : F_q[t]/(t^r) with q = p^f.
-Eisenstein(p, f, e, r): W(F_q)[pi]/(pi^e - p, pi^r), tame (p does not divide e).
+Each ring is W(F_q)[pi]/(pi^e - p, pi^r), where W(F_q) is the unramified
+extension of Z_p with residue field F_q = F_p[x]/h(x), q = p^f, h monic
+irreducible mod p.  The kind of a spec fixes e:
+
+unramified(p, f, r)   : e = 1, the Galois ring Z[x]/(p^r, h(x)).
+eqchar(p, f, r)       : e = r, so p = pi^r = 0 and the ring is F_q[t]/(t^r).
+eisenstein(p, f, e, r): e from the spec, tame (p does not divide e).
 
 Elements are canonical coordinate tuples of ints, so they hash and compare
 cheaply; all arithmetic is exact.  Rings are immutable after construction.
@@ -272,10 +276,13 @@ class RingSpec:
 
 
 class QuotientRing:
-    """Enumerated finite local ring with exact coordinate arithmetic.
+    """Enumerated finite local ring W(F_q)[pi]/(pi^e - p, pi^r) with exact
+    coordinate arithmetic.
 
-    Elements are referred to by ordinal index into `self.elements`
-    (lexicographically sorted coordinate tuples).
+    An element is sum_{i<e} pi^i c_i with c_i in W(F_q)/p^(l_i), where
+    l_i = ceil((r - i)/e) is the level of pi-block i; block i holds the f
+    coordinates of c_i mod p^(l_i).  Elements are referred to by ordinal index
+    into `self.elements` (lexicographically sorted coordinate tuples).
     """
 
     def __init__(self, spec: RingSpec):
@@ -286,26 +293,21 @@ class QuotientRing:
         self.q = spec.q
         self.size = spec.size
         self.modulus = spec.resolved_modulus()
-        self._mod_lift = tuple(int(c) for c in self.modulus)
+        self.e = spec.r if spec.kind == "eqchar" else spec.e
 
-        if spec.kind == "eisenstein":
-            alpha, beta = divmod(spec.r, spec.e)
-            self._block_levels = tuple(
-                alpha + 1 if i < beta else alpha for i in range(spec.e)
-            )
-            self._big_level = max(self._block_levels)
-        else:
-            self._block_levels = ()
-            self._big_level = spec.r
-
-        self._ranges = self._coordinate_ranges()
+        alpha, beta = divmod(self.r, self.e)
+        self._ranges = tuple(
+            self.p ** (alpha + 1 if i < beta else alpha)
+            for i in range(self.e)
+            for _ in range(self.f)
+        )
         self.elements: list[tuple[int, ...]] = [
             tuple(t) for t in itertools.product(*[range(m) for m in self._ranges])
         ]
         assert len(self.elements) == self.size, (len(self.elements), self.size)
         self.index = {t: i for i, t in enumerate(self.elements)}
-        self.zero = self.index[tuple([0] * len(self._ranges))]
-        self.one = self.index[self._one_tuple()]
+        self.zero = self.from_coords(())
+        self.one = self.from_coords((1,))
 
         self._inv_cache: dict[int, int] = {}
         if self.size <= _TABLE_LIMIT:
@@ -320,29 +322,13 @@ class QuotientRing:
             self._add_table = None
             self._mul_table = None
         self._neg_table = [
-            self.index[tuple((-c) % m for c, m in zip(t, self._moduli_per_coord()))]
+            self.index[tuple((-c) % m for c, m in zip(t, self._ranges))]
             for t in self.elements
         ]
 
-    # -- coordinate layout ------------------------------------------------
-
-    def _coordinate_ranges(self) -> tuple[int, ...]:
-        k = self.spec.kind
-        if k == "unramified":
-            return (self.p**self.r,) * self.f
-        if k == "eqchar":
-            return (self.p,) * (self.r * self.f)
-        return tuple(
-            self.p**lvl for lvl in self._block_levels for _ in range(self.f)
-        )
-
-    def _moduli_per_coord(self) -> tuple[int, ...]:
-        return self._ranges
-
-    def _one_tuple(self) -> tuple[int, ...]:
-        t = [0] * len(self._ranges)
-        t[0] = 1
-        return tuple(t)
+    def from_coords(self, coords) -> int:
+        """Index of the element whose leading coordinates are coords, the rest zero."""
+        return self.index[tuple(coords) + (0,) * (len(self._ranges) - len(coords))]
 
     # -- raw tuple arithmetic ----------------------------------------------
 
@@ -360,7 +346,7 @@ class QuotientRing:
             if ai:
                 for j in range(f):
                     out[i + j] = (out[i + j] + ai * b[j]) % pr
-        h = self._mod_lift
+        h = self.modulus
         for k in range(2 * f - 2, f - 1, -1):
             c = out[k]
             if c:
@@ -370,52 +356,23 @@ class QuotientRing:
         return tuple(out[:f])
 
     def _mul_raw(self, a, b):
-        k = self.spec.kind
-        if k == "unramified":
-            return self._unram_mul(a, b, self.p**self.r)
-        if k == "eqchar":
-            f, r, p = self.f, self.r, self.p
-            out = [0] * (r * f)
-            for i in range(r):
-                ca = a[i * f : (i + 1) * f]
-                if not any(ca):
-                    continue
-                for j in range(r - i):
-                    cb = b[j * f : (j + 1) * f]
-                    if not any(cb):
-                        continue
-                    prod = self._unram_mul(ca, cb, p)
-                    base = (i + j) * f
-                    for t in range(f):
-                        out[base + t] = (out[base + t] + prod[t]) % p
-            return tuple(out)
-        # eisenstein: convolve pi-blocks over the big unramified level, fold pi^e = p
-        e, f, p = self.spec.e, self.f, self.p
-        big = self.p**self._big_level
-        blocks = [[0] * f for _ in range(2 * e - 1)]
+        # pi^i c_i * pi^j c_j lands in block i + j, as p pi^(i+j-e) in block
+        # i + j - e once i + j >= e, and is 0 once i + j >= r
+        e, f, r = self.e, self.f, self.r
+        big = self._ranges[0]
+        out = [0] * (e * f)
         for i in range(e):
             ca = a[i * f : (i + 1) * f]
             if not any(ca):
                 continue
-            for j in range(e):
+            for j in range(min(e, r - i)):
                 cb = b[j * f : (j + 1) * f]
-                if not any(cb):
-                    continue
-                prod = self._unram_mul(ca, cb, big)
-                tgt = blocks[i + j]
-                for t in range(f):
-                    tgt[t] = (tgt[t] + prod[t]) % big
-        for m in range(2 * e - 2, e - 1, -1):
-            src = blocks[m]
-            if any(src):
-                tgt = blocks[m - e]
-                for t in range(f):
-                    tgt[t] = (tgt[t] + p * src[t]) % big
-        out = []
-        for i in range(e):
-            lvl = self.p ** self._block_levels[i]
-            out.extend(c % lvl for c in blocks[i])
-        return tuple(out)
+                if any(cb):
+                    k = i + j
+                    scale, base = (1, k * f) if k < e else (self.p, (k - e) * f)
+                    for t, c in enumerate(self._unram_mul(ca, cb, big), base):
+                        out[t] += scale * c
+        return tuple(c % m for c, m in zip(out, self._ranges))
 
     # -- public index arithmetic ---------------------------------------------
 
@@ -448,11 +405,7 @@ class QuotientRing:
 
     def residue_coords(self, i: int) -> tuple[int, ...]:
         """Image in F_q as a length-f vector over F_p."""
-        t = self.elements[i]
-        k = self.spec.kind
-        if k == "unramified":
-            return tuple(c % self.p for c in t)
-        return tuple(c % self.p for c in t[: self.f])
+        return tuple(c % self.p for c in self.elements[i][: self.f])
 
     def is_unit(self, i: int) -> bool:
         return any(self.residue_coords(i))
@@ -470,13 +423,8 @@ class QuotientRing:
             return cached
         if not self.is_unit(i):
             raise ZeroDivisionError("not a unit")
-        res = self.residue_coords(i)
-        p, f = self.p, self.f
-        if f == 1:
-            inv0 = (pow(res[0], -1, p),)
-        else:
-            inv0 = self._fq_inverse(res)
-        x = self.index[self._embed_residue(inv0)]
+        # a^(q-2) in F_q = F_p[x]/modulus
+        x = self.from_coords(fp_powmod(self.residue_coords(i), self.q - 2, self.modulus, self.p))
         # Newton: x <- x(2 - a x), converges since the maximal ideal is nilpotent
         two = self.from_int(2)
         steps = max(1, math.ceil(math.log2(max(self.r, 2))) + 1)
@@ -486,51 +434,22 @@ class QuotientRing:
         self._inv_cache[i] = x
         return x
 
-    def _fq_inverse(self, res: tuple[int, ...]) -> tuple[int, ...]:
-        # a^(q-2) in F_q = F_p[x]/modulus
-        out = fp_powmod(fp_trim(list(res)), self.q - 2, self.modulus, self.p)
-        return tuple(list(out) + [0] * (self.f - len(out)))
-
-    def _embed_residue(self, res: tuple[int, ...]) -> tuple[int, ...]:
-        t = [0] * len(self._ranges)
-        for j in range(self.f):
-            t[j] = res[j]
-        return tuple(t)
-
     # -- structure maps -----------------------------------------------------------
 
     def additive_order_of_one(self) -> int:
-        k = self.spec.kind
-        if k == "unramified":
-            return self.p**self.r
-        if k == "eqchar":
-            return self.p
-        return self.p ** self._block_levels[0]
+        return self._ranges[0]
 
     def reduce_to(self, level: int) -> tuple["QuotientRing", list[int]]:
         """Quotient ring at a lower level plus the index map realizing it."""
         if not 1 <= level <= self.r:
             raise ValueError(f"level must be in 1..{self.r}")
         target = make_ring(self.spec.at_level(level))
-        k = self.spec.kind
-        mapping = []
-        if k == "unramified":
-            pl = self.p**level
-            for t in self.elements:
-                mapping.append(target.index[tuple(c % pl for c in t)])
-        elif k == "eqchar":
-            keep = level * self.f
-            for t in self.elements:
-                mapping.append(target.index[t[:keep]])
-        else:
-            tl = target._block_levels
-            f = self.f
-            for t in self.elements:
-                out = []
-                for i in range(self.spec.e):
-                    m = self.p ** tl[i]
-                    out.extend(c % m for c in t[i * f : (i + 1) * f])
-                mapping.append(target.index[tuple(out)])
+        # each target block is the same block here reduced to the target's
+        # level; an eqchar target has fewer blocks, as pi^i = 0 for i >= level
+        moduli = target._ranges
+        mapping = [
+            target.index[tuple(c % m for c, m in zip(t, moduli))] for t in self.elements
+        ]
         return target, mapping
 
 
@@ -547,35 +466,26 @@ _ring = cache(QuotientRing)
 
 @dataclass
 class TruncationIso:
-    """Result of the e >= r check: explicit map F_q[t]/t^r -> Eisenstein ring."""
+    """Result of the e >= r check: the map F_q[t]/t^r -> Eisenstein ring, t to pi."""
 
     isomorphic: bool
     source_spec: RingSpec | None = None
     target_spec: RingSpec | None = None
-    coordinate_matrix: tuple[tuple[int, ...], ...] | None = None
 
     def apply(self, source_ring: QuotientRing, target_ring: QuotientRing, i: int) -> int:
         """Image of source element i under the isomorphism (t maps to pi)."""
         if not self.isomorphic:
             raise ValueError("no isomorphism exists")
-        src = source_ring.elements[i]
-        n = len(self.coordinate_matrix)
-        out = [0] * n
-        for row in range(n):
-            acc = 0
-            mrow = self.coordinate_matrix[row]
-            for col, c in enumerate(src):
-                if c:
-                    acc += mrow[col] * c
-            out[row] = acc % source_ring.p
-        return target_ring.index[tuple(out)]
+        # the eqchar layout is the e = r layout, and target blocks r..e-1 have
+        # level 0, so x^a t^i -> x^a pi^i pads the coordinates with zeros
+        return target_ring.from_coords(source_ring.elements[i])
 
 
 def iso_check_truncated(spec: RingSpec) -> TruncationIso:
     """Decide o/pi^r ~ F_q[t]/t^r for an Eisenstein spec; true iff e >= r.
 
-    When true, returns the concrete coordinate map sending t to pi and the
-    residue-field basis to itself, verified as a ring isomorphism.
+    When true, returns the map sending t to pi and the residue-field basis to
+    itself, verified as a ring isomorphism.
     """
     if spec.kind != "eisenstein":
         raise ValueError("iso_check_truncated expects an eisenstein spec")
@@ -586,42 +496,19 @@ def iso_check_truncated(spec: RingSpec) -> TruncationIso:
     target = make_ring(spec)
     source_spec = RingSpec("eqchar", spec.p, spec.f, spec.r, modulus=spec.modulus)
     source = make_ring(source_spec)
-    p, f, r = spec.p, spec.f, spec.r
+    iso = TruncationIso(True, source_spec, spec)
 
-    # Source coordinates are monomials x^a t^i; map x^a t^i -> x^a pi^i.
-    # Since e >= r all target block levels are 0 or 1, so the map is F_p-linear
-    # on coordinates: build its matrix column by column.
-    n_src = r * f
-    n_tgt = len(target._ranges)
-    cols = []
-    basis_images = []
-    for i in range(r):
-        for a in range(f):
-            src_t = [0] * n_src
-            src_t[i * f + a] = 1
-            tgt_t = [0] * n_tgt
-            tgt_t[i * f + a] = 1
-            cols.append(tuple(tgt_t))
-            basis_images.append((source.index[tuple(src_t)], target.index[tuple(tgt_t)]))
-    matrix = tuple(
-        tuple(cols[c][rw] for c in range(n_src)) for rw in range(n_tgt)
-    )
-    iso = TruncationIso(True, source_spec, spec, matrix)
-
-    # verify: multiplicative on all basis pairs, unital, injective
-    img = {s: t for s, t in basis_images}
+    # verify: unital, multiplicative on all pairs of the F_p-basis x^a t^i, injective
+    basis = [source.from_coords((0,) * k + (1,)) for k in range(spec.r * spec.f)]
+    img = {s: iso.apply(source, target, s) for s in basis}
     assert iso.apply(source, target, source.one) == target.one
-    basis_src = [s for s, _ in basis_images]
-    for s1 in basis_src:
-        for s2 in basis_src:
+    for s1 in basis:
+        for s2 in basis:
             lhs = iso.apply(source, target, source.mul(s1, s2))
             rhs = target.mul(img[s1], img[s2])
             if lhs != rhs:
                 raise AssertionError("truncation map failed multiplicativity check")
-    seen = set()
-    for s, t in basis_images:
-        seen.add(t)
     # F_p-linear map with independent basis images is injective on a q^r-set
-    if len(seen) != len(basis_images):
+    if len(set(img.values())) != len(basis):
         raise AssertionError("truncation map is not injective on basis")
     return iso

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repzoo
 from repzoo.characters import (
     DegreeMultiset,
     _charpoly,
@@ -61,7 +67,7 @@ def test_borel_solvable_group():
 def test_structural_identities(family, n, kind, p, f, r):
     group = build_group(GroupScheme(family, n), RingSpec(kind, p, f, r))
     classes = conjugacy_classes(group)
-    dm = character_degrees(group, classes)
+    dm = character_degrees(group)
     dm.validate(group.order, classes.n_classes)
 
 
@@ -98,6 +104,15 @@ def test_choose_ell_bounds():
 def test_degree_multiset_serialization():
     dm = DegreeMultiset(((1, 2), (2, 1)))
     assert DegreeMultiset.from_json(dm.to_json()) == dm
+
+
+def test_degree_multiset_validate_raises_under_optimize():
+    # python -O strips assert statements; validate must still reject bad degrees
+    code = "from repzoo.characters import DegreeMultiset; DegreeMultiset(((1, 5),)).validate(6, 2)"
+    env = {**os.environ, "PYTHONPATH": str(Path(repzoo.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -74,7 +74,8 @@ def test_run_dimirr_budget_error_entry(tmp_path):
 
 
 def test_run_dimirr_budget_error_is_not_cached(tmp_path):
-    # a budget error must not be cached on disk, so the second run computes
+    # a budget error must not be cached on disk, so the second run computes;
+    # the key leaves out the budget, so the third run must not read the cache
     def run(budget):
         config = ExperimentConfig(
             GroupScheme("B", 1), (RingSpec("unramified", 3, 1, 1),), budget=budget,
@@ -84,6 +85,7 @@ def test_run_dimirr_budget_error_is_not_cached(tmp_path):
 
     assert "error" in run(1)
     assert run(10**7)["degrees"] == [[1, 2]]
+    assert "error" in run(1)
 
 
 def test_clifford_report_budget_is_checked_after_the_report_is_built():
@@ -171,10 +173,8 @@ def test_fit_needs_three_samples():
 def test_fit_report_round_trip(tmp_path):
     rep = fit_polynomials(GL2, 1, field_samples((2, 3, 5)))
     path = write_report(rep, "json", tmp_path / "fit.json")
-    back = FitReport.from_json(json.loads(path.read_text()))
-    assert [ (r.dim.coeffs, r.mult.coeffs) for r in back.rows ] == [
-        (r.dim.coeffs, r.mult.coeffs) for r in rep.rows
-    ]
+    back = json.loads(path.read_text())
+    assert back == rep.to_json()
     md = render_fit_markdown(rep)
     assert "| i | d_i(x) | m_i(x) |" in md
     write_report(rep, "markdown", tmp_path / "fit.md")

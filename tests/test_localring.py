@@ -66,6 +66,10 @@ def test_eisenstein_units_and_char():
         RingSpec("eqchar", 2, 2, 2),
         RingSpec("eisenstein", 3, 1, 3, 2),
         RingSpec("eisenstein", 5, 1, 2, 3),
+        # above the table limit: arithmetic through the raw coordinate product
+        RingSpec.parse("unram:2,1,11"),
+        RingSpec.parse("eqchar:2,1,11"),
+        RingSpec.parse("eis:3,1,2,7"),
     ],
 )
 def test_ring_axioms_and_unit_count(spec):
@@ -107,6 +111,7 @@ def test_characteristic(spec, charval):
         RingSpec("unramified", 2, 1, 3),
         RingSpec("eqchar", 3, 1, 2),
         RingSpec("eisenstein", 3, 1, 3, 2),
+        RingSpec("eqchar", 2, 1, 3),  # reduces to levels with fewer pi-blocks
     ],
 )
 def test_reduction_is_surjective_hom_with_uniform_fibers(spec):
