@@ -9,6 +9,16 @@ S/ker(psi), where the image of N is central and cyclic; they are exactly the
 rows of that quotient's character table whose central character on N/ker(psi)
 is faithful.
 
+Everything runs through G/N.  The left cosets of N are labelled once, each
+element g recorded as (coset c, offset k) with g = t_c k for the coset's least
+member t_c and k in N.  N is abelian, so the coset t_c N acts on the dual as
+t_c does: the action conjugates the basis of N by the |G/N| representatives
+only.  The same loop proves N normal: if every t^{-1} b t lies in N, then
+g = t m with m in N gives g^{-1} b g = m^{-1} (t^{-1} b t) m in N, and the basis
+generates N.  A stabilizer is the union of the cosets whose representative
+fixes psi; Irr(G | 1) is Irr(G/N); and S/ker(psi) is labelled without a group
+product, x = t_c k lying in the ker(psi)-coset (c, psi(k)).
+
 A mod-ell character table determines each row only up to a Galois twist, so a
 single faithful character cannot be matched against a single row.  Orbits are
 therefore grouped into Galois-power classes (psi ~ psi^u, u coprime to exp N):
@@ -33,8 +43,6 @@ from .groups import (
     center,
     congruence_kernel,
     conjugacy_classes,
-    quotient_group,
-    require_normal,
 )
 from .intlinalg import smith_normal_form, unimodular_inverse
 from .localring import prime_power
@@ -99,7 +107,8 @@ class DualGroup:
                 for _ in range(e):
                     elem = n_view.mul(elem, g)
             dlog_pc.setdefault(elem, exps)
-        assert len(dlog_pc) == n_view.order
+        if len(dlog_pc) != n_view.order:
+            raise AssertionError("polycyclic sequence does not reach all of N")
         # relation lattice columns: r_i e_i - dlog(g_i^{r_i})
         cols = []
         for i, (g, r) in enumerate(zip(gens, rel_orders)):
@@ -131,9 +140,11 @@ class DualGroup:
             elem = self.group.identity
             for b, e in zip(self.basis, exps):
                 elem = self.group.mul(elem, _power(self.group, b, e))
-            assert elem not in dlog, "basis is not a direct decomposition"
+            if elem in dlog:
+                raise AssertionError("basis is not a direct decomposition")
             dlog[elem] = exps
-        assert len(dlog) == self.order
+        if len(dlog) != self.order:
+            raise AssertionError("basis does not generate N")
         return dlog
 
     # -- characters -----------------------------------------------------------
@@ -188,31 +199,32 @@ class OrbitRecord:
     representative: tuple[int, ...]
     orbit: tuple[tuple[int, ...], ...]
     orbit_size: int
-    stabilizer: tuple[int, ...]  # parent ordinals
-
-    @property
-    def stabilizer_order(self) -> int:
-        return len(self.stabilizer)
+    stabilizer: tuple[int, ...]  # labels of the N-cosets in G/N whose union it is
+    stabilizer_order: int
 
 
 class _DualAction:
-    """Conjugation action of G on the dual, bucketed by action on the basis."""
+    """Conjugation action of G on the dual of N, through G/N: cosets bucketed by
+    how their representative conjugates the basis of N.  A conjugate outside N
+    raises NotNormalError; when there is none, N is normal (module docstring)."""
 
-    def __init__(self, group: FiniteGroup, n_view: SubgroupView, dual: DualGroup):
-        self.group = group
+    def __init__(self, quotient: QuotientGroup, dual: DualGroup):
+        group = quotient.parent
         self.dual = dual
-        self.n_view = n_view
-        parent_basis = [n_view.ordinals[b] for b in dual.basis]
+        parent_basis = [dual.group.ordinals[b] for b in dual.basis]
         buckets: dict[tuple, list[int]] = {}
-        local = n_view.local
+        local = dual.group.local
         dlog = dual.dlog
         mul = group.mul
-        for g in range(group.order):
-            gi = group.inv(g)
-            key = tuple(
-                dlog[local[mul(gi, mul(pb, g))]] for pb in parent_basis
-            )
-            buckets.setdefault(key, []).append(g)
+        for c, t in enumerate(quotient.reps):
+            ti = group.inv(t)
+            key = []
+            for b in parent_basis:
+                conj = local.get(mul(ti, mul(b, t)))
+                if conj is None:
+                    raise NotNormalError(t, b)
+                key.append(dlog[conj])
+            buckets.setdefault(tuple(key), []).append(c)
         self.buckets = buckets
 
     def apply(self, key, chi):
@@ -223,7 +235,8 @@ class _DualAction:
         for j, nj in enumerate(dual.orders):
             p = sum(a * c * w for a, c, w in zip(chi, key[j], dual._weights)) % E
             step = E // nj
-            assert p % step == 0, "dual action left the character lattice"
+            if p % step:
+                raise AssertionError("dual action left the character lattice")
             out.append((p // step) % nj)
         return tuple(out)
 
@@ -231,11 +244,14 @@ class _DualAction:
         return {self.apply(key, chi) for key in self.buckets}
 
 
-def orbits_and_stabilizers(
-    group: FiniteGroup, n_view: SubgroupView, dual: DualGroup
-) -> list[OrbitRecord]:
-    """G-orbits on the dual of N with exact stabilizers; orbit-stabilizer asserted."""
-    action = _DualAction(group, n_view, dual)
+def orbits_and_stabilizers(quotient: QuotientGroup, dual: DualGroup) -> list[OrbitRecord]:
+    """G-orbits on the dual of N with exact stabilizers, G acting through
+    quotient = G/N; raises NotNormalError if N is not normal in G."""
+    if quotient.kernel != dual.group.ordinals:
+        raise ValueError("the quotient is not by the dual's group")
+    action = _DualAction(quotient, dual)
+    order = quotient.parent.order
+    n_order = dual.order
     seen: set[tuple[int, ...]] = set()
     records = []
     stab_cache: dict[frozenset, tuple[int, ...]] = {}
@@ -248,15 +264,16 @@ def orbits_and_stabilizers(
         fixing = frozenset(k for k in action.buckets if action.apply(k, rep) == rep)
         stab = stab_cache.get(fixing)
         if stab is None:
-            out: list[int] = []
-            for k in fixing:
-                out.extend(action.buckets[k])
-            stab = tuple(sorted(out))
+            stab = tuple(sorted(c for k in fixing for c in action.buckets[k]))
             stab_cache[fixing] = stab
             # N is abelian, so it fixes every character of itself
-            assert set(n_view.ordinals) <= set(stab)
-        rec = OrbitRecord(rep, tuple(orbit), len(orbit), stab)
-        assert rec.orbit_size * rec.stabilizer_order == group.order
+            if quotient.identity not in stab:
+                raise AssertionError("N does not fix a character of itself")
+        rec = OrbitRecord(rep, tuple(orbit), len(orbit), stab, len(stab) * n_order)
+        if rec.orbit_size * rec.stabilizer_order != order:
+            raise AssertionError(
+                f"orbit {rec.orbit_size} * stabilizer {rec.stabilizer_order} != |G| = {order}"
+            )
         records.append(rec)
     records.sort(key=lambda r: r.representative)
     return records
@@ -297,8 +314,8 @@ def _faithful_dims(
     the count against #Irr(Stab/N), the count a cocycle-free extension would give.
     """
     phi_m = sum(1 for u in range(1, M + 1) if math.gcd(u, M) == 1)
-    n_bar_set = set(n_bar_labels)
-    assert len(n_bar_set) == M
+    if len(set(n_bar_labels)) != M:
+        raise AssertionError(f"image of N has {len(set(n_bar_labels))} elements, not {M}")
 
     if s_bar.is_abelian():
         count = s_bar.order // M
@@ -330,7 +347,10 @@ def _faithful_dims(
     ]
     # Frobenius bookkeeping: sum of d^2 over rows above all faithful characters
     ssq = sum(table.degrees[t] ** 2 for t in faithful)
-    assert ssq == phi_m * (s_bar.order // M), (ssq, phi_m, s_bar.order, M)
+    if ssq != phi_m * (s_bar.order // M):
+        raise AssertionError(
+            f"faithful rows have sum of squares {ssq}, not {phi_m} * {s_bar.order} / {M}"
+        )
 
     counts: dict[int, int] = {}
     for t in faithful:
@@ -338,7 +358,8 @@ def _faithful_dims(
         counts[d] = counts.get(d, 0) + 1
     dims = []
     for d in sorted(counts):
-        assert counts[d] % phi_m == 0, "faithful rows not balanced across twists"
+        if counts[d] % phi_m:
+            raise AssertionError("faithful rows not balanced across twists")
         dims.append((d, counts[d] // phi_m))
     dims = tuple(dims)
 
@@ -372,21 +393,41 @@ def _galois_classes(dual: DualGroup, records: list[OrbitRecord]) -> list[int]:
     return [find(i) for i in range(len(records))]
 
 
-def _dims_above(group: FiniteGroup, n_view: SubgroupView, dual: DualGroup, rec: OrbitRecord):
+def _stabilizer_mod_kernel(quotient: QuotientGroup, dual: DualGroup, rec: OrbitRecord):
+    """S/ker(psi) for psi = rec.representative and S its stabilizer, labelled with
+    no group multiplication: x = t_c k lies in the ker(psi)-coset (c, psi(k)).
+    Cosets are numbered by least parent ordinal, as QuotientGroup numbers them."""
+    phase = [dual.phase_num(rec.representative, j) for j in range(dual.order)]
+    in_stab = [False] * quotient.order
+    for c in rec.stabilizer:
+        in_stab[c] = True
+    coset, offset = quotient.label, quotient.offset
+    label = [-1] * len(coset)
+    reps: list[int] = []
+    ids: dict[tuple[int, int], int] = {}
+    for x in itertools.compress(range(len(coset)), map(in_stab.__getitem__, coset)):
+        key = (coset[x], phase[offset[x]])
+        cid = ids.get(key)
+        if cid is None:
+            cid = ids[key] = len(reps)
+            reps.append(x)
+        label[x] = cid
+    kernel = dual.kernel(rec.representative)
+    if len(reps) * len(kernel) != rec.stabilizer_order:
+        raise AssertionError(
+            f"|S/ker psi| = {len(reps)} times |ker psi| = {len(kernel)} is not |S|"
+        )
+    return QuotientGroup.from_labels(quotient.parent, kernel, label, reps)
+
+
+def _dims_above(quotient: QuotientGroup, dual: DualGroup, rec: OrbitRecord):
     """(dims of Irr(Stab | psi), extension observable) for psi = rec.representative."""
-    psi = rec.representative
-    M = dual.char_order(psi)
+    M = dual.char_order(rec.representative)
     if M == 1:
         # trivial character: Irr(G | 1) = Irr(G/N)
-        if n_view.order == 1:
-            dm = character_degrees(group)
-        else:
-            dm = character_degrees(quotient_group(group, n_view.ordinals))
-        return dm.entries, True
-    s_view = SubgroupView(group, rec.stabilizer)
-    kernel_local = [s_view.local[k] for k in dual.kernel(psi)]
-    s_bar = QuotientGroup(s_view, kernel_local)
-    n_bar = sorted({s_bar.label[s_view.local[n]] for n in n_view.ordinals})
+        return character_degrees(quotient).entries, True
+    s_bar = _stabilizer_mod_kernel(quotient, dual, rec)
+    n_bar = sorted({s_bar.label[n] for n in quotient.kernel})
     return _faithful_dims(s_bar, n_bar, M)
 
 
@@ -396,14 +437,19 @@ def clifford_dimirr(group: FiniteGroup, n) -> CliffordReport:
     n_view = n if isinstance(n, SubgroupView) else SubgroupView(group, n)
     if not n_view.is_abelian():
         raise NotAbelianNormalError("N must be abelian")
-    if n_view.order > 1 and prime_power(n_view.order) is None:
+    if n_view.order == 1:
+        # one orbit, the trivial character, fixed by G: Irr(G | 1) = Irr(G)
+        dm = character_degrees(group)
+        orbit = OrbitDims((), 1, group.order, dm.entries, True, True)
+        return CliffordReport(dm, (orbit,), dm.total_count)
+    if prime_power(n_view.order) is None:
         raise NotAbelianNormalError("N must be a p-group")
+    dual = DualGroup(n_view)
+    quotient = QuotientGroup(group, n_view.ordinals)
     try:
-        require_normal(group, n_view.ordinals)
+        records = orbits_and_stabilizers(quotient, dual)
     except NotNormalError as exc:
         raise NotAbelianNormalError("N is not normal in G") from exc
-    dual = DualGroup(n_view)
-    records = orbits_and_stabilizers(group, n_view, dual)
     # orbits in one Galois-power class share their dimension data
     class_dims: dict[int, tuple] = {}
     orbit_slices = []
@@ -411,7 +457,7 @@ def clifford_dimirr(group: FiniteGroup, n) -> CliffordReport:
     iso_count = 0
     for rec, c in zip(records, _galois_classes(dual, records)):
         if c not in class_dims:
-            class_dims[c] = _dims_above(group, n_view, dual, records[c])
+            class_dims[c] = _dims_above(quotient, dual, records[c])
         dims, ext = class_dims[c]
         od = OrbitDims(
             rec.representative,
@@ -427,7 +473,8 @@ def clifford_dimirr(group: FiniteGroup, n) -> CliffordReport:
         pairs.extend((d * od.orbit_size, m) for d, m in od.dims)
     degrees = DegreeMultiset.from_pairs(pairs)
     degrees.validate(group.order)
-    assert degrees.total_count == sum(od.irr_count for od in orbit_slices)
+    if degrees.total_count != sum(od.irr_count for od in orbit_slices):
+        raise AssertionError("orbit slices do not add up to the degree multiset")
     return CliffordReport(degrees, tuple(orbit_slices), iso_count)
 
 

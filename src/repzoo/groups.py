@@ -217,26 +217,47 @@ class SubgroupView(FiniteGroup):
 
 
 class QuotientGroup(FiniteGroup):
-    """Group on cosets of a normal subgroup, reps by least ordinal."""
+    """Group on the left cosets of a normal subgroup, numbered by least ordinal.
+
+    label[x] is the coset of x and offset[x] the index j in the sorted kernel
+    with x = reps[label[x]] * kernel[j].
+    """
+
+    offset: list[int] | None = None
 
     def __init__(self, parent: FiniteGroup, kernel_ordinals):
         kernel = sorted(kernel_ordinals)
         label = [-1] * parent.order
+        offset = [-1] * parent.order
         reps: list[int] = []
         for x in range(parent.order):
             if label[x] >= 0:
                 continue
             cid = len(reps)
             reps.append(x)
-            for k in kernel:
-                label[parent.mul(x, k)] = cid
+            for j, k in enumerate(kernel):
+                y = parent.mul(x, k)
+                label[y] = cid
+                offset[y] = j
+        self._bind(parent, kernel, label, reps)
+        self.offset = offset
+        assert self.order * len(kernel) == parent.order
+
+    @classmethod
+    def from_labels(cls, parent: FiniteGroup, kernel_ordinals, label, reps) -> "QuotientGroup":
+        """The quotient of the subgroup {x : label[x] >= 0} by the kernel, its
+        cosets already labelled and numbered, reps[c] the least member of c."""
+        quo = cls.__new__(cls)
+        quo._bind(parent, sorted(kernel_ordinals), label, reps)
+        return quo
+
+    def _bind(self, parent: FiniteGroup, kernel, label, reps) -> None:
         self.parent = parent
         self.kernel = tuple(kernel)
         self.label = label
         self.reps = reps
         self.order = len(reps)
         self.identity = label[parent.identity]
-        assert self.order * len(kernel) == parent.order
 
     def mul(self, i: int, j: int) -> int:
         return self.label[self.parent.mul(self.reps[i], self.reps[j])]

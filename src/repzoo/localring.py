@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-_TABLE_LIMIT = 1024  # build full add/mul tables when the ring is this small
+_TABLE_LIMIT = 256  # build full add/mul tables when the ring is this small
 
 
 class RingConstructionError(ValueError):

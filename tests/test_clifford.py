@@ -1,5 +1,13 @@
-import pytest
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repzoo
 from repzoo.characters import character_degrees
 from repzoo.clifford import (
     DualGroup,
@@ -9,11 +17,15 @@ from repzoo.clifford import (
     orbits_and_stabilizers,
 )
 from repzoo.groups import (
+    FiniteMatrixGroup,
     GroupScheme,
+    NotNormalError,
+    QuotientGroup,
     SubgroupView,
     build_group,
     center,
     congruence_kernel,
+    predicted_order,
 )
 from repzoo.localring import RingSpec
 
@@ -69,7 +81,7 @@ def test_orbit_stabilizer_identity():
     group = build_group(GL2, RingSpec("unramified", 2, 1, 2))
     kernel = congruence_kernel(group, 1)
     dual = DualGroup(kernel)
-    records = orbits_and_stabilizers(group, kernel, dual)
+    records = orbits_and_stabilizers(QuotientGroup(group, kernel.ordinals), dual)
     assert sum(r.orbit_size for r in records) == 16
     for rec in records:
         assert rec.orbit_size * rec.stabilizer_order == group.order
@@ -84,7 +96,7 @@ def test_abelian_group_acting_on_own_dual_fixes_everything():
     # T is abelian of order 4 = 2^2, its own normal p-subgroup
     full = SubgroupView(torus, range(torus.order))
     dual = DualGroup(full)
-    records = orbits_and_stabilizers(torus, full, dual)
+    records = orbits_and_stabilizers(QuotientGroup(torus, full.ordinals), dual)
     assert all(r.orbit_size == 1 for r in records)
 
 
@@ -153,3 +165,69 @@ def test_extension_observable_recorded():
     assert all(o.extension_matches is not None for o in report.orbits)
     # for GL2 an extension always exists (twist by a determinant character)
     assert all(o.extension_matches for o in report.orbits)
+
+
+def test_non_normal_subgroup_is_refused_with_a_witness():
+    group = build_group(GL2, RingSpec("unramified", 3, 1, 1))
+    ring = group.ring
+    unitriangular = [group.index[(ring.one, b, ring.zero, ring.one)] for b in range(ring.size)]
+    with pytest.raises(NotAbelianNormalError) as info:
+        clifford_dimirr(group, unitriangular)
+    cause = info.value.__cause__
+    assert isinstance(cause, NotNormalError)
+    t, b = cause.conjugator, cause.member
+    assert b in unitriangular
+    assert group.mul(group.inv(t), group.mul(b, t)) not in unitriangular
+
+
+def test_clifford_multiplications_stay_linear_in_the_order(monkeypatch):
+    # one labelling pass over G/N does |G| products; the rest is per coset
+    group = build_group(GL2, RingSpec("unramified", 3, 1, 2))
+    n_view = default_normal_subgroup(group)
+    calls = 0
+    mul = FiniteMatrixGroup.mul
+
+    def counted(self, i, j):
+        nonlocal calls
+        calls += 1
+        return mul(self, i, j)
+
+    monkeypatch.setattr(FiniteMatrixGroup, "mul", counted)
+    clifford_dimirr(group, n_view)
+    assert calls <= 4 * group.order, (calls, group.order)
+
+
+def test_faithful_dims_checks_survive_python_O():
+    # python -O strips assert statements; a one-element image of N must still
+    # be rejected for a character of order 2
+    code = (
+        "from repzoo.groups import GroupScheme, build_group; "
+        "from repzoo.localring import RingSpec; "
+        "from repzoo.clifford import _faithful_dims; "
+        "g = build_group(GroupScheme('T', 1), RingSpec('unramified', 3, 1, 1)); "
+        "_faithful_dims(g, [g.identity], 2)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repzoo.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr
+
+
+def _small_cases(bound=2000):
+    """(scheme, ring) of every family and ring kind, r <= 3, predicted order <= bound."""
+    cases = []
+    families = ("GL", "SL", "U", "B", "T")
+    for fam, n, p, f, r in itertools.product(families, (1, 2, 3), (2, 3, 5), (1, 2), (1, 2, 3)):
+        scheme = GroupScheme(fam, n)
+        specs = [RingSpec("unramified", p, f, r), RingSpec("eqchar", p, f, r)]
+        specs += [RingSpec("eisenstein", p, f, r, e) for e in (2, 3) if e % p]
+        cases += [(scheme, spec) for spec in specs if predicted_order(scheme, spec) <= bound]
+    return cases
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.sampled_from(_small_cases()))
+def test_clifford_agrees_with_direct_engine(case):
+    group = build_group(*case)
+    report = clifford_dimirr(group, default_normal_subgroup(group))
+    assert report.degrees == character_degrees(group)
