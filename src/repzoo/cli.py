@@ -86,7 +86,7 @@ def _cmd_lietype(args) -> int:
     code = 0
     if args.verify:
         qs = [int(tok) for tok in args.verify.split(",")]
-        report = verify_containment(scheme, args.twist, qs, args.budget)
+        report = verify_containment(scheme, args.twist, cands, qs, args.budget)
         out["containment"] = report.to_json()
         if not report.all_contained:
             code = 1

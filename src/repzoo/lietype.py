@@ -9,13 +9,18 @@ with J running over the twist's orbits on simple roots.  Twisted torus orders
 are lattice determinants |det(q * w tau - 1)|, and the generic degree f_w is
 the exact quotient of the q'-part of the order by the torus order.  The
 candidate set collects (1/|W|) sum a_w f_w over the integer box |a_w| <=
-floor(|W|^(3/2)), deduplicated and pruned to polynomials positive for large q.
+floor(|W|^(3/2)), deduplicated and pruned to polynomials positive at a probe
+value of q (2^20 by default).  The box is enumerated on integer coefficient vectors (the
+f_w scaled by the lcm of their denominators); each distinct candidate becomes
+a RationalPoly once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -268,7 +273,8 @@ def _center_tau_matrix(datum: RootDatum, tau) -> list[list[int]]:
     ut = mat_mul(mat_mul(u, [list(r) for r in tau]), uinv)
     for i in range(s, rank):
         for j in range(s):
-            assert ut[i][j] == 0, "twist does not preserve the root sublattice"
+            if ut[i][j]:
+                raise AssertionError("twist does not preserve the root sublattice")
     return [[ut[i][j] for j in range(s, rank)] for i in range(s, rank)]
 
 
@@ -321,7 +327,11 @@ def dl_degree(datum: RootDatum, twist: str, w_index: int) -> RationalPoly:
 
 @dataclass
 class CandidateSet:
-    """Polynomials (1/|W|) sum_w a_w f_w with |a_w| <= floor(|W|^{3/2})."""
+    """Polynomials (1/|W|) sum_w a_w f_w with |a_w| <= floor(|W|^{3/2}).
+
+    ``polynomials`` is ascending by coefficient tuple; ``provenance`` maps each
+    polynomial to one coefficient vector a_w that produces it.
+    """
 
     polynomials: tuple[RationalPoly, ...]
     bound: int
@@ -329,8 +339,10 @@ class CandidateSet:
     provenance: dict[RationalPoly, tuple[int, ...]] = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        # the polynomials share few coefficient values (GL3 split: 168 among
+        # 280 154), so one string per value keeps the rendered form small
         return {
-            "polys": [p.to_json() for p in sorted(self.polynomials, key=lambda p: p.coeffs)],
+            "polys": [[sys.intern(c) for c in p.to_json()] for p in self.polynomials],
             "bound": self.bound,
             "weyl_order": self.weyl_order,
         }
@@ -348,6 +360,13 @@ def candidate_set(
     Grouping by the distinct generic degrees is exact: a_w enters only through
     sum a_w f_w, so per distinct polynomial f only the aggregate coefficient in
     [-mult*B, mult*B] matters.  Provenance records one representative a_w vector.
+
+    The box runs on integer coefficient vectors: with L the lcm of the
+    coefficient denominators of the distinct f, each point is c = sum a_i L f_i
+    and its candidate is c / (L |W|).  A point is kept when c is nonzero, has
+    degree at most ``max_degree_filter`` (if given) and is positive at
+    q = ``positivity_probe``; the scale is positive, so testing c's sign there
+    is exact.  Each distinct c becomes a RationalPoly once, at the end.
     """
     w = weyl_group(datum, twist)
     bound = math.isqrt(w.order**3)
@@ -356,42 +375,65 @@ def candidate_set(
         f = dl_degree(datum, twist, wi)
         fs.setdefault(f, []).append(wi)
     distinct = sorted(fs.items(), key=lambda kv: kv[0].coeffs)
-    ranges = []
     total = 1
-    for f, ws in distinct:
-        lo, hi = -len(ws) * bound, len(ws) * bound
-        ranges.append(range(lo, hi + 1))
-        total *= hi - lo + 1
+    for _f, ws in distinct:
+        total *= 2 * len(ws) * bound + 1
     if total > enumeration_budget:
         raise CandidateBudgetError(
             f"coefficient box has {total} points; pass max_degree_filter or raise the budget"
         )
-    inv_w = Fraction(1, w.order)
-    polys: dict[RationalPoly, tuple[int, ...]] = {}
-    for aggs in itertools.product(*ranges):
-        combo = RationalPoly.zero()
-        for (f, _ws), a in zip(distinct, aggs):
-            if a:
-                combo = combo + f * a
-        combo = combo * inv_w
-        if combo.is_zero():
-            continue
-        if max_degree_filter is not None and combo.degree > max_degree_filter:
-            continue
-        if combo(positivity_probe) <= 0:
-            continue
-        if combo not in polys:
-            # spread the aggregate over the class members within |a_w| <= bound
-            vec = [0] * w.order
-            for (f, ws), a in zip(distinct, aggs):
-                rem = a
-                for wi in ws:
-                    take = max(-bound, min(bound, rem))
-                    vec[wi] = take
-                    rem -= take
-                assert rem == 0
-            polys[combo] = tuple(vec)
-    return CandidateSet(tuple(sorted(polys, key=lambda p: p.coeffs)), bound, w.order, polys)
+    scale = math.lcm(*(c.denominator for f, _ws in distinct for c in f.coeffs))
+    width = max(len(f.coeffs) for f, _ws in distinct)
+    # per distinct f, each aggregate a with its vector a * L * f, padded to width
+    levels = []
+    for f, ws in distinct:
+        scaled = [c * scale for c in f.coeffs]
+        if any(c.denominator != 1 for c in scaled):
+            raise AssertionError(f"{scale} does not clear the denominators of {f.pretty()}")
+        step = [int(c) for c in scaled] + [0] * (width - len(scaled))
+        reach = len(ws) * bound
+        levels.append([(a, [a * c for c in step]) for a in range(-reach, reach + 1)])
+    *outer_levels, inner = levels
+    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for outer in itertools.product(*outer_levels):
+        base = [sum(col) for col in zip([0] * width, *(vec for _a, vec in outer))]
+        for a, vec in inner:
+            c = list(map(operator.add, base, vec))
+            while c and not c[-1]:
+                c.pop()
+            if not c:
+                continue
+            if max_degree_filter is not None and len(c) - 1 > max_degree_filter:
+                continue
+            value = 0
+            for coeff in reversed(c):
+                value = value * positivity_probe + coeff
+            if value <= 0:
+                continue
+            key = tuple(c)
+            if key not in found:
+                aggs = [b for b, _vec in outer] + [a]
+                found[key] = _spread(aggs, distinct, w.order, bound)
+    # ascending int keys give ascending Fraction coefficients: the scale is positive
+    denominator = scale * w.order
+    provenance = {
+        RationalPoly(Fraction(c, denominator) for c in key): found[key] for key in sorted(found)
+    }
+    return CandidateSet(tuple(provenance), bound, w.order, provenance)
+
+
+def _spread(aggs, distinct, order: int, bound: int) -> tuple[int, ...]:
+    """An a_w vector with |a_w| <= bound whose class sums are the aggregates."""
+    vec = [0] * order
+    for (_f, ws), a in zip(distinct, aggs):
+        rem = a
+        for wi in ws:
+            take = max(-bound, min(bound, rem))
+            vec[wi] = take
+            rem -= take
+        if rem:
+            raise AssertionError(f"aggregate {a} exceeds {len(ws)} * {bound}")
+    return tuple(vec)
 
 
 @dataclass
@@ -417,15 +459,14 @@ class ContainmentReport:
 
 
 def verify_containment(
-    scheme: GroupScheme, twist: str, q_list, budget: int = 10**7
+    scheme: GroupScheme, twist: str, cands: CandidateSet, q_list, budget: int = 10**7
 ) -> ContainmentReport:
-    """Check dimirr(G(F_q)) against candidate evaluations at each listed q."""
+    """Check dimirr(G(F_q)) against the evaluations of ``cands``, the candidate
+    set of the scheme's root datum under ``twist``, at each listed q."""
     if twist != "split":
         raise UnsupportedTwistError(
             "containment verification runs on split forms (the scheme menu has no unitary schemes)"
         )
-    datum = root_datum(scheme.family, scheme.n)
-    cands = candidate_set(datum, twist)
     results = []
     witnesses: dict[int, dict[int, tuple[int, ...]]] = {}
     for q in q_list:

@@ -139,7 +139,8 @@ def test_criterion_4_ring_family_comparison():
 
 def test_criterion_5_candidate_containment():
     started = time.time()
-    report = verify_containment(GL2, "split", [2, 3, 4, 5, 7])
+    cands = candidate_set(root_datum("GL", 2))
+    report = verify_containment(GL2, "split", cands, [2, 3, 4, 5, 7])
     assert report.all_contained, report.results
     _report(5, "dimirr(GL2(F_q)) inside candidate-set values for q in {2,3,4,5,7}", started)
 

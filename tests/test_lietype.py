@@ -1,7 +1,18 @@
+import hashlib
 import itertools
+import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import repzoo
+import repzoo.cli
+import repzoo.lietype
 from repzoo.groups import GroupScheme
 from repzoo.lietype import (
     CandidateBudgetError,
@@ -247,5 +258,96 @@ def test_candidate_budget_guard():
     ],
 )
 def test_containment(scheme, qs):
-    report = verify_containment(scheme, "split", qs)
+    cands = candidate_set(root_datum(scheme.family, scheme.n))
+    report = verify_containment(scheme, "split", cands, qs)
     assert report.all_contained, report.results
+
+
+def _reference_candidate_set(datum, twist, max_degree_filter=None, positivity_probe=2**20):
+    """The candidate set by RationalPoly arithmetic over Fractions, point by point."""
+    w = weyl_group(datum, twist)
+    bound = math.isqrt(w.order**3)
+    fs = {}
+    for wi in range(w.order):
+        fs.setdefault(dl_degree(datum, twist, wi), []).append(wi)
+    distinct = sorted(fs.items(), key=lambda kv: kv[0].coeffs)
+    ranges = [range(-len(ws) * bound, len(ws) * bound + 1) for _f, ws in distinct]
+    inv_w = Fraction(1, w.order)
+    polys = {}
+    for aggs in itertools.product(*ranges):
+        combo = RationalPoly.zero()
+        for (f, _ws), a in zip(distinct, aggs):
+            if a:
+                combo = combo + f * a
+        combo = combo * inv_w
+        if combo.is_zero():
+            continue
+        if max_degree_filter is not None and combo.degree > max_degree_filter:
+            continue
+        if combo(positivity_probe) <= 0:
+            continue
+        if combo not in polys:
+            vec = [0] * w.order
+            for (_f, ws), a in zip(distinct, aggs):
+                rem = a
+                for wi in ws:
+                    take = max(-bound, min(bound, rem))
+                    vec[wi] = take
+                    rem -= take
+            polys[combo] = tuple(vec)
+    return tuple(sorted(polys, key=lambda p: p.coeffs)), polys, bound
+
+
+@pytest.mark.parametrize(
+    "options", [{}, {"max_degree_filter": 0}, {"max_degree_filter": 1}, {"positivity_probe": 2}]
+)
+@pytest.mark.parametrize("twist", ["split", "unitary"])
+@pytest.mark.parametrize("family,n", [("GL", 1), ("GL", 2), ("SL", 2)])
+def test_candidate_set_matches_fraction_reference(family, n, twist, options):
+    datum = root_datum(family, n)
+    cands = candidate_set(datum, twist, **options)
+    polys, provenance, bound = _reference_candidate_set(datum, twist, **options)
+    assert cands.polynomials == polys
+    assert cands.provenance == provenance
+    assert cands.bound == bound
+
+
+def test_cli_lietype_gl3_split_digest(capsys):
+    assert repzoo.cli.main(["lietype", "--family", "GL3", "--twist", "split"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "9ce9a0ac1aa3e050b2d8a30b538630e6116991139d9a7532b3df2ce90bc2271f"
+    assert len(json.loads(out)["candidate_set"]["polys"]) == 70252
+
+
+def test_cli_lietype_verify_builds_the_candidate_set_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return candidate_set(*args, **kwargs)
+
+    monkeypatch.setattr(repzoo.cli, "candidate_set", counted)
+    monkeypatch.setattr(repzoo.lietype, "candidate_set", counted)
+    assert repzoo.cli.main(["lietype", "--family", "GL2", "--verify", "2,3"]) == 0
+    assert json.loads(capsys.readouterr().out)["containment"]["results"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        # this shear sends the root (1, -1) to (0, -1), off the root sublattice
+        "from repzoo.lietype import _center_tau_matrix, root_datum; "
+        "_center_tau_matrix(root_datum('GL', 2), ((1, 1), (0, 1)))",
+        # an aggregate beyond mult * bound cannot be spread over its class
+        "from repzoo.lietype import _spread; _spread([3], [(None, [0])], 1, 2)",
+    ],
+    ids=["center_tau", "spread"],
+)
+def test_lietype_checks_survive_python_O(code):
+    # python -O strips assert statements; both checks must still raise
+    env = {**os.environ, "PYTHONPATH": str(Path(repzoo.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr
