@@ -4,14 +4,21 @@ The degree multiset of Irr(G) is computed from the class-multiplication-
 coefficient matrices: their simultaneous eigenvectors over Z/ell (ell prime,
 ell = 1 mod exp(G), ell > 2 sqrt(|G|)) recover the algebra homomorphisms
 omega_t, from which degrees follow by the column orthogonality relation and
-lift uniquely below ell/2.  Everything is integer arithmetic; the structural
+lift uniquely below ell/2.  Following Schneider ("Dixon's character table
+algorithm revisited", J. Symb. Comp. 1990), each class matrix is kept sparse,
+as the nonzero entries of its columns, and is applied to a subspace basis by
+summing the columns its nonzero coordinates select; the eigenvalues are found
+by equal-degree splitting of the characteristic polynomial (Cantor-Zassenhaus,
+Math. Comp. 1981).  Everything is integer arithmetic; the structural
 identities (sum of squares, class count, divisibility) are checked on every
 output.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .groups import ConjugacyClassData, FiniteGroup, conjugacy_classes
 from .intlinalg import nullspace, rref
@@ -125,26 +132,37 @@ def _charpoly(a: list[list[int]], ell: int) -> list[int]:
     return polys[n]
 
 
-def _poly_eval(p: list[int], x: int, ell: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = (acc * x + c) % ell
-    return acc
-
-
 def _poly_roots(poly: list[int], ell: int) -> list[int]:
-    """Distinct roots in Z/ell, by gcd with x^ell - x then scan."""
-    g = fp_gcd(poly, fp_sub(fp_powmod((0, 1), ell, poly, ell), (0, 1), ell), ell)
-    target = len(g) - 1
+    """Sorted distinct roots in Z/ell (ell odd) of a nonzero polynomial.
+
+    g = gcd(poly, x^ell - x) is the squarefree product of (x - r) over the
+    roots r.  Equal-degree splitting (Cantor-Zassenhaus) with the deterministic
+    shifts a = 0, 1, 2, ...: t = (x + a)^((ell-1)/2) mod h is 1, -1 or 0 at a
+    root r of a factor h as r + a is a nonzero square, a non-square or zero, so
+    gcd(h, t - 1) and gcd(h, t + 1) split h, and -a is a root of h exactly when
+    their degrees add up to deg h - 1.  Shift a = -r isolates r, so every
+    factor of degree at least 2 splits before a reaches ell.
+    """
+    x = (0, 1)
+    factors = [fp_gcd(poly, fp_sub(fp_powmod(x, ell, poly, ell), x, ell), ell)]
     roots = []
-    if target == 0:
-        return roots
-    for x in range(ell):
-        if _poly_eval(g, x, ell) == 0:
-            roots.append(x)
-            if len(roots) == target:
-                break
-    return roots
+    half = (ell - 1) // 2
+    for a in range(ell):
+        pending = []
+        for h in factors:
+            if len(h) == 2:
+                roots.append(-h[0] % ell)
+            elif len(h) > 2:
+                t = fp_powmod((a, 1), half, h, ell)
+                squares = fp_gcd(h, fp_sub(t, (1,), ell), ell)
+                non_squares = fp_gcd(h, fp_sub(t, (ell - 1,), ell), ell)
+                if len(squares) + len(non_squares) < len(h) + 1:
+                    roots.append(-a % ell)
+                pending += [squares, non_squares]
+        factors = pending
+        if not factors:
+            break
+    return sorted(roots)
 
 
 def _sqrt_mod(a: int, ell: int) -> int:
@@ -152,7 +170,8 @@ def _sqrt_mod(a: int, ell: int) -> int:
     a %= ell
     if a == 0:
         return 0
-    assert pow(a, (ell - 1) // 2, ell) == 1, "not a quadratic residue"
+    if pow(a, (ell - 1) // 2, ell) != 1:
+        raise AssertionError(f"{a} is not a quadratic residue mod {ell}")
     if ell % 4 == 3:
         return pow(a, (ell + 1) // 4, ell)
     q, s = ell - 1, 0
@@ -195,25 +214,29 @@ def choose_ell(order: int, exponent: int, bound: int = 10**7) -> int:
     raise ModulusSearchError(f"no prime = 1 mod {exponent} above 2 sqrt({order}) below {bound}")
 
 
-def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, j: int) -> list[list[int]]:
-    """M_j[s][t] = #{x in C_j : x^{-1} rep_t in C_s}; columns are omega eigenvectors."""
-    k = classes.n_classes
-    members_j = [x for x in range(group.order) if classes.class_of[x] == j]
+def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, members_j: memoryview):
+    """M_j[s][t] = #{x in C_j : x^{-1} rep_t in C_s}, as one list per column t of
+    its nonzero (s, M_j[s][t]) entries; columns are omega eigenvectors."""
     inv_members = [group.inv(x) for x in members_j]
-    mat = [[0] * k for _ in range(k)]
     class_of = classes.class_of
     mul = group.mul
-    for t, rep in enumerate(classes.representatives):
-        col_counts = [0] * k
-        for xi in inv_members:
-            col_counts[class_of[mul(xi, rep)]] += 1
-        for s in range(k):
-            mat[s][t] = col_counts[s]
-    return mat
+    return [
+        list(Counter(class_of[mul(xi, rep)] for xi in inv_members).items())
+        for rep in classes.representatives
+    ]
 
 
 def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
-    """Full Dixon-Schneider eigen-separation for the class algebra of G."""
+    """Full Dixon-Schneider eigen-separation for the class algebra of G.
+
+    The subspaces of (Z/ell)^k are split by M_j for j = 0, 1, ... (skipping the
+    identity class) until all are lines.  M_j is kept as sparse columns, and
+    the image of each basis vector v is the sum of v[c] * column c over the
+    nonzero v[c], reduced mod ell once.  The eigenvalues of M_j on a subspace
+    are the roots of its characteristic polynomial, found by equal-degree
+    splitting.  The rows are sorted by (degree, omega) at the end, so the
+    output does not depend on the order of the splits.
+    """
     if group.modp_table is not None:
         return group.modp_table
     classes = conjugacy_classes(group)
@@ -222,6 +245,14 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     ell = choose_ell(order, group.exponent())
 
     id_class = classes.class_of[group.identity]
+    # each class's members in one pass: class c is flat[start[c]:start[c + 1]] of
+    # one 4-byte buffer, as a list would hold |G| int objects
+    start = list(accumulate(classes.sizes, initial=0))
+    flat = memoryview(bytearray(4 * order)).cast("I")
+    fill = start[:-1]
+    for x, c in enumerate(classes.class_of):
+        flat[fill[c]] = x
+        fill[c] += 1
     # subspaces of (Z/ell)^k, split until all are lines
     subspaces: list[list[list[int]]] = [[[1 if i == j else 0 for i in range(k)] for j in range(k)]]
 
@@ -230,7 +261,7 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
             break
         if j == id_class:
             continue
-        mj = _class_matrix(group, classes, j)
+        columns = _class_matrix(group, classes, flat[start[j]:start[j + 1]])
         new_spaces = []
         for basis in subspaces:
             if len(basis) == 1:
@@ -239,16 +270,23 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
             # keep the basis in rref so coordinates read off the pivot columns
             bt_rows, pivots = rref(basis, ell)
             d = len(bt_rows)
-            assert d == len(basis)
+            if d != len(basis):
+                raise AssertionError(f"eigenspace basis of {len(basis)} vectors has rank {d}")
             a = [[0] * d for _ in range(d)]
             for ci, v in enumerate(bt_rows):
-                w = [sum(mj[rr][cc] * v[cc] for cc in range(k)) % ell for rr in range(k)]
-                coords = [w[pc] % ell for pc in pivots]
-                residual = w[:]
+                w = [0] * k
+                for c, vc in enumerate(v):
+                    if vc:
+                        for s, count in columns[c]:
+                            w[s] += vc * count
+                w = [x % ell for x in w]
+                coords = [w[pc] for pc in pivots]
+                residual = w
                 for r, c in enumerate(coords):
                     if c:
-                        residual = [(x - c * y) % ell for x, y in zip(residual, bt_rows[r])]
-                assert not any(x % ell for x in residual), "class operator left the subspace"
+                        residual = [x - c * y for x, y in zip(residual, bt_rows[r])]
+                if any(x % ell for x in residual):
+                    raise AssertionError("class operator left the subspace")
                 for r in range(d):
                     a[r][ci] = coords[r]
             cp = _charpoly(a, ell)
@@ -261,16 +299,17 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
                     vec = [0] * k
                     for ci, coef in enumerate(nv):
                         if coef:
-                            for idx in range(k):
-                                vec[idx] = (vec[idx] + coef * bt_rows[ci][idx]) % ell
-                    vecs.append(vec)
+                            vec = [x + coef * y for x, y in zip(vec, bt_rows[ci])]
+                    vecs.append([x % ell for x in vec])
                 # keep each eigenspace in rref form so coordinate-solving stays trivial
                 vecs, _ = rref(vecs, ell)
                 new_spaces.append(vecs)
         subspaces = new_spaces
 
-    assert all(len(v) == 1 for v in subspaces), "eigenspace separation incomplete"
-    assert len(subspaces) == k
+    if not all(len(v) == 1 for v in subspaces):
+        raise AssertionError("eigenspace separation incomplete")
+    if len(subspaces) != k:
+        raise AssertionError(f"{len(subspaces)} eigenlines for {k} classes")
 
     omega_rows = []
     for basis in subspaces:
@@ -288,7 +327,8 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
         d_sq = order * pow(total, -1, ell) % ell
         d = _sqrt_mod(d_sq, ell)
         d = min(d, ell - d)
-        assert 0 < d and d * d % ell == d_sq
+        if not (0 < d and d * d % ell == d_sq):
+            raise AssertionError(f"degree {d} does not lift d^2 = {d_sq} mod {ell}")
         degrees.append(d)
 
     # deterministic row order: by degree, then omega row

@@ -241,7 +241,10 @@ class QuotientGroup(FiniteGroup):
                 offset[y] = j
         self._bind(parent, kernel, label, reps)
         self.offset = offset
-        assert self.order * len(kernel) == parent.order
+        if self.order * len(kernel) != parent.order:
+            raise AssertionError(
+                f"{self.order} cosets of {len(kernel)} elements in a group of order {parent.order}"
+            )
 
     @classmethod
     def from_labels(cls, parent: FiniteGroup, kernel_ordinals, label, reps) -> "QuotientGroup":
@@ -387,7 +390,8 @@ def build_group(
     every call, before the memo."""
     predicted = check_budget(scheme, spec, budget)
     group = _enumerate_group(scheme, spec)
-    assert group.order == predicted, (group.order, predicted)
+    if group.order != predicted:
+        raise AssertionError(f"enumerated {group.order} elements, predicted {predicted}")
     return group
 
 
@@ -465,7 +469,8 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
         sizes.append(len(orbit))
     inverse_class = tuple(class_of[group.inv(r)] for r in reps)
     data = ConjugacyClassData(tuple(class_of), tuple(reps), tuple(sizes), inverse_class)
-    assert sum(sizes) == group.order
+    if sum(sizes) != group.order:
+        raise AssertionError(f"class sizes sum to {sum(sizes)}, not |G|={group.order}")
     group.classes = data
     return data
 
@@ -495,7 +500,8 @@ def congruence_kernel(group: FiniteMatrixGroup, i: int) -> SubgroupView:
     view = SubgroupView(group, members)
     if group.scheme.family == "GL":
         q, r = ring.q, ring.r
-        assert view.order == q ** ((r - i) * n * n)
+        if view.order != q ** ((r - i) * n * n):
+            raise AssertionError(f"kernel of order {view.order}, not q^{(r - i) * n * n}")
     return view
 
 

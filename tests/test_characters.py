@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -10,14 +11,15 @@ import repzoo
 from repzoo.characters import (
     DegreeMultiset,
     _charpoly,
-    _poly_eval,
+    _poly_roots,
     _sqrt_mod,
     character_degrees,
     character_table_modp,
     choose_ell,
 )
 from repzoo.groups import GroupScheme, build_group, congruence_kernel, conjugacy_classes
-from repzoo.localring import RingSpec
+from repzoo.intlinalg import nullspace, rref
+from repzoo.localring import RingSpec, fp_mul
 
 
 def degrees_of(family, n, kind, p, f, r, e=1):
@@ -106,13 +108,33 @@ def test_degree_multiset_serialization():
     assert DegreeMultiset.from_json(dm.to_json()) == dm
 
 
-def test_degree_multiset_validate_raises_under_optimize():
-    # python -O strips assert statements; validate must still reject bad degrees
-    code = "from repzoo.characters import DegreeMultiset; DegreeMultiset(((1, 5),)).validate(6, 2)"
+def _run_optimized(code):
+    # python -O strips assert statements; the checks must still raise
     env = {**os.environ, "PYTHONPATH": str(Path(repzoo.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_degree_multiset_validate_raises_under_optimize():
+    code = "from repzoo.characters import DegreeMultiset; DegreeMultiset(((1, 5),)).validate(6, 2)"
+    proc = _run_optimized(code)
     assert proc.returncode != 0
     assert "AssertionError" in proc.stderr
+
+
+def test_sqrt_mod_of_a_non_residue_raises_under_optimize():
+    # 3 is not a square mod 7
+    proc = _run_optimized("from repzoo.characters import _sqrt_mod; _sqrt_mod(3, 7)")
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr
+
+
+@pytest.mark.parametrize("module", ["characters", "groups", "clifford", "lietype"])
+def test_module_has_no_assert_statement(module):
+    # invariant checks must survive python -O, so they raise explicitly
+    path = Path(repzoo.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
 
 
 @pytest.mark.parametrize(
@@ -158,6 +180,13 @@ def test_charpoly_matches_cofactor_expansion(mat):
         assert _poly_eval(cp, x, ell) == _det_mod(shifted, ell)
 
 
+def _poly_eval(p, x, ell):
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % ell
+    return acc
+
+
 def _det_mod(m, ell):
     n = len(m)
     if n == 1:
@@ -168,3 +197,107 @@ def _det_mod(m, ell):
         term = m[0][j] * _det_mod(minor, ell)
         total = (total - term if j % 2 else total + term) % ell
     return total
+
+
+def _brute_roots(poly, ell):
+    return [x for x in range(ell) if _poly_eval(poly, x, ell) == 0]
+
+
+def _from_roots(roots, ell):
+    out = (1,)
+    for r in roots:
+        out = fp_mul(out, (-r % ell, 1), ell)
+    return out
+
+
+def _non_square(ell):
+    return next(z for z in range(2, ell) if pow(z, (ell - 1) // 2, ell) == ell - 1)
+
+
+@pytest.mark.parametrize("ell", [7, 73, 313, 6553])
+def test_poly_roots_matches_scan(ell):
+    rootless = (-_non_square(ell) % ell, 0, 1)  # x^2 - z, z not a square
+    polys = {
+        "split": _from_roots([0, 1, 3, ell - 1, 5], ell),
+        "repeated": _from_roots([2, 2, 2, 4, 4, 0, 0], ell),
+        "rootless": fp_mul(rootless, fp_mul(rootless, rootless, ell), ell),
+        "mixed": fp_mul(fp_mul(rootless, (1, 2, 3, 0, 5), ell), _from_roots([6, 6, 1, ell - 2], ell), ell),
+        "linear": (3, 5),
+        "full": _from_roots(range(ell), ell) if ell < 100 else (0, 1),
+    }
+    for name, poly in polys.items():
+        assert _poly_roots(list(poly), ell) == _brute_roots(poly, ell), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([7, 73, 313, 6553]),
+    st.lists(st.integers(min_value=0, max_value=6552), max_size=8),
+    st.lists(st.integers(min_value=0, max_value=6552), max_size=5),
+    st.integers(min_value=1, max_value=6552),
+)
+def test_poly_roots_property(ell, roots, cofactor, lead):
+    # (prod of x - r) * a random cofactor with a nonzero leading coefficient
+    cofactor = [c % ell for c in cofactor] + [lead % ell or 1]
+    poly = fp_mul(_from_roots([r % ell for r in roots], ell), tuple(cofactor), ell)
+    assert _poly_roots(list(poly), ell) == _brute_roots(poly, ell)
+
+
+def _reference_table(group):
+    """(ell, degrees, omega) by the dense class matrices and a scan of Z/ell for roots."""
+    classes = conjugacy_classes(group)
+    k, order = classes.n_classes, group.order
+    ell = choose_ell(order, group.exponent())
+    id_class = classes.class_of[group.identity]
+    subspaces = [[[1 if i == j else 0 for i in range(k)] for j in range(k)]]
+    for j in range(k):
+        if all(len(v) == 1 for v in subspaces):
+            break
+        if j == id_class:
+            continue
+        inv_members = [group.inv(x) for x in range(order) if classes.class_of[x] == j]
+        mj = [[0] * k for _ in range(k)]
+        for t, rep in enumerate(classes.representatives):
+            for xi in inv_members:
+                mj[classes.class_of[group.mul(xi, rep)]][t] += 1
+        new_spaces = []
+        for basis in subspaces:
+            if len(basis) == 1:
+                new_spaces.append(basis)
+                continue
+            bt_rows, pivots = rref(basis, ell)
+            d = len(bt_rows)
+            a = [[0] * d for _ in range(d)]
+            for ci, v in enumerate(bt_rows):
+                w = [sum(mj[rr][cc] * v[cc] for cc in range(k)) % ell for rr in range(k)]
+                for r, pc in enumerate(pivots):
+                    a[r][ci] = w[pc]
+            cp = _charpoly(a, ell)
+            for lam in _brute_roots(cp, ell):
+                shifted = [[(a[r][c] - (lam if r == c else 0)) % ell for c in range(d)] for r in range(d)]
+                vecs = [
+                    [sum(coef * bt_rows[ci][idx] for ci, coef in enumerate(nv)) % ell for idx in range(k)]
+                    for nv in nullspace(shifted, ell)
+                ]
+                new_spaces.append(rref(vecs, ell)[0])
+        subspaces = new_spaces
+    omega = [tuple(x * pow(v[0][id_class], -1, ell) % ell for x in v[0]) for v in subspaces]
+    degrees = []
+    for row in omega:
+        total = sum(
+            row[j] * row[classes.inverse_class[j]] * pow(classes.sizes[j], -1, ell) for j in range(k)
+        )
+        d = _sqrt_mod(order * pow(total, -1, ell), ell)
+        degrees.append(min(d, ell - d))
+    rows = sorted(zip(degrees, omega))
+    return ell, tuple(d for d, _ in rows), tuple(w for _, w in rows)
+
+
+@pytest.mark.parametrize(
+    "family,n,p,r",
+    [("GL", 2, 3, 1), ("GL", 2, 5, 1), ("SL", 2, 5, 1), ("U", 3, 3, 1), ("B", 2, 5, 1), ("GL", 2, 2, 2)],
+)
+def test_modp_table_matches_dense_reference(family, n, p, r):
+    group = build_group(GroupScheme(family, n), RingSpec("unramified", p, 1, r))
+    table = character_table_modp(group)
+    assert (table.ell, table.degrees, table.omega) == _reference_table(group)
