@@ -1,18 +1,20 @@
 """Experiment orchestration: cached degree oracles, ring comparison, polynomial fits.
 
-The fitter aligns degree multisets across sample values of q into polynomial
-rows (d_i, m_i).  Alignment is by ascending degree value, with collided or
-vanished rows at small q resolved by search; candidate fits must satisfy the
-exact group-order identity  sum_i m_i(x) d_i(x)^2 = |G(o_r)|(x)  and the fit
-of minimal total degree wins.  Anything still ambiguous is reported, never
-guessed.
+The fitter has one core.  `_alignments` enumerates every way to align the
+per-q (value, count) tables into rows, by ascending value, with rows that
+collide or vanish at small q spread over adjacent slots.  `_fit_table`
+interpolates each row's (d_i, m_i), keeps the rows that pass the two row checks
+(`_is_degree_poly`, `_is_count_poly`) and the exact group-order identity
+sum_i m_i(x) d_i(x)^2 = |G(o_r)|(x), and `_LeastScore` returns the fit of least
+total degree.  No fit, or several at that degree, is an error: anything
+ambiguous is reported, never guessed.
 
 Flat multiset data determines the row polynomials only at level 1; at higher
 levels the multiplicity rows outrun what three samples can see.  When the
 samples come from the Clifford engine, its orbit output stratifies each
-multiset into families (orbit count, orbit size, stabilizer-level table) whose
-ingredients are low-degree and fit exactly; the final rows are assembled as
-products of the fitted pieces.
+multiset into families (orbit count, orbit size, stabilizer-level table).  The
+same alignment loop and selector run over the strata, and `_fit_table` fits
+each stabilizer-level table; the final rows are products of the fitted pieces.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ from .polynomials import RationalPoly, interpolate
 
 CACHE_ENV = "REPZOO_CACHE"
 DEFAULT_CACHE_DIR = ".repzoo_cache"
+# hashed into every cache file name and raised whenever an entry's meaning or
+# layout changes, so an entry written under another schema is never read
+CACHE_SCHEMA = 1
 _PROFILE_LIMIT = 200_000
 
 
@@ -99,7 +104,8 @@ def compute_degrees(
         return compute_clifford_report(scheme, spec, budget).degrees
     a = character_degrees(group)
     b = compute_clifford_report(scheme, spec, budget).degrees
-    assert a.entries == b.entries, ("engine mismatch", a.entries, b.entries)
+    if a.entries != b.entries:
+        raise AssertionError("engine mismatch", a.entries, b.entries)
     return a
 
 
@@ -118,7 +124,8 @@ def _clifford_report(group: FiniteMatrixGroup) -> CliffordReport:
 
 
 def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
-    """Per-ring degree multisets, cached on disk keyed by (scheme, ring, engine).
+    """Per-ring degree multisets, cached on disk keyed by (scheme, ring, engine)
+    and the cache schema.
 
     An entry that does not parse, was written for another key, or whose degrees
     fail the order identity is recomputed and rewritten; entries are written to
@@ -133,7 +140,8 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
             "ring": spec.to_json(),
             "engine": config.engine,
         }
-        key = hashlib.sha256(_canonical_json(key_obj).encode()).hexdigest()
+        hashed = _canonical_json({"schema": CACHE_SCHEMA, **key_obj})
+        key = hashlib.sha256(hashed.encode()).hexdigest()
         try:
             order = check_budget(config.scheme, spec, config.budget)
         except BudgetExceededError as exc:
@@ -226,7 +234,7 @@ def compare_rings(
     )
 
 
-# -- polynomial fitting: shared table core -----------------------------------------------
+# -- polynomial fitting -------------------------------------------------------------------
 
 
 @dataclass
@@ -254,8 +262,10 @@ class FitReport:
         pairs = []
         for row in self.rows:
             d, m = row.dim(q), row.mult(q)
-            assert d.denominator == 1 and m.denominator == 1, "non-integer prediction"
-            assert m >= 0, "negative multiplicity prediction"
+            if d.denominator != 1 or m.denominator != 1:
+                raise AssertionError("non-integer prediction")
+            if m < 0:
+                raise AssertionError("negative multiplicity prediction")
             if m:
                 pairs.append((int(d), int(m)))
         return DegreeMultiset.from_pairs(pairs)
@@ -320,6 +330,68 @@ def _slot_assignments(entries, k: int):
     return out
 
 
+def _alignments(qs, entries_by_q):
+    """Every alignment of the per-q (key, count) tables into k rows, k the size
+    of the largest table, as a list of k dicts {q: (key, count)}.
+
+    A row absent at q has key None and count 0 there.  The largest table puts
+    one entry in every row, so each row has a key at some q.
+    """
+    k = max(len(entries_by_q[q]) for q in qs)
+    per_sample = [_slot_assignments(entries_by_q[q], k) for q in qs]
+    for combo in itertools.product(*per_sample):
+        yield [dict(zip(qs, row)) for row in zip(*combo)]
+
+
+class _LeastScore:
+    """The distinct fits of least score offered so far; a fit is told apart by
+    its set of (d, m) rows, in any order."""
+
+    def __init__(self):
+        self.score: int | None = None
+        self.fits: dict[tuple, tuple[FitRow, ...]] = {}
+
+    def offer(self, rows: tuple[FitRow, ...], score: int) -> None:
+        keyset = tuple(sorted((r.dim.coeffs, r.mult.coeffs) for r in rows))
+        if self.score is None or score < self.score:
+            self.score, self.fits = score, {keyset: rows}
+        elif score == self.score:
+            self.fits.setdefault(keyset, rows)
+
+    def unique(self, what: str) -> tuple[tuple[FitRow, ...], int]:
+        """The one least-score fit and its score; none or several is an error."""
+        if not self.fits:
+            raise AlignmentError(f"no consistent fit for {what}")
+        if len(self.fits) > 1:
+            raise AmbiguousFitError(
+                f"{len(self.fits)} distinct minimal fits for {what}; refusing to guess"
+            )
+        (rows,) = self.fits.values()
+        return rows, self.score
+
+
+def _is_degree_poly(p: RationalPoly, cap: int, qs) -> bool:
+    """p can be a degree or an orbit size: integer coefficients, a positive
+    leading term, degree at most cap, and a value of at least 1 at each of qs."""
+    return (
+        p.leading > 0
+        and p.has_integer_coeffs()
+        and p.degree <= cap
+        and all(p(q) >= 1 for q in qs)
+    )
+
+
+def _is_count_poly(p: RationalPoly, cap: int, den_bound: int) -> bool:
+    """p can count irreducibles or orbits: a positive leading term, degree at
+    most cap, coefficient denominators dividing den_bound, integer-valued."""
+    return (
+        p.leading > 0
+        and p.degree <= cap
+        and all(den_bound % c.denominator == 0 for c in p.coeffs)
+        and p.is_integer_valued()
+    )
+
+
 def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
     """Exact solve; returns (particular, nullspace basis) or None if inconsistent.
 
@@ -337,21 +409,16 @@ def _poly_coeff_vector(p: RationalPoly, length: int) -> list[Fraction]:
     return [p.coeffs[i] if i <= p.degree else Fraction(0) for i in range(length)]
 
 
-def _coeff_denominators_ok(p: RationalPoly, bound: int) -> bool:
-    return all(bound % c.denominator == 0 for c in p.coeffs)
-
-
 class _ProfileAmbiguous(Exception):
     pass
 
 
-def _fit_mults_for_profile(interp, d_sq, sroot, target, profile, den_bound, ceiling):
+def _fit_mults_for_profile(interp, d_sq, sroot, target, profile, den_bound, cap):
     """Solutions m_i = interp_i + sroot * c_i of the exact order identity.
 
     profile[i] is None (c_i = 0 forced) or the degree allowed for c_i.  Raises
     _ProfileAmbiguous when the residual family cannot be pinned down.
     """
-    k = len(interp)
     unknown_slots = [
         (i, t) for i, dc in enumerate(profile) if dc is not None for t in range(dc + 1)
     ]
@@ -370,42 +437,24 @@ def _fit_mults_for_profile(interp, d_sq, sroot, target, profile, den_bound, ceil
         return []
     particular, nullspace = solved
 
-    def build(solution):
-        mults = []
-        for i in range(k):
-            c = RationalPoly.zero()
-            for idx, (row, t) in enumerate(unknown_slots):
-                if row == i and solution[idx] != 0:
-                    c = c + RationalPoly.monomial(t, solution[idx])
-            mults.append(interp[i] + sroot * c)
-        return mults
+    def residuals(solution):
+        # sroot * c_i for each row i, c_i read off a solution vector
+        cs = [RationalPoly.zero()] * len(interp)
+        for (i, t), a in zip(unknown_slots, solution):
+            if a != 0:
+                cs[i] = cs[i] + RationalPoly.monomial(t, a)
+        return [sroot * c for c in cs]
 
     def valid(mults):
-        for m in mults:
-            if m.is_zero() or m.leading <= 0:
-                return False
-            if m.degree > ceiling:
-                return False
-            if not _coeff_denominators_ok(m, den_bound):
-                return False
-            if not m.is_integer_valued():
-                return False
-        return True
+        return all(_is_count_poly(m, cap, den_bound) for m in mults)
 
+    base_mults = [m + r for m, r in zip(interp, residuals(particular))]
     if not nullspace:
-        mults = build(particular)
-        return [mults] if valid(mults) else []
+        return [base_mults] if valid(base_mults) else []
     if len(nullspace) > 1:
         raise _ProfileAmbiguous(f"{len(nullspace)}-dimensional residual family")
     v = nullspace[0]
-    base_mults = build(particular)
-    slope_mults = []
-    for i in range(k):
-        c = RationalPoly.zero()
-        for idx, (row, t) in enumerate(unknown_slots):
-            if row == i and v[idx] != 0:
-                c = c + RationalPoly.monomial(t, v[idx])
-        slope_mults.append(sroot * c)
+    slope_mults = residuals(v)
 
     # top-coefficient positivity brackets the line parameter t
     lo, hi = None, None
@@ -447,107 +496,69 @@ def _fit_mults_for_profile(interp, d_sq, sroot, target, profile, den_bound, ceil
     return found
 
 
-def _fit_table(
-    qs,
-    entries_by_q,
-    identity_rhs: RationalPoly,
-    ceiling: int,
-    den_bound: int,
-    allow_residuals: bool,
-    notes: list[str],
-):
-    """Fit (d_i, m_i) rows through per-q (degree, count) tables under an identity.
+def _fit_table(qs, entries_by_q, identity_rhs, cap, den_bound, residual_degrees, notes):
+    """The least-score rows (d_i, m_i) through per-q (degree, count) tables under
+    sum_i m_i d_i^2 = identity_rhs, and their score.
 
-    Returns the list of (rows, score) candidates at the minimal score; the
-    caller decides how to treat ties.
+    d_i interpolates row i's degrees; m_i interpolates its counts, plus
+    (x - q_1)...(x - q_s) times a residual of a degree in residual_degrees where
+    the identity needs one.  Raises AlignmentError when nothing fits and
+    AmbiguousFitError when distinct fits share the least score.
     """
     s = len(qs)
     k = max(len(entries_by_q[q]) for q in qs)
     sroot = RationalPoly.one()
     for q in qs:
         sroot = sroot * RationalPoly((-q, 1))
-    per_sample = {q: _slot_assignments(entries_by_q[q], k) for q in qs}
-    for q, assigns in per_sample.items():
-        if not assigns:
-            raise AlignmentError(
-                f"slot counts {[len(entries_by_q[x]) for x in qs]} admit no {k}-row assignment at q={q}"
-            )
-    residual_options = [None] + (
-        list(range(max(ceiling - s + 1, 0))) if allow_residuals else []
-    )
+    residual_options = [None, *residual_degrees]
     if len(residual_options) ** k > _PROFILE_LIMIT:
         raise AlignmentError(
             f"profile space {len(residual_options)}^{k} too large; add sample points"
         )
 
-    best_score: int | None = None
-    winners: list[tuple[tuple, tuple[FitRow, ...], int]] = []
-
-    for combo in itertools.product(*[per_sample[q] for q in qs]):
-        assign = dict(zip(qs, combo))
+    best = _LeastScore()
+    for aligned in _alignments(qs, entries_by_q):
         dims = []
-        ok = True
-        for i in range(k):
-            pts = [(q, assign[q][i][0]) for q in qs if assign[q][i][0] is not None]
-            if not pts:
-                ok = False
-                break
-            d = interpolate(pts)
-            if (
-                d.is_zero()
-                or d.leading <= 0
-                or not d.has_integer_coeffs()
-                or d.degree > min(s - 1, ceiling)
-                or any(d(q) < 1 for q in qs)
-            ):
-                ok = False
+        for row in aligned:
+            d = interpolate([(q, key) for q, (key, _) in row.items() if key is not None])
+            if not _is_degree_poly(d, cap, qs):
                 break
             dims.append(d)
-        if not ok:
-            continue
-        if any(
+        if len(dims) < k or any(
             dims[i](q) > dims[i + 1](q)
             for q in qs
             for i in range(k - 1)
-            if assign[q][i][0] is not None and assign[q][i + 1][0] is not None
+            if aligned[i][q][0] is not None and aligned[i + 1][q][0] is not None
         ):
             continue
-        interp = [interpolate([(q, assign[q][i][1]) for q in qs]) for i in range(k)]
+        interp = [interpolate([(q, count) for q, (_, count) in row.items()]) for row in aligned]
         d_sq = [d * d for d in dims]
-        base = RationalPoly.zero()
-        for i in range(k):
-            base = base + interp[i] * d_sq[i]
-        target = identity_rhs - base
+        target = identity_rhs - sum((m * e for m, e in zip(interp, d_sq)), RationalPoly.zero())
         dims_cost = sum(d.degree for d in dims)
 
+        def row_cost(i, t):
+            # the degree of m_i under residual degree t (None: no residual)
+            return interp[i].degree if t is None else s + t
+
+        def cost(profile):
+            return dims_cost + sum(row_cost(i, t) for i, t in enumerate(profile))
+
         profiles = sorted(
-            itertools.product(*([residual_options] * k)),
-            key=lambda pr: (
-                sum(interp[i].degree if pr[i] is None else s + pr[i] for i in range(k)),
-                tuple(-1 if t is None else t for t in pr),
-            ),
+            itertools.product(residual_options, repeat=k),
+            key=lambda pr: (cost(pr), tuple(-1 if t is None else t for t in pr)),
         )
         for pr in profiles:
-            mult_cost = sum(
-                interp[i].degree if pr[i] is None else s + pr[i] for i in range(k)
-            )
-            if best_score is not None and dims_cost + mult_cost > best_score:
+            if best.score is not None and cost(pr) > best.score:
                 break
             try:
-                sols = _fit_mults_for_profile(
-                    interp, d_sq, sroot, target, pr, den_bound, ceiling
-                )
+                sols = _fit_mults_for_profile(interp, d_sq, sroot, target, pr, den_bound, cap)
             except _ProfileAmbiguous as exc:
                 notes.append(f"profile {pr}: {exc}")
                 continue
             sols = [
                 mults
                 for mults in sols
-                if all(
-                    mults[i].degree
-                    == (interp[i].degree if pr[i] is None else s + pr[i])
-                    for i in range(k)
-                )
+                if all(m.degree == row_cost(i, t) for i, (m, t) in enumerate(zip(mults, pr)))
             ]
             if not sols:
                 continue
@@ -556,45 +567,9 @@ def _fit_table(
                 raise AmbiguousFitError(
                     f"{len(uniq)} minimal multiplicity fits at one profile; refusing to guess"
                 )
-            mults = sols[0]
-            score = dims_cost + mult_cost
-            rows = tuple(FitRow(d, m) for d, m in zip(dims, mults))
-            keyset = tuple(sorted((r.dim.coeffs, r.mult.coeffs) for r in rows))
-            if best_score is None or score < best_score:
-                best_score = score
-                winners = [(keyset, rows, score)]
-            elif score == best_score and all(keyset != w[0] for w in winners):
-                winners.append((keyset, rows, score))
+            best.offer(tuple(FitRow(d, m) for d, m in zip(dims, sols[0])), cost(pr))
             break
-    return [(rows, score) for _keyset, rows, score in winners]
-
-
-# -- flat and stratified drivers --------------------------------------------------------
-
-
-def _fit_flat(scheme, level, samples, den_bound, ceiling, notes):
-    qs = sorted(samples)
-    order_poly = scheme_order_poly(scheme, level)
-    for q in qs:
-        assert samples[q].sum_of_squares == order_poly(q), (
-            "sample inconsistent with the group order",
-            q,
-        )
-    entries_by_q = {q: samples[q].entries for q in qs}
-    winners = _fit_table(
-        qs, entries_by_q, order_poly, ceiling, den_bound, True, notes
-    )
-    if not winners:
-        raise AlignmentError(
-            f"no consistent assignment for slot counts "
-            f"{ {q: len(samples[q].entries) for q in qs} }"
-        )
-    if len(winners) > 1:
-        raise AmbiguousFitError(
-            f"{len(winners)} distinct minimal fits; refusing to guess"
-        )
-    rows, score = winners[0]
-    return rows, score
+    return best.unique(f"slot counts { {q: len(entries_by_q[q]) for q in qs} }")
 
 
 def _stratify(report: CliffordReport):
@@ -606,10 +581,39 @@ def _stratify(report: CliffordReport):
     return sorted(groups.items())
 
 
-def _fit_stratified(scheme, level, reports, den_bound, ceiling, notes):
+def _fit_stratum(stratum, order_poly, e_n, cap, den_bound, notes):
+    """The rows (sigma * d_j, nu * mu_j) of one aligned stratum {q: (key, count)}
+    and their score, or None when it does not fit.
+
+    nu counts the stratum's orbits, sigma is their size, and (d_j, mu_j) fit
+    its stabilizer-level table under sum_j mu_j d_j^2 = |G| / (sigma * |N|).
+    """
+    # key: (orbit size, stabilizer-level table)
+    keys = {q: key for q, (key, _) in stratum.items() if key is not None}
+    if len(keys) < 3:
+        return None
+    present = list(keys)
+    nu = interpolate([(q, count) for q, (_, count) in stratum.items()])
+    sigma = interpolate([(q, size) for q, (size, _) in keys.items()])
+    if not (_is_count_poly(nu, cap, den_bound) and _is_degree_poly(sigma, cap, present)):
+        return None
+    try:
+        inner_rhs = order_poly.exact_div(sigma * RationalPoly.monomial(e_n))
+    except ValueError:
+        return None
+    tables = {q: table for q, (_, table) in keys.items()}
+    try:
+        rows, score = _fit_table(present, tables, inner_rhs, cap, den_bound, (), notes)
+    except AlignmentError:
+        return None
+    rows = tuple(FitRow(sigma * r.dim, nu * r.mult) for r in rows)
+    return rows, nu.degree + sigma.degree + score
+
+
+def _fit_stratified(order_poly, reports, cap, den_bound, notes):
+    """The least-score rows assembled from per-stratum fits whose rows, merged by
+    dimension, satisfy sum_i m_i d_i^2 = |G|, and their score."""
     qs = sorted(reports)
-    s = len(qs)
-    order_poly = scheme_order_poly(scheme, level)
     # |N| per sample is the dual-group size: sum of orbit sizes; must be q^e
     exps = set()
     for q in qs:
@@ -623,106 +627,26 @@ def _fit_stratified(scheme, level, reports, den_bound, ceiling, notes):
     e_n = exps.pop()
 
     strata_by_q = {q: _stratify(reports[q]) for q in qs}
-    k_st = max(len(strata_by_q[q]) for q in qs)
-    per_sample = {q: _slot_assignments(strata_by_q[q], k_st) for q in qs}
-    for q, assigns in per_sample.items():
-        if not assigns:
-            raise AlignmentError(
-                f"stratum counts { {x: len(strata_by_q[x]) for x in qs} } admit no alignment at q={q}"
-            )
-
-    best_score = None
-    winners = []
-    for combo in itertools.product(*[per_sample[q] for q in qs]):
-        assign = dict(zip(qs, combo))
-        fit_rows: list[FitRow] = []
-        score = 0
-        ok = True
-        for i in range(k_st):
-            nu_pts = [(q, assign[q][i][1]) for q in qs]
-            present = [q for q in qs if assign[q][i][0] is not None]
-            if len(present) < 3:
-                ok = False
+    best = _LeastScore()
+    for strata in _alignments(qs, strata_by_q):
+        fits = []
+        for stratum in strata:
+            fit = _fit_stratum(stratum, order_poly, e_n, cap, den_bound, notes)
+            if fit is None:
                 break
-            nu = interpolate(nu_pts)
-            if (
-                nu.is_zero()
-                or nu.leading <= 0
-                or nu.degree > s - 1
-                or not nu.is_integer_valued()
-                or not _coeff_denominators_ok(nu, den_bound)
-                or any(nu(q) < 0 for q in qs)
-            ):
-                ok = False
-                break
-            sigma = interpolate([(q, assign[q][i][0][0]) for q in present])
-            if (
-                sigma.is_zero()
-                or sigma.leading <= 0
-                or not sigma.has_integer_coeffs()
-                or sigma.degree > s - 1
-                or any(sigma(q) < 1 for q in present)
-            ):
-                ok = False
-                break
-            # inner identity: sum_j mu_j d_j^2 = |G| / (sigma * |N|)
-            try:
-                inner_rhs = order_poly.exact_div(sigma * RationalPoly.monomial(e_n))
-            except ValueError:
-                ok = False
-                break
-            inner_entries = {q: assign[q][i][0][1] for q in present}
-            try:
-                inner_winners = _fit_table(
-                    present, inner_entries, inner_rhs, ceiling, den_bound, False, notes
-                )
-            except AlignmentError:
-                ok = False
-                break
-            if not inner_winners:
-                ok = False
-                break
-            if len(inner_winners) > 1:
-                raise AmbiguousFitError(
-                    "ambiguous stabilizer-level table fit; refusing to guess"
-                )
-            inner_rows, inner_score = inner_winners[0]
-            score += nu.degree + sigma.degree + inner_score
-            for r in inner_rows:
-                fit_rows.append(FitRow(sigma * r.dim, nu * r.mult))
-        if not ok:
+            fits.append(fit)
+        if len(fits) < len(strata):
             continue
         # merge rows with identical dimension polynomial
-        merged: dict[tuple, RationalPoly] = {}
-        dim_of: dict[tuple, RationalPoly] = {}
-        for r in fit_rows:
-            key = r.dim.coeffs
-            dim_of[key] = r.dim
-            merged[key] = merged.get(key, RationalPoly.zero()) + r.mult
-        rows = tuple(
-            FitRow(dim_of[key], merged[key])
-            for key in sorted(merged, key=lambda c: (len(c), c))
-        )
-        total = RationalPoly.zero()
-        for r in rows:
-            total = total + r.mult * r.dim * r.dim
-        if total != order_poly:
-            continue
-        keyset = tuple(sorted((r.dim.coeffs, r.mult.coeffs) for r in rows))
-        if best_score is None or score < best_score:
-            best_score = score
-            winners = [(keyset, rows, score)]
-        elif score == best_score and all(keyset != w[0] for w in winners):
-            winners.append((keyset, rows, score))
-
-    if not winners:
-        raise AlignmentError("no consistent stratum alignment across samples")
-    if len(winners) > 1:
-        raise AmbiguousFitError(
-            f"{len(winners)} distinct minimal stratified fits; refusing to guess"
-        )
-    _, rows, score = winners[0]
-    return rows, score
+        merged: dict[tuple, FitRow] = {}
+        for fit_rows, _ in fits:
+            for r in fit_rows:
+                old = merged.get(r.dim.coeffs)
+                merged[r.dim.coeffs] = r if old is None else FitRow(r.dim, old.mult + r.mult)
+        rows = tuple(merged[key] for key in sorted(merged, key=lambda c: (len(c), c)))
+        if sum((r.mult * r.dim * r.dim for r in rows), RationalPoly.zero()) == order_poly:
+            best.offer(rows, sum(score for _, score in fits))
+    return best.unique(f"stratum counts { {q: len(strata_by_q[q]) for q in qs} }")
 
 
 def fit_polynomials(
@@ -730,36 +654,47 @@ def fit_polynomials(
     level: int,
     samples: dict[int, DegreeMultiset | CliffordReport],
     holdout: tuple[int, DegreeMultiset] | None = None,
-    den_bound: int | None = None,
 ) -> FitReport:
     """Fit (d_i, m_i) rows through oracle data sampled at >= 3 values of q.
 
     Sample values may be plain DegreeMultisets (flat fit) or CliffordReports
     (stratified fit; required beyond level 1, where multiset data alone is
-    underdetermined).
+    underdetermined).  No fitted polynomial has a degree above that of |G|(x):
+    sum_i m_i d_i^2 = |G| and every term on the left has a positive leading
+    coefficient.
     """
     if len(samples) < 3:
         raise AlignmentError("need at least 3 sample values of q")
-    if den_bound is None:
-        den_bound = math.factorial(scheme.n)
     qs = sorted(samples)
+    order_poly = scheme_order_poly(scheme, level)
+    cap = order_poly.degree
+    den_bound = math.factorial(scheme.n)
     notes: list[str] = []
-    # degree cap for every fitted row polynomial
-    ceiling = scheme.n * (scheme.n - 1) // 2 * level + scheme.n
     observed = {
         q: samples[q].degrees if isinstance(samples[q], CliffordReport) else samples[q]
         for q in qs
     }
     if all(isinstance(samples[q], CliffordReport) for q in qs):
-        rows, score = _fit_stratified(scheme, level, samples, den_bound, ceiling, notes)
+        rows, score = _fit_stratified(order_poly, samples, cap, den_bound, notes)
     else:
-        rows, score = _fit_flat(scheme, level, observed, den_bound, ceiling, notes)
+        for q in qs:
+            if observed[q].sum_of_squares != order_poly(q):
+                raise AssertionError("sample inconsistent with the group order", q)
+        # flat fits search residuals of m_i up to this degree; a heuristic
+        # range, not a bound on the fit (that is cap)
+        residual_search_degree = scheme.n * (scheme.n - 1) // 2 * level + scheme.n
+        entries_by_q = {q: observed[q].entries for q in qs}
+        residual_degrees = range(residual_search_degree - len(qs) + 1)
+        rows, score = _fit_table(
+            qs, entries_by_q, order_poly, cap, den_bound, residual_degrees, notes
+        )
 
     report = FitReport(scheme.label(), level, len(rows), rows, tuple(qs), score, tuple(notes))
 
     for q in qs:
         predicted = report.predicted_multiset(q)
-        assert predicted.entries == observed[q].entries, (q, predicted.entries)
+        if predicted.entries != observed[q].entries:
+            raise AssertionError("fit does not reproduce its sample", q, predicted.entries)
 
     if holdout is not None:
         hq, oracle = holdout

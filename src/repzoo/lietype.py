@@ -441,7 +441,6 @@ class ContainmentReport:
     scheme: str
     twist: str
     results: tuple[tuple[int, bool, tuple[int, ...]], ...]  # (q, contained, missing degrees)
-    witnesses: dict[int, dict[int, tuple[int, ...]]]
 
     @property
     def all_contained(self) -> bool:
@@ -468,20 +467,11 @@ def verify_containment(
             "containment verification runs on split forms (the scheme menu has no unitary schemes)"
         )
     results = []
-    witnesses: dict[int, dict[int, tuple[int, ...]]] = {}
     for q in q_list:
         group = build_group(scheme, RingSpec.for_q(q, 1), budget)
         degrees = character_degrees(group).degrees_set()
-        values = {}
-        for poly in cands.polynomials:
-            values.setdefault(poly(q), poly)
-        missing = tuple(sorted(d for d in degrees if Fraction(d) not in values))
-        ok = not missing
-        witnesses[q] = {
-            d: cands.provenance[values[Fraction(d)]]
-            for d in degrees
-            if Fraction(d) in values
-        }
-        results.append((q, ok, missing))
-    return ContainmentReport(scheme.label(), twist, tuple(results), witnesses)
+        values = {poly(q) for poly in cands.polynomials}
+        missing = tuple(sorted(d for d in degrees if d not in values))
+        results.append((q, not missing, missing))
+    return ContainmentReport(scheme.label(), twist, tuple(results))
 

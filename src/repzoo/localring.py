@@ -304,7 +304,8 @@ class QuotientRing:
         self.elements: list[tuple[int, ...]] = [
             tuple(t) for t in itertools.product(*[range(m) for m in self._ranges])
         ]
-        assert len(self.elements) == self.size, (len(self.elements), self.size)
+        if len(self.elements) != self.size:
+            raise AssertionError(f"{len(self.elements)} elements for a ring of size {self.size}")
         self.index = {t: i for i, t in enumerate(self.elements)}
         self.zero = self.from_coords(())
         self.one = self.from_coords((1,))
@@ -430,7 +431,8 @@ class QuotientRing:
         steps = max(1, math.ceil(math.log2(max(self.r, 2))) + 1)
         for _ in range(steps):
             x = self.mul(x, self.sub(two, self.mul(i, x)))
-        assert self.mul(i, x) == self.one
+        if self.mul(i, x) != self.one:
+            raise AssertionError(f"Newton lift of the inverse of {i} failed")
         self._inv_cache[i] = x
         return x
 
@@ -501,7 +503,8 @@ def iso_check_truncated(spec: RingSpec) -> TruncationIso:
     # verify: unital, multiplicative on all pairs of the F_p-basis x^a t^i, injective
     basis = [source.from_coords((0,) * k + (1,)) for k in range(spec.r * spec.f)]
     img = {s: iso.apply(source, target, s) for s in basis}
-    assert iso.apply(source, target, source.one) == target.one
+    if iso.apply(source, target, source.one) != target.one:
+        raise AssertionError("truncation map does not send 1 to 1")
     for s1 in basis:
         for s2 in basis:
             lhs = iso.apply(source, target, source.mul(s1, s2))

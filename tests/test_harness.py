@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import repzoo
+from repzoo import harness
 from repzoo.cli import main as cli_main
 from repzoo.groups import BudgetExceededError, GroupScheme
 from repzoo.harness import (
@@ -256,3 +262,125 @@ def test_cli_fit_level1_with_holdout(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["holdout"]["match"] is True
     assert out["holdout"]["oracle"] == [[1, 6], [6, 21], [7, 6], [8, 15]]
+
+
+def test_run_dimirr_does_not_serve_an_entry_of_another_schema(tmp_path, monkeypatch):
+    config = ExperimentConfig(
+        GL2, (RingSpec("unramified", 2, 1, 1),), engine="chardeg", cache_dir=str(tmp_path)
+    )
+    monkeypatch.setattr(harness, "CACHE_SCHEMA", harness.CACHE_SCHEMA + 1)
+    run_dimirr(config)
+    (path,) = tmp_path.iterdir()
+    # a marked but otherwise valid entry for the same key
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "stale": True}))
+    assert run_dimirr(config)["unram:2,1,1"]["stale"] is True
+    monkeypatch.undo()
+    assert "stale" not in run_dimirr(config)["unram:2,1,1"]
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def _fit_samples(scheme, level, qs, kind):
+    if kind == "stratified":
+        return {q: compute_clifford_report(scheme, RingSpec.for_q(q, level)) for q in qs}
+    return {q: compute_degrees(scheme, RingSpec.for_q(q, level), "chardeg") for q in qs}
+
+
+# (scheme, level, samples, kind), score, rows (d, m) as ascending coefficients
+PINNED_FITS = [
+    (("GL2", 1, (2, 3, 4), "flat"), 9, [
+        (["1/1"], ["-1/1", "1/1"]),
+        (["-1/1", "1/1"], ["0/1", "-1/2", "1/2"]),
+        (["0/1", "1/1"], ["-1/1", "1/1"]),
+        (["1/1", "1/1"], ["1/1", "-3/2", "1/2"]),
+    ]),
+    (("U3", 1, (2, 3, 5), "flat"), 4, [
+        (["1/1"], ["0/1", "0/1", "1/1"]),
+        (["0/1", "1/1"], ["-1/1", "1/1"]),
+    ]),
+    (("B2", 1, (2, 3, 5), "flat"), 4, [
+        (["1/1"], ["1/1", "-2/1", "1/1"]),
+        (["-1/1", "1/1"], ["-1/1", "1/1"]),
+    ]),
+    (("T2", 1, (2, 3, 5), "flat"), 2, [
+        (["1/1"], ["1/1", "-2/1", "1/1"]),
+    ]),
+    (("GL1", 1, (2, 3, 5), "flat"), 1, [
+        (["1/1"], ["-1/1", "1/1"]),
+    ]),
+    (("B2", 2, (2, 3, 4), "stratified"), 10, [
+        (["1/1"], ["0/1", "0/1", "1/1", "-2/1", "1/1"]),
+        (["-1/1", "1/1"], ["0/1", "0/1", "-1/1", "1/1"]),
+        (["0/1", "-1/1", "1/1"], ["0/1", "-1/1", "1/1"]),
+    ]),
+    (("T2", 2, (2, 3, 4), "stratified"), 4, [
+        (["1/1"], ["0/1", "0/1", "1/1", "-2/1", "1/1"]),
+    ]),
+    (("GL1", 2, (2, 3, 4), "stratified"), 2, [
+        (["1/1"], ["0/1", "-1/1", "1/1"]),
+    ]),
+    (("U2", 3, (2, 3, 4), "stratified"), 3, [
+        (["1/1"], ["0/1", "0/1", "0/1", "1/1"]),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "case,score,rows",
+    PINNED_FITS,
+    ids=[f"{name}-level{level}-{kind}" for (name, level, _, kind), _, _ in PINNED_FITS],
+)
+def test_fit_report_is_pinned(case, score, rows):
+    name, level, qs, kind = case
+    scheme = GroupScheme.parse(name)
+    rep = fit_polynomials(scheme, level, _fit_samples(scheme, level, qs, kind))
+    assert rep.to_json() == {
+        "scheme": name,
+        "level": level,
+        "k": len(rows),
+        "samples": list(qs),
+        "rows": [{"d": d, "m": m} for d, m in rows],
+        "score": score,
+        "notes": [],
+        "holdout": None,
+    }
+
+
+def test_sl2_level2_stratified_fit_is_refused():
+    sl2 = GroupScheme("SL", 2)
+    with pytest.raises(AlignmentError):
+        fit_polynomials(sl2, 2, _fit_samples(sl2, 2, (2, 3, 4), "stratified"))
+
+
+@pytest.mark.parametrize("scheme", ["GL1", "T1"])
+def test_cli_fit_level3_rank_one(capsys, scheme):
+    # a multiplicity may reach the degree of |G| = (x - 1) x^2
+    argv = ["fit", "--scheme", scheme, "--level", "3", "--samples", "2,3,4", "--format", "json"]
+    assert cli_main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["rows"] == [{"d": RationalPoly.one().to_json(), "m": (x**3 - x**2).to_json()}]
+
+
+def _run(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(repzoo.__file__).parents[1])}
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_predicted_multiset_refuses_a_negative_multiplicity_under_optimize():
+    # python -O strips assert statements; the check must still raise
+    code = (
+        "from repzoo.harness import FitReport, FitRow\n"
+        "from repzoo.polynomials import RationalPoly\n"
+        "row = FitRow(RationalPoly.one(), RationalPoly((-1,)))\n"
+        "FitReport('GL1', 1, 1, (row,), (2, 3, 5), 0).predicted_multiset(2)"
+    )
+    proc = _run([sys.executable, "-O", "-c", code])
+    assert proc.returncode != 0
+    assert "negative multiplicity prediction" in proc.stderr
+
+
+def test_reproduce_gl2_table_script():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_gl2_table.py"
+    proc = _run([sys.executable, str(script)])
+    assert proc.returncode == 0, proc.stderr
+    assert "prediction matches the oracle multiset" in proc.stdout
