@@ -483,7 +483,7 @@ def default_normal_subgroup(group: FiniteMatrixGroup) -> SubgroupView:
     center for unipotent-type groups at level 1, or trivial."""
     ring = group.ring
     if ring.r >= 2:
-        return congruence_kernel(group, math.ceil(ring.r / 2))
+        return congruence_kernel(group, (ring.r + 1) // 2)
     split = prime_power(group.order)
     if split is not None and split[0] == ring.p:
         return SubgroupView(group, center(group))

@@ -6,8 +6,10 @@ mul, inv, generators) that the character-theory code runs against; subgroups
 and quotients implement the same protocol, which keeps Dixon-Schneider and
 the Clifford pipeline oblivious to where a group came from.
 
-Enumeration of GL lifts the residue-field group through the congruence
-kernel fibers instead of filtering all q^(r n^2) matrices.
+Each family is one entry pattern (_PATTERNS) of a smooth group scheme, so
+G(o_r) -> G(o_i) is onto with a kernel K^i of q^((r-i) dim G) elements: one
+enumerator lifts G(F_q) through the kernel fibers, and |G(o_r)| and |K^i| come
+from dim G.
 
 Memo policy: value-keyed builders (make_ring, build_group, and the Clifford
 report of each built group) are memoized with functools.cache for the life of
@@ -21,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .localring import QuotientRing, RingSpec, make_ring
 from .polynomials import RationalPoly
@@ -31,7 +33,27 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 10**7
 
-_FAMILIES = ("GL", "SL", "U", "B", "T")
+
+class _Pattern(NamedTuple):
+    """The kind of entry on, above and below the diagonal, and whether det = 1.
+    An "any" or "unit" entry moves: its residue is any element, resp. any unit,
+    of F_q and its lifts add any element of the maximal ideal.  A "one" or
+    "zero" entry is fixed."""
+
+    diagonal: str
+    above: str
+    below: str
+    det_one: bool = False
+
+
+_PATTERNS = {
+    "GL": _Pattern("any", "any", "any"),
+    "SL": _Pattern("any", "any", "any", det_one=True),
+    "U": _Pattern("one", "any", "zero"),
+    "B": _Pattern("unit", "any", "zero"),
+    "T": _Pattern("unit", "zero", "zero"),
+}
+_MOVING = ("any", "unit")
 
 
 class BudgetExceededError(ValueError):
@@ -59,7 +81,7 @@ class GroupScheme:
     n: int
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in _PATTERNS:
             raise ValueError(f"unknown scheme family {self.family!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -67,9 +89,28 @@ class GroupScheme:
     def label(self) -> str:
         return f"{self.family}{self.n}"
 
+    @property
+    def det_one(self) -> bool:
+        return _PATTERNS[self.family].det_one
+
+    def entries(self) -> list[str]:
+        """The entry kind at each of the n*n positions, row by row."""
+        diagonal, above, below, _ = _PATTERNS[self.family]
+        n = self.n
+        return [
+            diagonal if i == j else above if i < j else below
+            for i in range(n)
+            for j in range(n)
+        ]
+
+    @property
+    def dim(self) -> int:
+        """dim G: the number of moving entries, less one for det = 1."""
+        return sum(kind in _MOVING for kind in self.entries()) - self.det_one
+
     @classmethod
     def parse(cls, text: str) -> "GroupScheme":
-        for fam in sorted(_FAMILIES, key=len, reverse=True):
+        for fam in sorted(_PATTERNS, key=len, reverse=True):
             if text.upper().startswith(fam):
                 return cls(fam, int(text[len(fam):]))
         raise ValueError(f"cannot parse scheme {text!r}")
@@ -88,22 +129,21 @@ def check_budget(scheme: GroupScheme, spec: RingSpec, budget: int) -> int:
 
 
 def scheme_order_poly(scheme: GroupScheme, r: int) -> RationalPoly:
-    """|G(o_r)| as an exact polynomial in q (kind-independent)."""
+    """|G(o_r)| = |G(F_q)| q^((r-1) dim G) as an exact polynomial in q
+    (kind-independent)."""
     x = RationalPoly.x()
     n = scheme.n
-    gl1 = RationalPoly.one()
-    for i in range(n):
-        gl1 = gl1 * (x**n - x**i)
-    units = x**r - x ** (r - 1)
-    if scheme.family == "GL":
-        return x ** ((r - 1) * n * n) * gl1
-    if scheme.family == "SL":
-        return (x ** ((r - 1) * n * n) * gl1).exact_div(units)
-    if scheme.family == "U":
-        return x ** (r * n * (n - 1) // 2)
-    if scheme.family == "B":
-        return units**n * x ** (r * n * (n - 1) // 2)
-    return units**n
+    residue = RationalPoly.one()
+    if _PATTERNS[scheme.family].below == "any":
+        for i in range(n):
+            residue = residue * (x**n - x**i)
+    else:
+        # triangular: every pattern matrix has a unit determinant
+        for kind in scheme.entries():
+            residue = residue * {"any": x, "unit": x - 1}.get(kind, 1)
+    if scheme.det_one:
+        residue = residue.exact_div(x - 1)
+    return residue * x ** ((r - 1) * scheme.dim)
 
 
 # -- group protocol -------------------------------------------------------------
@@ -338,51 +378,6 @@ def _mat_inv(ring: QuotientRing, n: int, a):
 # -- enumeration -----------------------------------------------------------------
 
 
-def _enumerate_gl(ring: QuotientRing, n: int):
-    residue = make_ring(ring.spec.at_level(1))
-    # invertible matrices over the residue field
-    res_gl = [
-        m
-        for m in itertools.product(range(residue.size), repeat=n * n)
-        if residue.is_unit(_mat_det(residue, n, m))
-    ]
-    if ring.r == 1:
-        return res_gl
-    # lift through the congruence kernel: coordinate section + ideal tails entrywise
-    section = [ring.from_coords(coords) for coords in residue.elements]
-    ideal = ring.maximal_ideal()
-    add = ring.add
-    out = []
-    for m in res_gl:
-        base = tuple(section[x] for x in m)
-        for tail in itertools.product(ideal, repeat=n * n):
-            out.append(tuple(add(b, t) for b, t in zip(base, tail)))
-    return out
-
-
-def _enumerate_upper(ring: QuotientRing, n: int, diagonal: str):
-    """diagonal: 'one' (unitriangular), 'unit' (Borel)."""
-    strict = n * (n - 1) // 2
-    diag_choices = (
-        [(ring.one,) * n]
-        if diagonal == "one"
-        else list(itertools.product(list(ring.units()), repeat=n))
-    )
-    out = []
-    for diag in diag_choices:
-        for uppers in itertools.product(range(ring.size), repeat=strict):
-            m = [[ring.zero] * n for _ in range(n)]
-            for i in range(n):
-                m[i][i] = diag[i]
-            k = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    m[i][j] = uppers[k]
-                    k += 1
-            out.append(tuple(x for row in m for x in row))
-    return out
-
-
 def build_group(
     scheme: GroupScheme, spec: RingSpec, budget: int = DEFAULT_BUDGET
 ) -> FiniteMatrixGroup:
@@ -397,29 +392,35 @@ def build_group(
 
 @cache
 def _enumerate_group(scheme: GroupScheme, spec: RingSpec) -> FiniteMatrixGroup:
-    """Enumerate the group, with constant-time membership via canonical hashing."""
+    """G(F_q), the pattern's residue matrices with a unit determinant (det = 1
+    for SL), each lifted by the coordinate section plus maximal-ideal tails at
+    its moving entries; SL is then filtered to det = 1 at level r."""
     ring = make_ring(spec)
+    residue = make_ring(spec.at_level(1))
     n = scheme.n
-    fam = scheme.family
-    if fam == "GL":
-        mats = _enumerate_gl(ring, n)
-    elif fam == "SL":
-        mats = [
-            m for m in _enumerate_gl(ring, n) if _mat_det(ring, n, m) == ring.one
-        ]
-    elif fam == "U":
-        mats = _enumerate_upper(ring, n, "one")
-    elif fam == "B":
-        mats = _enumerate_upper(ring, n, "unit")
-    else:  # T
-        mats = [
-            tuple(
-                diag[i] if i == j else ring.zero
-                for i in range(n)
-                for j in range(n)
-            )
-            for diag in itertools.product(list(ring.units()), repeat=n)
-        ]
+    entries = scheme.entries()
+    units = list(residue.units())
+    choices = {
+        "any": range(residue.size), "unit": units, "one": [residue.one], "zero": [residue.zero]
+    }
+    dets = {residue.one} if scheme.det_one else set(units)
+    mats = [
+        m
+        for m in itertools.product(*(choices[kind] for kind in entries))
+        if _mat_det(residue, n, m) in dets
+    ]
+    if ring.r > 1:
+        section = [ring.from_coords(coords) for coords in residue.elements]
+        tails = [ring.maximal_ideal() if kind in _MOVING else (ring.zero,) for kind in entries]
+        add = ring.add
+        lifts = []
+        for m in mats:
+            base = tuple(section[x] for x in m)
+            for tail in itertools.product(*tails):
+                lifts.append(tuple(add(b, t) for b, t in zip(base, tail)))
+        mats = lifts
+        if scheme.det_one:
+            mats = [m for m in mats if _mat_det(ring, n, m) == ring.one]
     return FiniteMatrixGroup(scheme, ring, mats)
 
 
@@ -498,10 +499,9 @@ def congruence_kernel(group: FiniteMatrixGroup, i: int) -> SubgroupView:
         if tuple(red[x] for x in m) == id_img
     ]
     view = SubgroupView(group, members)
-    if group.scheme.family == "GL":
-        q, r = ring.q, ring.r
-        if view.order != q ** ((r - i) * n * n):
-            raise AssertionError(f"kernel of order {view.order}, not q^{(r - i) * n * n}")
+    exponent = (ring.r - i) * group.scheme.dim
+    if view.order != ring.q**exponent:
+        raise AssertionError(f"kernel of order {view.order}, not q^{exponent}")
     return view
 
 

@@ -166,9 +166,13 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
             payload["strata"] = _strata_json(report)
             payload["dual_order"] = sum(o.orbit_size for o in report.orbits)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(_canonical_json(payload))
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(_canonical_json(payload))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         results[spec.label()] = payload
     return results
 
@@ -618,7 +622,7 @@ def _fit_stratified(order_poly, reports, cap, den_bound, notes):
     exps = set()
     for q in qs:
         n_order = sum(o.orbit_size for o in reports[q].orbits)
-        e = round(math.log(n_order, q)) if n_order > 1 else 0
+        e = next(k for k in itertools.count() if q**k >= n_order)
         if q**e != n_order:
             raise AlignmentError(f"|N| = {n_order} is not a power of q = {q}")
         exps.add(e)

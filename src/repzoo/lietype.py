@@ -218,18 +218,11 @@ def _simple_root_orbits(datum: RootDatum, tau_m) -> tuple[tuple[int, ...], ...]:
 # -- polynomial ingredients -------------------------------------------------------
 
 
-def _det_q_matrix(mat, scale_q: bool) -> RationalPoly:
+def _det_q_matrix(mat) -> RationalPoly:
     """det over RationalPoly entries of (q*mat - I); cofactor expansion."""
     n = len(mat)
     x = RationalPoly.x()
-    entries = [
-        [
-            (x * mat[i][j] if scale_q else RationalPoly.constant(mat[i][j]))
-            - (1 if i == j else 0)
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    entries = [[x * mat[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     return _poly_det(entries)
 
 
@@ -284,7 +277,7 @@ def center_order_poly(datum: RootDatum, twist: str = "split") -> RationalPoly:
     tbar = _center_tau_matrix(datum, w.tau)
     if not tbar:
         return RationalPoly.one()
-    return _positive_normalize(_det_q_matrix(tbar, scale_q=True))
+    return _positive_normalize(_det_q_matrix(tbar))
 
 
 def order_polynomial_parts(
@@ -312,7 +305,7 @@ def torus_order(datum: RootDatum, twist: str, w_index: int) -> RationalPoly:
     m = mat_mul([list(r) for r in w.matrices[w_index]], [list(r) for r in w.tau])
     if not m:
         return RationalPoly.one()
-    return _positive_normalize(_det_q_matrix(m, scale_q=True))
+    return _positive_normalize(_det_q_matrix(m))
 
 
 def dl_degree(datum: RootDatum, twist: str, w_index: int) -> RationalPoly:

@@ -428,7 +428,7 @@ class QuotientRing:
         x = self.from_coords(fp_powmod(self.residue_coords(i), self.q - 2, self.modulus, self.p))
         # Newton: x <- x(2 - a x), converges since the maximal ideal is nilpotent
         two = self.from_int(2)
-        steps = max(1, math.ceil(math.log2(max(self.r, 2))) + 1)
+        steps = (max(self.r, 2) - 1).bit_length() + 1
         for _ in range(steps):
             x = self.mul(x, self.sub(two, self.mul(i, x)))
         if self.mul(i, x) != self.one:

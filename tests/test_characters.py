@@ -139,6 +139,28 @@ def test_module_has_no_assert_statement(module):
     assert lines == []
 
 
+def _is_float_use(node) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "float"
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id == "math" and node.attr.startswith(("log", "sqrt", "exp"))
+    return False
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in Path(repzoo.__file__).parent.glob("*.py"))
+)
+def test_module_uses_no_floating_point(module):
+    # arithmetic is exact end to end: no float() call, float literal or
+    # math.log*/sqrt/exp
+    path = Path(repzoo.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _is_float_use(node)]
+    assert lines == []
+
+
 @pytest.mark.parametrize(
     "n,q,p,f",
     [(3, 2, 2, 1), (3, 3, 3, 1), (3, 4, 2, 2), (3, 5, 5, 1), (4, 2, 2, 1), (4, 3, 3, 1)],

@@ -44,6 +44,18 @@ def test_gl2_z4_order_by_fibering():
         (GroupScheme("B", 2), F3),
         (GroupScheme("T", 2), RingSpec("unramified", 5, 1, 1)),
         (GroupScheme("GL", 3), F2),
+    ]
+    + [
+        (GroupScheme(fam, n), spec)
+        for fam, n in (("SL", 2), ("U", 3), ("B", 2), ("T", 2))
+        for spec in (
+            RingSpec("unramified", 3, 1, 2),
+            RingSpec("eqchar", 3, 1, 2),
+            RingSpec("eisenstein", 3, 1, 2, 2),
+            RingSpec("unramified", 2, 1, 3),
+            RingSpec("eqchar", 2, 1, 3),
+            RingSpec("eisenstein", 2, 1, 3, 3),
+        )
     ],
 )
 def test_order_formula_matches_enumeration(scheme, spec):
@@ -101,6 +113,35 @@ def test_congruence_kernel_structure():
         gi = group.inv(g)
         for x in k1.ordinals:
             assert group.mul(gi, group.mul(x, g)) in members
+
+
+@pytest.mark.parametrize(
+    "family,n,dim",
+    [("GL", n, n * n) for n in (1, 2, 3, 4)]
+    + [("SL", n, n * n - 1) for n in (1, 2, 3, 4)]
+    + [("U", n, n * (n - 1) // 2) for n in (1, 2, 3, 4)]
+    + [("B", n, n * (n + 1) // 2) for n in (1, 2, 3, 4)]
+    + [("T", n, n) for n in (1, 2, 3, 4)],
+)
+def test_scheme_dimension(family, n, dim):
+    assert GroupScheme(family, n).dim == dim
+
+
+@pytest.mark.parametrize("family", ["GL", "SL", "U", "B", "T"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RingSpec("unramified", 2, 1, 3),
+        RingSpec("eqchar", 2, 1, 3),
+        RingSpec("eisenstein", 3, 1, 2, 2),
+    ],
+)
+def test_congruence_kernel_order_is_q_to_the_level_times_dim(family, spec):
+    # reduction G(o_r) -> G(o_i) of a smooth G is onto, with kernel q^((r-i) dim G)
+    scheme = GroupScheme(family, 2)
+    group = build_group(scheme, spec)
+    for i in range(1, spec.r + 1):
+        assert congruence_kernel(group, i).order == spec.q ** ((spec.r - i) * scheme.dim)
 
 
 def test_kernel_isomorphic_to_additive_matrices():

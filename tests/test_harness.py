@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,11 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repzoo
 from repzoo import harness
 from repzoo.cli import main as cli_main
-from repzoo.groups import BudgetExceededError, GroupScheme
+from repzoo.groups import BudgetExceededError, GroupScheme, predicted_order
 from repzoo.harness import (
     AlignmentError,
     ExperimentConfig,
@@ -143,6 +145,28 @@ def test_compare_rings_equal_and_self():
 def test_compare_rings_eisenstein_equals_eqchar():
     rep = compare_rings(GL2, RingSpec("eisenstein", 3, 1, 2, 2), RingSpec("eqchar", 3, 1, 2))
     assert rep.equal
+
+
+def _truncation_cases(bound=2000):
+    """(scheme, eis:p,f,e,r, eqchar:p,f,r) with e >= r, every family, n <= 3,
+    r <= 3 and predicted order <= bound."""
+    cases = []
+    families = ("GL", "SL", "U", "B", "T")
+    grid = itertools.product(families, (1, 2, 3), (2, 3, 5), (1, 2), (1, 2, 3), (2, 3))
+    for fam, n, p, f, r, e in grid:
+        if e < r or e % p == 0:
+            continue
+        scheme, eis = GroupScheme(fam, n), RingSpec("eisenstein", p, f, r, e)
+        if predicted_order(scheme, eis) <= bound:
+            cases.append((scheme, eis, RingSpec("eqchar", p, f, r)))
+    return cases
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(st.sampled_from(_truncation_cases()))
+def test_compare_rings_eisenstein_with_e_at_least_r_equals_eqchar(case):
+    # o_E/pi^r = F_q[pi]/pi^r once e >= r, so the multisets must agree
+    assert compare_rings(*case).equal
 
 
 def test_fields_fit_reproduces_known_table():
@@ -278,6 +302,20 @@ def test_run_dimirr_does_not_serve_an_entry_of_another_schema(tmp_path, monkeypa
     monkeypatch.undo()
     assert "stale" not in run_dimirr(config)["unram:2,1,1"]
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_run_dimirr_leaves_no_temporary_file_when_the_rename_fails(tmp_path, monkeypatch):
+    config = ExperimentConfig(
+        GL2, (RingSpec("unramified", 2, 1, 1),), engine="chardeg", cache_dir=str(tmp_path)
+    )
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        run_dimirr(config)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _fit_samples(scheme, level, qs, kind):
