@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .groups import ConjugacyClassData, FiniteGroup, conjugacy_classes
+from .groups import ConjugacyClassData, FiniteGroup, conjugacy_classes, uint_buffer
 from .intlinalg import nullspace, rref
 from .localring import fp_gcd, fp_powmod, fp_sub, is_prime
 
@@ -214,14 +214,15 @@ def choose_ell(order: int, exponent: int, bound: int = 10**7) -> int:
     raise ModulusSearchError(f"no prime = 1 mod {exponent} above 2 sqrt({order}) below {bound}")
 
 
-def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, members_j: memoryview):
+def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, inverse_members):
     """M_j[s][t] = #{x in C_j : x^{-1} rep_t in C_s}, as one list per column t of
-    its nonzero (s, M_j[s][t]) entries; columns are omega eigenvectors."""
-    inv_members = [group.inv(x) for x in members_j]
-    class_of = classes.class_of
-    mul = group.mul
+    its nonzero (s, M_j[s][t]) entries; columns are omega eigenvectors.
+
+    Inversion maps C_j onto C_j*, the inverse class, and only counts are read,
+    so the products run over inverse_members, the members of C_j*."""
+    class_of = classes.class_of.__getitem__
     return [
-        list(Counter(class_of[mul(xi, rep)] for xi in inv_members).items())
+        list(Counter(map(class_of, group.mul_right(inverse_members, rep))).items())
         for rep in classes.representatives
     ]
 
@@ -245,10 +246,9 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     ell = choose_ell(order, group.exponent())
 
     id_class = classes.class_of[group.identity]
-    # each class's members in one pass: class c is flat[start[c]:start[c + 1]] of
-    # one 4-byte buffer, as a list would hold |G| int objects
+    # each class's members in one pass: class c is flat[start[c]:start[c + 1]]
     start = list(accumulate(classes.sizes, initial=0))
-    flat = memoryview(bytearray(4 * order)).cast("I")
+    flat = uint_buffer(order, order)
     fill = start[:-1]
     for x, c in enumerate(classes.class_of):
         flat[fill[c]] = x
@@ -261,7 +261,8 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
             break
         if j == id_class:
             continue
-        columns = _class_matrix(group, classes, flat[start[j]:start[j + 1]])
+        inv_j = classes.inverse_class[j]
+        columns = _class_matrix(group, classes, flat[start[inv_j]:start[inv_j + 1]])
         new_spaces = []
         for basis in subspaces:
             if len(basis) == 1:

@@ -45,6 +45,8 @@ def _cmd_fit(args) -> int:
     scheme = GroupScheme.parse(args.scheme)
     level = args.level
     sample_qs = [int(tok) for tok in args.samples.split(",")]
+    if len(set(sample_qs)) < 3:
+        raise ValueError(f"need at least 3 distinct sample values of q, got {args.samples!r}")
     samples = {}
     for q in sample_qs:
         spec = RingSpec.for_q(q, level)

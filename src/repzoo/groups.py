@@ -2,9 +2,10 @@
 
 A matrix is a tuple of n*n ring-element ordinals, so group elements hash and
 compare as flat int tuples.  Groups expose a small uniform protocol (order,
-mul, inv, generators) that the character-theory code runs against; subgroups
-and quotients implement the same protocol, which keeps Dixon-Schneider and
-the Clifford pipeline oblivious to where a group came from.
+mul, inv, generators, and the batched mul_right/mul_left by one fixed factor)
+that the character-theory code runs against; subgroups and quotients
+implement the same protocol, which keeps Dixon-Schneider and the Clifford
+pipeline oblivious to where a group came from.
 
 Each family is one entry pattern (_PATTERNS) of a smooth group scheme, so
 G(o_r) -> G(o_i) is onto with a kernel K^i of q^((r-i) dim G) elements: one
@@ -22,7 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial, reduce
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .localring import QuotientRing, RingSpec, make_ring
@@ -166,6 +168,16 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         raise NotImplementedError
 
+    def mul_right(self, xs, b: int) -> list[int]:
+        """[x*b for x in xs]; xs is a sequence of ordinals."""
+        mul = self.mul
+        return [mul(x, b) for x in xs]
+
+    def mul_left(self, a: int, xs) -> list[int]:
+        """[a*x for x in xs]; xs is a sequence of ordinals."""
+        mul = self.mul
+        return [mul(a, x) for x in xs]
+
     def element_order(self, i: int) -> int:
         n, x = 1, i
         while x != self.identity:
@@ -178,23 +190,26 @@ class FiniteGroup:
         if self.gens is not None:
             return self.gens
         gens: list[int] = []
-        closure = {self.identity}
+        closure = bytearray(self.order)  # membership flags
+        closure[self.identity] = 1
+        size = 1
         for i in range(self.order):
-            if i in closure:
+            if closure[i]:
                 continue
             gens.append(i)
+            closure[i] = 1
+            size += 1
             frontier = [i]
             while frontier:
                 nxt = []
-                for a in frontier:
-                    if a in closure:
-                        continue
-                    closure.add(a)
-                    for g in gens:
-                        nxt.append(self.mul(a, g))
-                        nxt.append(self.mul(g, a))
+                for g in gens:
+                    for y in self.mul_right(frontier, g) + self.mul_left(g, frontier):
+                        if not closure[y]:
+                            closure[y] = 1
+                            nxt.append(y)
+                size += len(nxt)
                 frontier = nxt
-            if len(closure) == self.order:
+            if size == self.order:
                 break
         self.gens = gens
         return gens
@@ -213,7 +228,15 @@ class FiniteGroup:
 
 
 class FiniteMatrixGroup(FiniteGroup):
-    """Fully enumerated matrix group over a quotient ring."""
+    """Fully enumerated matrix group over a quotient ring.
+
+    mul_right and mul_left multiply a batch by one fixed factor through a
+    table of that factor over the |R|^n vectors: row i of x*b is (row i of
+    x)*b = b^T (row i of x), as the ring is commutative, and column j of a*x is
+    a (column j of x).  A product is then n table lookups and one index
+    lookup.  The tables are memoized here, at most |G| vector entries in all,
+    so no table is built when |R|^n > |G|; past that the plain loop runs.
+    """
 
     def __init__(self, scheme: GroupScheme, ring: QuotientRing, matrices):
         self.scheme = scheme
@@ -224,6 +247,17 @@ class FiniteMatrixGroup(FiniteGroup):
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.identity = self.index[_identity_matrix(ring, scheme.n)]
         self._inv_cache: dict[int, int] = {}
+        n = self.n
+        perm = [j * n + i for i in range(n) for j in range(n)]
+        self._transpose = itemgetter(*perm) if n > 1 else tuple
+        # fixed-factor tables, keyed by (left, factor): table[c] is the image of
+        # the vector of code c, as the shared tuple vectors[code of the image]
+        self._tables: dict[tuple[bool, int], list[tuple[int, ...]]] = {}
+        self._table_entries = 0
+        self._vectors: list[tuple[int, ...]] = []
+        self._vector_code: dict[tuple[int, ...], int] = {}
+        # left -> for each j, the code of column (left) or row j of every element
+        self._codes: dict[bool, list[memoryview]] = {}
 
     def matrix(self, i: int):
         return self.elements[i]
@@ -237,6 +271,56 @@ class FiniteMatrixGroup(FiniteGroup):
             v = self.index[_mat_inv(self.ring, self.n, self.elements[i])]
             self._inv_cache[i] = v
         return v
+
+    def mul_right(self, xs, b: int) -> list[int]:
+        out = self._by_table(xs, b, False)
+        return super().mul_right(xs, b) if out is None else out
+
+    def mul_left(self, a: int, xs) -> list[int]:
+        out = self._by_table(xs, a, True)
+        return super().mul_left(a, xs) if out is None else out
+
+    def _by_table(self, xs, factor: int, left: bool) -> list[int] | None:
+        """The products of xs by factor on the given side, or None when the
+        memo has no room for its table."""
+        table = self._table(factor, left)
+        if table is None:
+            return None
+        parts = (map(table.__getitem__, map(codes.__getitem__, xs)) for codes in self._codes[left])
+        mats = reduce(partial(map, add), parts)
+        if left:
+            # the columns of a*x, concatenated, are a*x transposed
+            mats = map(self._transpose, mats)
+        return list(map(self.index.__getitem__, mats))
+
+    def _table(self, factor: int, left: bool) -> list[tuple[int, ...]] | None:
+        """v -> factor v (left) or factor^T v, by the code of v; None when
+        adding it would take the memo past |G| entries."""
+        key = (left, factor)
+        table = self._tables.get(key)
+        if table is not None:
+            return table
+        ring, n = self.ring, self.n
+        size = ring.size**n
+        if self._table_entries + size > self.order:
+            return None
+        if not self._vectors:
+            self._vectors = list(itertools.product(range(ring.size), repeat=n))
+            self._vector_code = {v: c for c, v in enumerate(self._vectors)}
+        vectors, code = self._vectors, self._vector_code
+        if left not in self._codes:
+            codes = [uint_buffer(self.order, size) for _ in range(n)]
+            for x, m in enumerate(self.elements):
+                for j, buf in enumerate(codes):
+                    buf[x] = code[m[j::n] if left else m[j * n : j * n + n]]
+            self._codes[left] = codes
+        a = self.elements[factor]
+        if not left:
+            a = self._transpose(a)
+        table = [vectors[code[_mat_vec(ring, n, a, v)]] for v in vectors]
+        self._tables[key] = table
+        self._table_entries += size
+        return table
 
 
 class SubgroupView(FiniteGroup):
@@ -336,6 +420,21 @@ def _mat_mul(ring: QuotientRing, n: int, a, b):
     return tuple(out)
 
 
+def uint_buffer(count: int, bound: int) -> memoryview:
+    """count zeros in the narrowest unsigned buffer that holds values below
+    bound; a list would hold an int object each, and an array import would
+    cost every run its memory."""
+    width = next(w for w in (1, 2, 4, 8) if bound <= 256**w)
+    return memoryview(bytearray(width * count)).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width])
+
+
+def _mat_vec(ring: QuotientRing, n: int, a, v):
+    m, s = ring.mul, ring.add
+    return tuple(
+        reduce(s, (m(a[i * n + k], v[k]) for k in range(n))) for i in range(n)
+    )
+
+
 def _mat_det(ring: QuotientRing, n: int, a) -> int:
     if n == 1:
         return a[0]
@@ -351,6 +450,21 @@ def _mat_det(ring: QuotientRing, n: int, a) -> int:
         term = ring.mul(a[j], _mat_det(ring, n - 1, minor))
         det = ring.add(det, term) if j % 2 == 0 else ring.sub(det, term)
     return det
+
+
+def _row0_cofactor(ring: QuotientRing, n: int, a, j: int) -> int:
+    """The cofactor of entry (0, j): det of a with row 0 replaced by e_j."""
+    return _mat_det(ring, n, tuple(ring.one if k == j else ring.zero for k in range(n)) + a[n:])
+
+
+def _solve_det_one(ring: QuotientRing, n: int, a, j: int):
+    """a with entry (0, j) replaced by the x that makes det = 1.  det is
+    x C + D, with C the cofactor of (0, j), a unit, and D the det with that
+    entry zero, so x = (1 - D) C^-1; x is congruent to the entry mod the
+    maximal ideal when det a is."""
+    rest = _mat_det(ring, n, a[:j] + (ring.zero,) + a[j + 1 :])
+    x = ring.mul(ring.sub(ring.one, rest), ring.inv(_row0_cofactor(ring, n, a, j)))
+    return a[:j] + (x,) + a[j + 1 :]
 
 
 def _mat_inv(ring: QuotientRing, n: int, a):
@@ -394,7 +508,8 @@ def build_group(
 def _enumerate_group(scheme: GroupScheme, spec: RingSpec) -> FiniteMatrixGroup:
     """G(F_q), the pattern's residue matrices with a unit determinant (det = 1
     for SL), each lifted by the coordinate section plus maximal-ideal tails at
-    its moving entries; SL is then filtered to det = 1 at level r."""
+    its moving entries; for SL, one moving entry of row 0 with a unit cofactor
+    is not lifted but solved for from det = 1."""
     ring = make_ring(spec)
     residue = make_ring(spec.at_level(1))
     n = scheme.n
@@ -411,16 +526,26 @@ def _enumerate_group(scheme: GroupScheme, spec: RingSpec) -> FiniteMatrixGroup:
     ]
     if ring.r > 1:
         section = [ring.from_coords(coords) for coords in residue.elements]
-        tails = [ring.maximal_ideal() if kind in _MOVING else (ring.zero,) for kind in entries]
+        ideal = ring.maximal_ideal()
         add = ring.add
         lifts = []
         for m in mats:
+            # det m = 1 in F_q, so by Laplace along row 0 some cofactor is a unit
+            pivot = -1
+            if scheme.det_one:
+                pivot = next(
+                    j for j in range(n)
+                    if entries[j] in _MOVING and residue.is_unit(_row0_cofactor(residue, n, m, j))
+                )
+            tails = [
+                ideal if kind in _MOVING and k != pivot else (ring.zero,)
+                for k, kind in enumerate(entries)
+            ]
             base = tuple(section[x] for x in m)
             for tail in itertools.product(*tails):
-                lifts.append(tuple(add(b, t) for b, t in zip(base, tail)))
+                lift = tuple(add(b, t) for b, t in zip(base, tail))
+                lifts.append(lift if pivot < 0 else _solve_det_one(ring, n, lift, pivot))
         mats = lifts
-        if scheme.det_one:
-            mats = [m for m in mats if _mat_det(ring, n, m) == ring.one]
     return FiniteMatrixGroup(scheme, ring, mats)
 
 
@@ -454,20 +579,19 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
             continue
         cid = len(reps)
         reps.append(seed)
-        orbit = [seed]
         class_of[seed] = cid
+        size = 1
         frontier = [seed]
         while frontier:
             nxt = []
-            for x in frontier:
-                for g, gi in zip(gens, gen_invs):
-                    y = group.mul(gi, group.mul(x, g))
+            for g, gi in zip(gens, gen_invs):
+                for y in group.mul_left(gi, group.mul_right(frontier, g)):
                     if class_of[y] < 0:
                         class_of[y] = cid
-                        orbit.append(y)
                         nxt.append(y)
+            size += len(nxt)
             frontier = nxt
-        sizes.append(len(orbit))
+        sizes.append(size)
     inverse_class = tuple(class_of[group.inv(r)] for r in reps)
     data = ConjugacyClassData(tuple(class_of), tuple(reps), tuple(sizes), inverse_class)
     if sum(sizes) != group.order:
@@ -477,12 +601,11 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
 
 
 def center(group: FiniteGroup) -> list[int]:
-    gens = group.generators()
-    return [
-        x
-        for x in range(group.order)
-        if all(group.mul(x, g) == group.mul(g, x) for g in gens)
-    ]
+    members = list(range(group.order))
+    for g in group.generators():
+        right, left = group.mul_right(members, g), group.mul_left(g, members)
+        members = [x for x, u, v in zip(members, right, left) if u == v]
+    return members
 
 
 def congruence_kernel(group: FiniteMatrixGroup, i: int) -> SubgroupView:
@@ -510,9 +633,9 @@ def require_normal(group: FiniteGroup, ordinals) -> None:
     every generator of G maps the ordinals into themselves."""
     members = set(ordinals)
     for g in group.generators():
-        gi = group.inv(g)
-        for x in ordinals:
-            if group.mul(gi, group.mul(x, g)) not in members:
+        conjugates = group.mul_left(group.inv(g), group.mul_right(ordinals, g))
+        for x, y in zip(ordinals, conjugates):
+            if y not in members:
                 raise NotNormalError(g, x)
 
 

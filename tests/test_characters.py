@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -325,3 +326,20 @@ def test_modp_table_matches_dense_reference(family, n, p, r):
     group = build_group(GroupScheme(family, n), RingSpec("unramified", p, 1, r))
     table = character_table_modp(group)
     assert (table.ell, table.degrees, table.omega) == _reference_table(group)
+
+
+@pytest.mark.parametrize(
+    "family,n,q,digest",
+    [
+        ("GL", 3, 3, "f3649a4601e07f6e1f966c780971095bfcaa5af8c70ffbea554792716f4986aa"),
+        ("GL", 2, 13, "694ed961469f075b0c0c644866b5935b1914d7c1ae2749cca897e9b246b57d0e"),
+    ],
+    ids=["GL3(F_3)", "GL2(F_13)"],
+)
+def test_modp_table_generators_and_classes_are_pinned(family, n, q, digest):
+    """sha256 of (ell, degrees, omega, gens, class_of), recorded before the
+    batched fixed-factor products replaced the one-product loops."""
+    group = build_group(GroupScheme(family, n), RingSpec.for_q(q, 1))
+    table = character_table_modp(group)
+    data = (table.ell, table.degrees, table.omega, tuple(group.generators()), table.classes.class_of)
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == digest

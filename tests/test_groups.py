@@ -2,10 +2,14 @@ import random
 
 import pytest
 
+from repzoo.characters import DegreeMultiset, character_table_modp
 from repzoo.groups import (
+    _PATTERNS,
     BudgetExceededError,
+    FiniteMatrixGroup,
     GroupScheme,
     NotNormalError,
+    _mat_det,
     build_group,
     center,
     congruence_kernel,
@@ -211,3 +215,85 @@ def test_budget_is_checked_after_the_group_is_built():
     assert build_group(GL2, F2).order == 6
     with pytest.raises(BudgetExceededError):
         build_group(GL2, F2, budget=1)
+
+
+# one small ring of each kind; the eqchar and Eisenstein rings are of level 2
+SMALL_RINGS = [
+    RingSpec("unramified", 2, 1, 2),
+    RingSpec("eqchar", 2, 1, 2),
+    RingSpec("eisenstein", 2, 1, 2, 3),
+]
+
+
+def _fresh(group):
+    """The same group with an empty table memo."""
+    return FiniteMatrixGroup(group.scheme, group.ring, group.elements)
+
+
+def _assert_batched_products_match(group, rng):
+    xs = rng.sample(range(group.order), min(group.order, 64))
+    for b in rng.sample(range(group.order), min(group.order, 4)):
+        assert group.mul_right(xs, b) == [group.mul(x, b) for x in xs]
+        assert group.mul_left(b, xs) == [group.mul(b, x) for x in xs]
+
+
+@pytest.mark.parametrize(
+    "scheme,spec",
+    [
+        (GroupScheme(family, n), spec)
+        for family in sorted(_PATTERNS)
+        for n in (1, 2, 3)
+        for spec in SMALL_RINGS
+        # GL3 and SL3 over the Eisenstein ring would add 129 024 elements
+        if not (n == 3 and family in ("GL", "SL") and spec.kind == "eisenstein")
+    ],
+    ids=lambda v: v.label(),
+)
+def test_batched_products_equal_the_plain_loop(scheme, spec):
+    group = _fresh(build_group(scheme, spec))
+    _assert_batched_products_match(group, random.Random(f"{scheme.label()} {spec.label()}"))
+    # a table exists exactly when |R|^n <= |G|
+    assert bool(group._tables) == (spec.size**scheme.n <= group.order)
+
+
+def test_batched_products_on_subgroups_and_quotients():
+    group = build_group(GL2, Z4)
+    kernel = congruence_kernel(group, 1)
+    rng = random.Random(5)
+    _assert_batched_products_match(kernel, rng)
+    _assert_batched_products_match(quotient_group(group, kernel), rng)
+
+
+def test_no_table_when_vectors_outnumber_the_group():
+    group = _fresh(build_group(GroupScheme("U", 2), Z4))
+    assert Z4.size**2 > group.order
+    xs = list(range(group.order))
+    assert group.mul_right(xs, 1) == [group.mul(x, 1) for x in xs]
+    assert group.mul_left(1, xs) == [group.mul(1, x) for x in xs]
+    assert group._tables == {} and group._table_entries == 0
+
+
+def test_table_memo_never_exceeds_the_group_order():
+    # GL2(F_5): 480 elements and 25 vectors a table, so at most 19 tables,
+    # fewer than its 24 class representatives
+    group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
+    degrees = DegreeMultiset.from_degrees(character_table_modp(group).degrees)
+    assert degrees.entries == ((1, 4), (4, 10), (5, 4), (6, 6))
+    assert group._table_entries == sum(map(len, group._tables.values())) <= group.order
+    assert len(group._tables) == group.order // 25
+
+
+@pytest.mark.parametrize(
+    "n,spec",
+    [(2, RingSpec("unramified", 3, 1, 2)),
+     (2, RingSpec("eqchar", 3, 1, 2)),
+     (2, RingSpec("eisenstein", 2, 1, 4, 3)),
+     (2, RingSpec("unramified", 2, 1, 3))]
+    + [(3, spec) for spec in SMALL_RINGS[:2]],
+    ids=lambda v: v.label() if isinstance(v, RingSpec) else f"SL{v}",
+)
+def test_sl_lifts_solved_from_det_one_equal_the_det_one_filter(n, spec):
+    gl = build_group(GroupScheme("GL", n), spec)
+    ring = gl.ring
+    expected = [m for m in gl.elements if _mat_det(ring, n, m) == ring.one]
+    assert build_group(GroupScheme("SL", n), spec).elements == expected

@@ -271,6 +271,21 @@ def test_cli_fit_rejects_non_prime_power_samples(capsys):
     assert "1 is not a prime power" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["2,3", "2,2,3"])
+def test_cli_fit_rejects_fewer_than_three_distinct_samples_before_any_oracle(
+    samples, monkeypatch, capsys
+):
+    def oracle(*args):
+        raise AssertionError("an oracle ran")
+
+    monkeypatch.setattr(repzoo.cli, "compute_degrees", oracle)
+    monkeypatch.setattr(repzoo.cli, "compute_clifford_report", oracle)
+    for level in ("1", "2"):
+        argv = ["fit", "--scheme", "GL2", "--level", level, "--samples", samples]
+        assert cli_main(argv) == 2
+        assert "need at least 3 distinct sample values" in capsys.readouterr().err
+
+
 def test_cli_porc_demo(capsys):
     assert cli_main(["porc", "demo"]) == 0
     out = json.loads(capsys.readouterr().out)
