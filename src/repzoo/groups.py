@@ -249,6 +249,7 @@ class FiniteMatrixGroup(FiniteGroup):
         self._inv_cache: dict[int, int] = {}
         n = self.n
         perm = [j * n + i for i in range(n) for j in range(n)]
+        # itemgetter of a single index returns the bare entry, not a 1-tuple
         self._transpose = itemgetter(*perm) if n > 1 else tuple
         # fixed-factor tables, keyed by (left, factor): table[c] is the image of
         # the vector of code c, as the shared tuple vectors[code of the image]
