@@ -15,6 +15,7 @@ from .clifford import (
 )
 from .groups import (
     ConjugacyClassData,
+    CosetGroup,
     FiniteMatrixGroup,
     GroupScheme,
     SubgroupView,
@@ -22,6 +23,7 @@ from .groups import (
     center,
     congruence_kernel,
     conjugacy_classes,
+    coset_group,
     predicted_order,
     quotient_group,
     scheme_order_poly,

@@ -253,26 +253,24 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     for x, c in enumerate(classes.class_of):
         flat[fill[c]] = x
         fill[c] += 1
-    # subspaces of (Z/ell)^k, split until all are lines
-    subspaces: list[list[list[int]]] = [[[1 if i == j else 0 for i in range(k)] for j in range(k)]]
+    # subspaces of (Z/ell)^k, split until all are lines, each kept as the
+    # (rows, pivot columns) of its rref basis, so coordinates read off the pivots
+    subspaces = [([[1 if i == j else 0 for i in range(k)] for j in range(k)], list(range(k)))]
 
     for j in range(k):
-        if all(len(v) == 1 for v in subspaces):
+        if all(len(rows) == 1 for rows, _ in subspaces):
             break
         if j == id_class:
             continue
         inv_j = classes.inverse_class[j]
         columns = _class_matrix(group, classes, flat[start[inv_j]:start[inv_j + 1]])
         new_spaces = []
-        for basis in subspaces:
-            if len(basis) == 1:
-                new_spaces.append(basis)
-                continue
-            # keep the basis in rref so coordinates read off the pivot columns
-            bt_rows, pivots = rref(basis, ell)
+        for space in subspaces:
+            bt_rows, pivots = space
             d = len(bt_rows)
-            if d != len(basis):
-                raise AssertionError(f"eigenspace basis of {len(basis)} vectors has rank {d}")
+            if d == 1:
+                new_spaces.append(space)
+                continue
             a = [[0] * d for _ in range(d)]
             for ci, v in enumerate(bt_rows):
                 w = [0] * k
@@ -302,19 +300,19 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
                         if coef:
                             vec = [x + coef * y for x, y in zip(vec, bt_rows[ci])]
                     vecs.append([x % ell for x in vec])
-                # keep each eigenspace in rref form so coordinate-solving stays trivial
-                vecs, _ = rref(vecs, ell)
-                new_spaces.append(vecs)
+                rows, eigen_pivots = rref(vecs, ell)
+                if len(rows) != len(vecs):
+                    raise AssertionError(f"eigenspace basis of {len(vecs)} vectors has rank {len(rows)}")
+                new_spaces.append((rows, eigen_pivots))
         subspaces = new_spaces
 
-    if not all(len(v) == 1 for v in subspaces):
+    if not all(len(rows) == 1 for rows, _ in subspaces):
         raise AssertionError("eigenspace separation incomplete")
     if len(subspaces) != k:
         raise AssertionError(f"{len(subspaces)} eigenlines for {k} classes")
 
     omega_rows = []
-    for basis in subspaces:
-        v = basis[0]
+    for (v,), _ in subspaces:
         scale = pow(v[id_class], -1, ell)
         omega_rows.append(tuple(x * scale % ell for x in v))
 

@@ -9,15 +9,27 @@ S/ker(psi), where the image of N is central and cyclic; they are exactly the
 rows of that quotient's character table whose central character on N/ker(psi)
 is faithful.
 
-Everything runs through G/N.  The left cosets of N are labelled once, each
-element g recorded as (coset c, offset k) with g = t_c k for the coset's least
-member t_c and k in N.  N is abelian, so the coset t_c N acts on the dual as
-t_c does: the action conjugates the basis of N by the |G/N| representatives
-only.  The same loop proves N normal: if every t^{-1} b t lies in N, then
-g = t m with m in N gives g^{-1} b g = m^{-1} (t^{-1} b t) m in N, and the basis
+Everything runs through G/N.  The engine reads G only through its coset
+coordinates (groups.CosetCoordinates): every element is x = s(c) k for a coset
+c of N, a section s and k in N.  For an enumerated group the cosets are
+labelled once (QuotientGroup, |G| products) and s(c) is the least member of c;
+at r >= 2 the group is a CosetGroup, whose G/N is G(o_ceil(r/2)), so nothing
+of size |G| is built.  N is abelian, so the coset s(c) N acts on the dual as
+s(c) does: the action conjugates the basis of N by the |G/N| representatives
+only.  The same loop proves N normal: if every s^{-1} b s lies in N, then
+g = s m with m in N gives g^{-1} b g = m^{-1} (s^{-1} b s) m in N, and the basis
 generates N.  A stabilizer is the union of the cosets whose representative
-fixes psi; Irr(G | 1) is Irr(G/N); and S/ker(psi) is labelled without a group
-product, x = t_c k lying in the ker(psi)-coset (c, psi(k)).
+fixes psi, and Irr(G | 1) is Irr(G/N).
+
+S/ker(psi) is the central extension of Stab(psi) < G/N by Z/M, M the order of
+psi: its elements are the pairs (c, a), standing for the s(c) k with
+psi(k) = a, and
+
+    (c, a)(d, b) = (cd, a + b + psi(n(c, d))),  n(c, d) = s(cd)^{-1} s(c) s(d) in N,
+
+as s(c) k s(d) k' = s(cd) n(c, d) k^{s(d)} k' and d fixes psi.  The cocycle
+n(c, d) is read from the coset coordinates, memoized per pair, so no element
+of S is listed and no walk over G is made.
 
 A mod-ell character table determines each row only up to a Galois twist, so a
 single faithful character cannot be matched against a single row.  Orbits are
@@ -35,8 +47,8 @@ from dataclasses import dataclass
 
 from .characters import DegreeMultiset, character_degrees, character_table_modp
 from .groups import (
+    CosetCoordinates,
     FiniteGroup,
-    FiniteMatrixGroup,
     NotNormalError,
     QuotientGroup,
     SubgroupView,
@@ -63,7 +75,7 @@ class DualGroup:
     decomposition is verified by exhaustive re-enumeration on construction.
     """
 
-    def __init__(self, n_view: SubgroupView):
+    def __init__(self, n_view: FiniteGroup):
         if not n_view.is_abelian():
             raise NotAbelianNormalError("DualGroup requires an abelian group")
         self.group = n_view
@@ -74,7 +86,7 @@ class DualGroup:
         self._weights = tuple(self.exponent // n for n in self.orders)
 
     @staticmethod
-    def _abelian_basis(n_view: SubgroupView):
+    def _abelian_basis(n_view: FiniteGroup):
         if n_view.order == 1:
             return (), ()
         # greedy polycyclic generators with relative orders
@@ -169,14 +181,6 @@ class DualGroup:
     def product(self, chi1, chi2) -> tuple[int, ...]:
         return tuple((a + b) % n for a, b, n in zip(chi1, chi2, self.orders))
 
-    def kernel(self, chi: tuple[int, ...]) -> list[int]:
-        """Parent ordinals of ker(chi)."""
-        return [
-            self.group.ordinals[i]
-            for i in range(self.order)
-            if self.phase_num(chi, i) == 0
-        ]
-
 
 def _power(group: FiniteGroup, x: int, e: int) -> int:
     if e < 0:
@@ -208,23 +212,14 @@ class _DualAction:
     how their representative conjugates the basis of N.  A conjugate outside N
     raises NotNormalError; when there is none, N is normal (module docstring)."""
 
-    def __init__(self, quotient: QuotientGroup, dual: DualGroup):
-        group = quotient.parent
+    def __init__(self, cosets: CosetCoordinates, dual: DualGroup):
         self.dual = dual
-        parent_basis = [dual.group.ordinals[b] for b in dual.basis]
         buckets: dict[tuple, list[int]] = {}
-        local = dual.group.local
         dlog = dual.dlog
-        mul = group.mul
-        for c, t in enumerate(quotient.reps):
-            ti = group.inv(t)
-            key = []
-            for b in parent_basis:
-                conj = local.get(mul(ti, mul(b, t)))
-                if conj is None:
-                    raise NotNormalError(t, b)
-                key.append(dlog[conj])
-            buckets.setdefault(tuple(key), []).append(c)
+        conjugate = cosets.conjugate
+        for c in range(cosets.quotient.order):
+            key = tuple(dlog[conjugate(c, b)] for b in dual.basis)
+            buckets.setdefault(key, []).append(c)
         self.buckets = buckets
 
     def apply(self, key, chi):
@@ -244,14 +239,15 @@ class _DualAction:
         return {self.apply(key, chi) for key in self.buckets}
 
 
-def orbits_and_stabilizers(quotient: QuotientGroup, dual: DualGroup) -> list[OrbitRecord]:
-    """G-orbits on the dual of N with exact stabilizers, G acting through
-    quotient = G/N; raises NotNormalError if N is not normal in G."""
-    if quotient.kernel != dual.group.ordinals:
-        raise ValueError("the quotient is not by the dual's group")
-    action = _DualAction(quotient, dual)
-    order = quotient.parent.order
+def orbits_and_stabilizers(cosets: CosetCoordinates, dual: DualGroup) -> list[OrbitRecord]:
+    """G-orbits on the dual of N with exact stabilizers, G acting through the
+    coset coordinates of G over N; raises NotNormalError if N is not normal."""
+    if cosets.kernel is not dual.group:
+        raise ValueError("the cosets are not of the dual's group")
+    action = _DualAction(cosets, dual)
+    order = cosets.order
     n_order = dual.order
+    identity = cosets.quotient.identity
     seen: set[tuple[int, ...]] = set()
     records = []
     stab_cache: dict[frozenset, tuple[int, ...]] = {}
@@ -267,7 +263,7 @@ def orbits_and_stabilizers(quotient: QuotientGroup, dual: DualGroup) -> list[Orb
             stab = tuple(sorted(c for k in fixing for c in action.buckets[k]))
             stab_cache[fixing] = stab
             # N is abelian, so it fixes every character of itself
-            if quotient.identity not in stab:
+            if identity not in stab:
                 raise AssertionError("N does not fix a character of itself")
         rec = OrbitRecord(rep, tuple(orbit), len(orbit), stab, len(stab) * n_order)
         if rec.orbit_size * rec.stabilizer_order != order:
@@ -393,48 +389,79 @@ def _galois_classes(dual: DualGroup, records: list[OrbitRecord]) -> list[int]:
     return [find(i) for i in range(len(records))]
 
 
-def _stabilizer_mod_kernel(quotient: QuotientGroup, dual: DualGroup, rec: OrbitRecord):
-    """S/ker(psi) for psi = rec.representative and S its stabilizer, labelled with
-    no group multiplication: x = t_c k lies in the ker(psi)-coset (c, psi(k)).
-    Cosets are numbered by least parent ordinal, as QuotientGroup numbers them."""
-    phase = [dual.phase_num(rec.representative, j) for j in range(dual.order)]
-    in_stab = [False] * quotient.order
-    for c in rec.stabilizer:
-        in_stab[c] = True
-    coset, offset = quotient.label, quotient.offset
-    label = [-1] * len(coset)
-    reps: list[int] = []
-    ids: dict[tuple[int, int], int] = {}
-    for x in itertools.compress(range(len(coset)), map(in_stab.__getitem__, coset)):
-        key = (coset[x], phase[offset[x]])
-        cid = ids.get(key)
-        if cid is None:
-            cid = ids[key] = len(reps)
-            reps.append(x)
-        label[x] = cid
-    kernel = dual.kernel(rec.representative)
-    if len(reps) * len(kernel) != rec.stabilizer_order:
-        raise AssertionError(
-            f"|S/ker psi| = {len(reps)} times |ker psi| = {len(kernel)} is not |S|"
-        )
-    return QuotientGroup.from_labels(quotient.parent, kernel, label, reps)
+class _CentralExtension(FiniteGroup):
+    """S/ker(psi), psi of order M, as the central extension of Stab(psi) < G/N
+    by Z/M of the module docstring: ordinal i M + a is the pair (c, a) for
+    c = stab[i].  A batch of products by one fixed factor reads its cocycles
+    from the coset coordinates in one call."""
+
+    def __init__(self, cosets: CosetCoordinates, stab, psi: list[int], M: int):
+        self.cosets = cosets
+        self.stab = stab
+        self.pos = [-1] * cosets.quotient.order
+        for i, c in enumerate(stab):
+            self.pos[c] = i
+        self.psi = psi
+        self.M = M
+        self.order = len(stab) * M
+        e = cosets.quotient.identity
+        self.image_of_n = list(range(self.pos[e] * M, self.pos[e] * M + M))
+        # (e, z) is the identity when z + psi(n(e, e)) = 0
+        self.identity = self.pos[e] * M + -psi[self._cocycle(e, e)] % M
+
+    def _cocycle(self, c: int, d: int) -> int:
+        """The ordinal in N of n(c, d)."""
+        return self.cosets.product(c, d) % self.cosets.kernel.order
+
+    def _shifted(self, xs, products, shift: int) -> list[int]:
+        """For each x = (c, a) and the coordinates cd |N| + j of s(c) s(d) (or
+        of s(d) s(c)) in products: (cd, a + shift + psi(k_j))."""
+        M, pos, psi, size = self.M, self.pos, self.psi, self.cosets.kernel.order
+        # x + shift + psi = a + shift + psi mod M
+        return [pos[p // size] * M + (x + shift + psi[p % size]) % M for x, p in zip(xs, products)]
+
+    def mul(self, x: int, y: int) -> int:
+        return self.mul_right([x], y)[0]
+
+    def inv(self, x: int) -> int:
+        M = self.M
+        i, a = divmod(x, M)
+        c = self.stab[i]
+        ci = self.cosets.quotient.inv(c)
+        # (c, a)(ci, b) = (e, a + b + psi(n(c, ci))) is the identity (e, z)
+        z = self.identity % M
+        return self.pos[ci] * M + (z - a - self.psi[self._cocycle(c, ci)]) % M
+
+    def mul_right(self, xs, y: int) -> list[int]:
+        M, stab, size = self.M, self.stab, self.cosets.quotient.order
+        j, b = divmod(y, M)
+        d = stab[j]
+        return self._shifted(xs, self.cosets.products([stab[x // M] * size + d for x in xs]), b)
+
+    def mul_left(self, y: int, xs) -> list[int]:
+        M, stab, size = self.M, self.stab, self.cosets.quotient.order
+        i, a = divmod(y, M)
+        row = stab[i] * size
+        return self._shifted(xs, self.cosets.products([row + stab[x // M] for x in xs]), a)
 
 
-def _dims_above(quotient: QuotientGroup, dual: DualGroup, rec: OrbitRecord):
+def _dims_above(cosets: CosetCoordinates, dual: DualGroup, rec: OrbitRecord):
     """(dims of Irr(Stab | psi), extension observable) for psi = rec.representative."""
     M = dual.char_order(rec.representative)
     if M == 1:
         # trivial character: Irr(G | 1) = Irr(G/N)
-        return character_degrees(quotient).entries, True
-    s_bar = _stabilizer_mod_kernel(quotient, dual, rec)
-    n_bar = sorted({s_bar.label[n] for n in quotient.kernel})
-    return _faithful_dims(s_bar, n_bar, M)
+        return character_degrees(cosets.quotient).entries, True
+    step = dual.exponent // M
+    psi = [dual.phase_num(rec.representative, j) // step for j in range(dual.order)]
+    s_bar = _CentralExtension(cosets, rec.stabilizer, psi, M)
+    return _faithful_dims(s_bar, s_bar.image_of_n, M)
 
 
 def clifford_dimirr(group: FiniteGroup, n) -> CliffordReport:
     """Assemble dimirr(G) orbit by orbit from the normal abelian p-subgroup N,
-    given as a SubgroupView or as parent ordinals."""
-    n_view = n if isinstance(n, SubgroupView) else SubgroupView(group, n)
+    given as a FiniteGroup (a SubgroupView of G, or the kernel of a CosetGroup)
+    or as parent ordinals."""
+    n_view = n if isinstance(n, FiniteGroup) else SubgroupView(group, n)
     if not n_view.is_abelian():
         raise NotAbelianNormalError("N must be abelian")
     if n_view.order == 1:
@@ -445,9 +472,9 @@ def clifford_dimirr(group: FiniteGroup, n) -> CliffordReport:
     if prime_power(n_view.order) is None:
         raise NotAbelianNormalError("N must be a p-group")
     dual = DualGroup(n_view)
-    quotient = QuotientGroup(group, n_view.ordinals)
+    cosets = group.coset_coordinates(n_view)
     try:
-        records = orbits_and_stabilizers(quotient, dual)
+        records = orbits_and_stabilizers(cosets, dual)
     except NotNormalError as exc:
         raise NotAbelianNormalError("N is not normal in G") from exc
     # orbits in one Galois-power class share their dimension data
@@ -457,7 +484,7 @@ def clifford_dimirr(group: FiniteGroup, n) -> CliffordReport:
     iso_count = 0
     for rec, c in zip(records, _galois_classes(dual, records)):
         if c not in class_dims:
-            class_dims[c] = _dims_above(quotient, dual, records[c])
+            class_dims[c] = _dims_above(cosets, dual, records[c])
         dims, ext = class_dims[c]
         od = OrbitDims(
             rec.representative,
@@ -478,9 +505,10 @@ def clifford_dimirr(group: FiniteGroup, n) -> CliffordReport:
     return CliffordReport(degrees, tuple(orbit_slices), iso_count)
 
 
-def default_normal_subgroup(group: FiniteMatrixGroup) -> SubgroupView:
+def default_normal_subgroup(group: FiniteGroup) -> FiniteGroup:
     """The pipeline's N: abelian congruence kernel at level ceil(r/2), or the
-    center for unipotent-type groups at level 1, or trivial."""
+    center for unipotent-type groups at level 1, or trivial.  group is a
+    FiniteMatrixGroup or, at r >= 2, a CosetGroup."""
     ring = group.ring
     if ring.r >= 2:
         return congruence_kernel(group, (ring.r + 1) // 2)

@@ -9,13 +9,20 @@ pipeline oblivious to where a group came from.
 
 Each family is one entry pattern (_PATTERNS) of a smooth group scheme, so
 G(o_r) -> G(o_i) is onto with a kernel K^i of q^((r-i) dim G) elements: one
-enumerator lifts G(F_q) through the kernel fibers, and |G(o_r)| and |K^i| come
-from dim G.
+lift loop (_lifts) takes G(F_q) through the kernel fibers, and also builds
+K^i itself, as the identity lifted through the p^i tails, with no scan of G.
 
-Memo policy: value-keyed builders (make_ring, build_group, and the Clifford
-report of each built group) are memoized with functools.cache for the life of
-the process; data derived from one group lives on that group; and a budget is
-checked on every call, before any memo is consulted.
+At r >= 2 the Clifford engine never lists G(o_r).  A CosetGroup writes each
+element as s(c) k over N = K^m, m = ceil(r/2): c runs over G/N = G(o_m), which
+build_group enumerates, s is the coordinate section of the lift loop, and k
+runs over N.  What is listed is G/N, N and, per orbit, one stabilizer
+quotient of at most |G/N| exp N elements (clifford_size), and coset_group
+checks its budget against that, not against |G|.
+
+Memo policy: value-keyed builders (make_ring, build_group, coset_group, and
+the Clifford report of each built group) are memoized with functools.cache
+for the life of the process; data derived from one group lives on that group;
+and a budget is checked on every call, before any memo is consulted.
 """
 
 from __future__ import annotations
@@ -59,10 +66,10 @@ _MOVING = ("any", "unit")
 
 
 class BudgetExceededError(ValueError):
-    def __init__(self, scheme, spec, predicted, budget):
+    def __init__(self, scheme, spec, predicted, budget, what=""):
         self.predicted = predicted
         super().__init__(
-            f"|{scheme.family}{scheme.n}({spec.label()})| = {predicted} exceeds budget {budget}"
+            f"{what}|{scheme.family}{scheme.n}({spec.label()})| = {predicted} exceeds budget {budget}"
         )
 
 
@@ -122,10 +129,15 @@ def predicted_order(scheme: GroupScheme, spec: RingSpec) -> int:
     return int(scheme_order_poly(scheme, spec.r)(spec.q))
 
 
-def check_budget(scheme: GroupScheme, spec: RingSpec, budget: int) -> int:
-    """The predicted order; raises BudgetExceededError when it exceeds budget."""
+def check_budget(scheme: GroupScheme, spec: RingSpec, budget: int, clifford: bool = False) -> int:
+    """The predicted order; raises BudgetExceededError when it exceeds budget,
+    or, for the Clifford engine, when clifford_size does."""
     predicted = predicted_order(scheme, spec)
-    if predicted > budget:
+    if clifford:
+        size = clifford_size(scheme, spec)
+        if size > budget:
+            raise BudgetExceededError(scheme, spec, size, budget, "Clifford pieces of ")
+    elif predicted > budget:
         raise BudgetExceededError(scheme, spec, predicted, budget)
     return predicted
 
@@ -178,6 +190,13 @@ class FiniteGroup:
         mul = self.mul
         return [mul(a, x) for x in xs]
 
+    def table_mark(self) -> int:
+        """A mark of the fixed-factor table memo, for release_tables."""
+        return 0
+
+    def release_tables(self, mark: int) -> None:
+        """Drop the fixed-factor tables built since mark."""
+
     def element_order(self, i: int) -> int:
         n, x = 1, i
         while x != self.identity:
@@ -189,6 +208,7 @@ class FiniteGroup:
         """Greedy generating set: first ordinals that strictly grow the closure."""
         if self.gens is not None:
             return self.gens
+        mark = self.table_mark()
         gens: list[int] = []
         closure = bytearray(self.order)  # membership flags
         closure[self.identity] = 1
@@ -212,6 +232,7 @@ class FiniteGroup:
             if size == self.order:
                 break
         self.gens = gens
+        self.release_tables(mark)
         return gens
 
     def is_abelian(self) -> bool:
@@ -226,6 +247,10 @@ class FiniteGroup:
         classes = conjugacy_classes(self)
         return math.lcm(*(self.element_order(r) for r in classes.representatives))
 
+    def coset_coordinates(self, kernel: SubgroupView) -> CosetCoordinates:
+        """G over the normal subgroup kernel, a SubgroupView of G."""
+        return LabelledCosets(self, kernel)
+
 
 class FiniteMatrixGroup(FiniteGroup):
     """Fully enumerated matrix group over a quotient ring.
@@ -234,8 +259,11 @@ class FiniteMatrixGroup(FiniteGroup):
     table of that factor over the |R|^n vectors: row i of x*b is (row i of
     x)*b = b^T (row i of x), as the ring is commutative, and column j of a*x is
     a (column j of x).  A product is then n table lookups and one index
-    lookup.  The tables are memoized here, at most |G| vector entries in all,
-    so no table is built when |R|^n > |G|; past that the plain loop runs.
+    lookup.  The tables are memoized here, at most 2|G| entries in all, each
+    entry one pointer to a shared vector, so no table is built when
+    |R|^n > 2|G|; past that the plain loop runs.  generators and
+    conjugacy_classes release the tables they built once their result is
+    memoized, which leaves the room to the class operators.
     """
 
     def __init__(self, scheme: GroupScheme, ring: QuotientRing, matrices):
@@ -296,14 +324,14 @@ class FiniteMatrixGroup(FiniteGroup):
 
     def _table(self, factor: int, left: bool) -> list[tuple[int, ...]] | None:
         """v -> factor v (left) or factor^T v, by the code of v; None when
-        adding it would take the memo past |G| entries."""
+        adding it would take the memo past 2|G| entries."""
         key = (left, factor)
         table = self._tables.get(key)
         if table is not None:
             return table
         ring, n = self.ring, self.n
         size = ring.size**n
-        if self._table_entries + size > self.order:
+        if self._table_entries + size > 2 * self.order:
             return None
         if not self._vectors:
             self._vectors = list(itertools.product(range(ring.size), repeat=n))
@@ -322,6 +350,13 @@ class FiniteMatrixGroup(FiniteGroup):
         self._tables[key] = table
         self._table_entries += size
         return table
+
+    def table_mark(self) -> int:
+        return len(self._tables)
+
+    def release_tables(self, mark: int) -> None:
+        for key in list(self._tables)[mark:]:
+            self._table_entries -= len(self._tables.pop(key))
 
 
 class SubgroupView(FiniteGroup):
@@ -348,8 +383,6 @@ class QuotientGroup(FiniteGroup):
     with x = reps[label[x]] * kernel[j].
     """
 
-    offset: list[int] | None = None
-
     def __init__(self, parent: FiniteGroup, kernel_ordinals):
         kernel = sorted(kernel_ordinals)
         label = [-1] * parent.order
@@ -364,34 +397,156 @@ class QuotientGroup(FiniteGroup):
                 y = parent.mul(x, k)
                 label[y] = cid
                 offset[y] = j
-        self._bind(parent, kernel, label, reps)
+        self.parent = parent
+        self.kernel = tuple(kernel)
+        self.label = label
         self.offset = offset
+        self.reps = reps
+        self.order = len(reps)
+        self.identity = label[parent.identity]
         if self.order * len(kernel) != parent.order:
             raise AssertionError(
                 f"{self.order} cosets of {len(kernel)} elements in a group of order {parent.order}"
             )
-
-    @classmethod
-    def from_labels(cls, parent: FiniteGroup, kernel_ordinals, label, reps) -> "QuotientGroup":
-        """The quotient of the subgroup {x : label[x] >= 0} by the kernel, its
-        cosets already labelled and numbered, reps[c] the least member of c."""
-        quo = cls.__new__(cls)
-        quo._bind(parent, sorted(kernel_ordinals), label, reps)
-        return quo
-
-    def _bind(self, parent: FiniteGroup, kernel, label, reps) -> None:
-        self.parent = parent
-        self.kernel = tuple(kernel)
-        self.label = label
-        self.reps = reps
-        self.order = len(reps)
-        self.identity = label[parent.identity]
 
     def mul(self, i: int, j: int) -> int:
         return self.label[self.parent.mul(self.reps[i], self.reps[j])]
 
     def inv(self, i: int) -> int:
         return self.label[self.parent.inv(self.reps[i])]
+
+
+# -- coset coordinates -------------------------------------------------------------
+
+
+class CosetCoordinates:
+    """G written over a normal subgroup N as x = s(c) k_j, for c in G/N, a
+    section s: G/N -> G and k_j in N; c |N| + j are the coordinates of x.  The
+    Clifford engine reads G only through
+
+    quotient         G/N, a FiniteGroup on the coset labels c;
+    kernel           N, a FiniteGroup on its own ordinals j;
+    order            |G|;
+    conjugate(c, j)  the j' with s(c)^-1 k_j s(c) = k_j', raising
+                     NotNormalError when that conjugate is not in N;
+    product(c, d)    the coordinates cd |N| + j of s(c) s(d) = s(cd) k_j, so
+                     k_j is the cocycle n(c, d) = s(cd)^-1 s(c) s(d);
+                     memoized per pair; products(keys) is the batch, by the
+                     keys c |G/N| + d.
+    """
+
+    def __init__(self, quotient: FiniteGroup, kernel: FiniteGroup, order: int):
+        self.quotient = quotient
+        self.kernel = kernel
+        self.order = order
+        self._products: dict[int, int] = {}
+
+    def conjugate(self, c: int, j: int) -> int:
+        raise NotImplementedError
+
+    def _product(self, c: int, d: int) -> int:
+        raise NotImplementedError
+
+    def product(self, c: int, d: int) -> int:
+        return self.products([c * self.quotient.order + d])[0]
+
+    def products(self, keys) -> list[int]:
+        """product(c, d) for each key c |G/N| + d."""
+        memo = self._products
+        out = list(map(memo.get, keys))
+        if None in out:
+            size = self.quotient.order
+            for i, key in enumerate(keys):
+                if out[i] is None:
+                    x = memo.get(key)
+                    if x is None:
+                        x = memo[key] = self._product(*divmod(key, size))
+                    out[i] = x
+        return out
+
+
+class LabelledCosets(CosetCoordinates):
+    """The coset coordinates of an enumerated group over a SubgroupView N: its
+    QuotientGroup labels the cosets with |G| products, s(c) is the least member
+    of coset c, and the offsets read off every kernel part."""
+
+    def __init__(self, group: FiniteGroup, kernel: SubgroupView):
+        super().__init__(QuotientGroup(group, kernel.ordinals), kernel, group.order)
+        self.group = group
+
+    def conjugate(self, c: int, j: int) -> int:
+        g = self.group
+        t, b = self.quotient.reps[c], self.kernel.ordinals[j]
+        k = self.kernel.local.get(g.mul(g.inv(t), g.mul(b, t)))
+        if k is None:
+            raise NotNormalError(t, b)
+        return k
+
+    def _product(self, c: int, d: int) -> int:
+        quotient = self.quotient
+        x = self.group.mul(quotient.reps[c], quotient.reps[d])
+        return quotient.label[x] * self.kernel.order + quotient.offset[x]
+
+
+class CosetGroup(FiniteGroup, CosetCoordinates):
+    """G(o_r), r >= 2, over N = K^m, m = ceil(r/2), with no element list.
+
+    Ordinal c |N| + j stands for s(c) k_j: c is an element of G/N = G(o_m),
+    which build_group enumerates; s is the coordinate section of _lifts; and
+    k_j is the j-th matrix of N, lifted from the identity through the p^m tails
+    (_kernel_matrices), sorted as in the enumerated group.  mul and inv go
+    through matrices; the Clifford engine reads only the coset coordinates.
+    """
+
+    def __init__(self, scheme: GroupScheme, ring: QuotientRing, quotient: FiniteMatrixGroup):
+        self.scheme = scheme
+        self.ring = ring
+        self.n = scheme.n
+        self.level = quotient.ring.r
+        kernel = FiniteMatrixGroup(scheme, ring, _kernel_matrices(scheme, ring, self.level))
+        super().__init__(quotient, kernel, quotient.order * kernel.order)
+        self.section = list(
+            _lifts(scheme, ring, _sections(ring, quotient.ring, quotient.elements), (ring.zero,))
+        )
+        self._section_inv: list[tuple[int, ...] | None] = [None] * quotient.order
+        self._reduce = ring.reduce_to(self.level)[1]
+        self.identity = self.ordinal(_identity_matrix(ring, self.n))
+
+    def coset_coordinates(self, kernel: FiniteGroup) -> CosetCoordinates:
+        if kernel is not self.kernel:
+            raise ValueError("a coset group has coordinates over its own kernel only")
+        return self
+
+    def matrix(self, x: int):
+        c, j = divmod(x, self.kernel.order)
+        return _mat_mul(self.ring, self.n, self.section[c], self.kernel.elements[j])
+
+    def ordinal(self, mat) -> int:
+        c = self.quotient.index[tuple(map(self._reduce.__getitem__, mat))]
+        return c * self.kernel.order + self.kernel.index[self._times_inverse(c, mat)]
+
+    def mul(self, i: int, j: int) -> int:
+        return self.ordinal(_mat_mul(self.ring, self.n, self.matrix(i), self.matrix(j)))
+
+    def inv(self, i: int) -> int:
+        return self.ordinal(_mat_inv(self.ring, self.n, self.matrix(i)))
+
+    def _times_inverse(self, c: int, mat):
+        """s(c)^-1 mat."""
+        inv = self._section_inv[c]
+        if inv is None:
+            inv = self._section_inv[c] = _mat_inv(self.ring, self.n, self.section[c])
+        return _mat_mul(self.ring, self.n, inv, mat)
+
+    def conjugate(self, c: int, j: int) -> int:
+        ring, n, kernel = self.ring, self.n, self.kernel
+        k = kernel.index.get(self._times_inverse(c, _mat_mul(ring, n, kernel.elements[j], self.section[c])))
+        if k is None:
+            raise NotNormalError(c * kernel.order, self.quotient.identity * kernel.order + j)
+        return k
+
+    def _product(self, c: int, d: int) -> int:
+        return self.ordinal(_mat_mul(self.ring, self.n, self.section[c], self.section[d]))
 
 
 # -- matrix arithmetic helpers ---------------------------------------------------
@@ -508,13 +663,10 @@ def build_group(
 @cache
 def _enumerate_group(scheme: GroupScheme, spec: RingSpec) -> FiniteMatrixGroup:
     """G(F_q), the pattern's residue matrices with a unit determinant (det = 1
-    for SL), each lifted by the coordinate section plus maximal-ideal tails at
-    its moving entries; for SL, one moving entry of row 0 with a unit cofactor
-    is not lifted but solved for from det = 1."""
+    for SL), each lifted through maximal-ideal tails (_lifts)."""
     ring = make_ring(spec)
     residue = make_ring(spec.at_level(1))
     n = scheme.n
-    entries = scheme.entries()
     units = list(residue.units())
     choices = {
         "any": range(residue.size), "unit": units, "one": [residue.one], "zero": [residue.zero]
@@ -522,32 +674,84 @@ def _enumerate_group(scheme: GroupScheme, spec: RingSpec) -> FiniteMatrixGroup:
     dets = {residue.one} if scheme.det_one else set(units)
     mats = [
         m
-        for m in itertools.product(*(choices[kind] for kind in entries))
+        for m in itertools.product(*(choices[kind] for kind in scheme.entries()))
         if _mat_det(residue, n, m) in dets
     ]
     if ring.r > 1:
-        section = [ring.from_coords(coords) for coords in residue.elements]
-        ideal = ring.maximal_ideal()
-        add = ring.add
-        lifts = []
-        for m in mats:
-            # det m = 1 in F_q, so by Laplace along row 0 some cofactor is a unit
-            pivot = -1
-            if scheme.det_one:
-                pivot = next(
-                    j for j in range(n)
-                    if entries[j] in _MOVING and residue.is_unit(_row0_cofactor(residue, n, m, j))
-                )
-            tails = [
-                ideal if kind in _MOVING and k != pivot else (ring.zero,)
-                for k, kind in enumerate(entries)
-            ]
-            base = tuple(section[x] for x in m)
-            for tail in itertools.product(*tails):
-                lift = tuple(add(b, t) for b, t in zip(base, tail))
-                lifts.append(lift if pivot < 0 else _solve_det_one(ring, n, lift, pivot))
-        mats = lifts
+        mats = list(_lifts(scheme, ring, _sections(ring, residue, mats), ring.maximal_ideal()))
     return FiniteMatrixGroup(scheme, ring, mats)
+
+
+def _sections(ring: QuotientRing, lower: QuotientRing, mats) -> list[tuple[int, ...]]:
+    """Matrices over the lower-level ring lifted to ring entry by entry, each
+    entry by its own coordinates (the coordinate section of reduce_to)."""
+    lift = [ring.from_coords(coords) for coords in lower.elements]
+    return [tuple(map(lift.__getitem__, m)) for m in mats]
+
+
+def _lifts(scheme: GroupScheme, ring: QuotientRing, bases, tail):
+    """Each base matrix plus every choice of tail entries at its moving entries.
+    For SL, one moving entry of row 0 with a unit cofactor takes no tail but is
+    solved for from det = 1, so every lift of a base with det = 1 mod the tails
+    has det 1; with tail (0,) this is the coordinate section s."""
+    n = scheme.n
+    entries = scheme.entries()
+    add = ring.add
+    for base in bases:
+        # det = 1 mod the maximal ideal, so by Laplace along row 0 some cofactor is a unit
+        pivot = -1
+        if scheme.det_one:
+            pivot = next(
+                j for j in range(n)
+                if entries[j] in _MOVING and ring.is_unit(_row0_cofactor(ring, n, base, j))
+            )
+        tails = [
+            tail if kind in _MOVING and k != pivot else (ring.zero,)
+            for k, kind in enumerate(entries)
+        ]
+        for t in itertools.product(*tails):
+            lift = tuple(map(add, base, t))
+            yield lift if pivot < 0 else _solve_det_one(ring, n, lift, pivot)
+
+
+def _kernel_matrices(scheme: GroupScheme, ring: QuotientRing, i: int) -> list[tuple[int, ...]]:
+    """K^i = ker(G(o_r) -> G(o_i)): the identity lifted through the tails in
+    the ideal p^i, with no element of G listed."""
+    target, red = ring.reduce_to(i)
+    tail = [x for x in range(ring.size) if red[x] == target.zero]
+    return list(_lifts(scheme, ring, [_identity_matrix(ring, scheme.n)], tail))
+
+
+def clifford_size(scheme: GroupScheme, spec: RingSpec) -> int:
+    """The most elements the Clifford engine lists for G(o_r).  At r >= 2 it
+    works over N = K^m, m = ceil(r/2), and lists G/N = G(o_m), N, and each
+    S/ker psi, of order |Stab(psi)| M <= |G/N| exp N; at r = 1, G itself."""
+    r = spec.r
+    if r == 1:
+        return predicted_order(scheme, spec)
+    m = (r + 1) // 2
+    # N = 1 + p^m X is additive in X (2m >= r), so exp N divides the
+    # additive order of 1 in o_(r-m)
+    e = {"unramified": 1, "eqchar": r - m}.get(spec.kind, spec.e)
+    exponent = spec.p ** -(-(r - m) // e)
+    return max(predicted_order(scheme, spec.at_level(m)) * exponent, spec.q ** ((r - m) * scheme.dim))
+
+
+def coset_group(scheme: GroupScheme, spec: RingSpec, budget: int = DEFAULT_BUDGET) -> "CosetGroup":
+    """G(o_r), r >= 2, in coset coordinates over K^ceil(r/2), built once per
+    process; the budget bounds clifford_size and is checked on every call,
+    before the memo."""
+    if spec.r < 2:
+        raise ValueError("coset coordinates need level r >= 2")
+    check_budget(scheme, spec, budget, clifford=True)
+    return _coset_group(scheme, spec)
+
+
+@cache
+def _coset_group(scheme: GroupScheme, spec: RingSpec) -> "CosetGroup":
+    # |G/N| <= clifford_size, which the caller checked against its budget
+    quotient = build_group(scheme, spec.at_level((spec.r + 1) // 2), clifford_size(scheme, spec))
+    return CosetGroup(scheme, make_ring(spec), quotient)
 
 
 # -- conjugacy classes -------------------------------------------------------------
@@ -570,6 +774,7 @@ class ConjugacyClassData:
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
     if group.classes is not None:
         return group.classes
+    mark = group.table_mark()
     gens = group.generators()
     gen_invs = [group.inv(g) for g in gens]
     class_of = [-1] * group.order
@@ -598,6 +803,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
     if sum(sizes) != group.order:
         raise AssertionError(f"class sizes sum to {sum(sizes)}, not |G|={group.order}")
     group.classes = data
+    group.release_tables(mark)
     return data
 
 
@@ -609,20 +815,18 @@ def center(group: FiniteGroup) -> list[int]:
     return members
 
 
-def congruence_kernel(group: FiniteMatrixGroup, i: int) -> SubgroupView:
-    """K^i = ker(G(o_r) -> G(o_i)), as an enumerated subgroup."""
+def congruence_kernel(group: FiniteGroup, i: int) -> FiniteGroup:
+    """K^i = ker(G(o_r) -> G(o_i)), built from the pattern (_kernel_matrices)
+    with no scan of G: a SubgroupView of an enumerated group, and the kernel
+    itself of a coset group over K^i."""
+    if isinstance(group, CosetGroup):
+        if i != group.level:
+            raise ValueError(f"this coset group is over K^{group.level} only")
+        return group.kernel
     ring = group.ring
     if not 1 <= i <= ring.r:
         raise ValueError(f"congruence level must be in 1..{ring.r}")
-    target, red = ring.reduce_to(i)
-    n = group.n
-    id_img = tuple(red[x] for x in _identity_matrix(ring, n))
-    members = [
-        k
-        for k, m in enumerate(group.elements)
-        if tuple(red[x] for x in m) == id_img
-    ]
-    view = SubgroupView(group, members)
+    view = SubgroupView(group, map(group.index.__getitem__, _kernel_matrices(group.scheme, ring, i)))
     exponent = (ring.r - i) * group.scheme.dim
     if view.order != ring.q**exponent:
         raise AssertionError(f"kernel of order {view.order}, not q^{exponent}")

@@ -35,10 +35,11 @@ from .clifford import CliffordReport, clifford_dimirr, default_normal_subgroup
 from .groups import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    FiniteMatrixGroup,
+    FiniteGroup,
     GroupScheme,
     build_group,
     check_budget,
+    coset_group,
     scheme_order_poly,
 )
 from .intlinalg import nullspace
@@ -97,29 +98,31 @@ def compute_degrees(
 ) -> DegreeMultiset:
     """Degree oracle for one (scheme, ring) pair via the requested engine."""
     engine = _resolve_engine(engine, spec)
-    group = build_group(scheme, spec, budget)
-    if engine == "chardeg":
-        return character_degrees(group)
     if engine == "clifford":
         return compute_clifford_report(scheme, spec, budget).degrees
-    a = character_degrees(group)
-    b = compute_clifford_report(scheme, spec, budget).degrees
-    if a.entries != b.entries:
-        raise AssertionError("engine mismatch", a.entries, b.entries)
+    a = character_degrees(build_group(scheme, spec, budget))
+    if engine == "both":
+        b = compute_clifford_report(scheme, spec, budget).degrees
+        if a.entries != b.entries:
+            raise AssertionError("engine mismatch", a.entries, b.entries)
     return a
 
 
 def compute_clifford_report(
     scheme: GroupScheme, spec: RingSpec, budget: int = DEFAULT_BUDGET
 ) -> CliffordReport:
-    """The Clifford report of the group, built once per process; build_group
-    checks the budget on every call, before the memo."""
+    """The Clifford report of the group, built once per process.  At r >= 2 the
+    group is a CosetGroup, so G(o_r) is never enumerated; the builders check
+    the budget on every call, before the memo (coset_group against
+    clifford_size)."""
+    if spec.r >= 2:
+        return _clifford_report(coset_group(scheme, spec, budget))
     return _clifford_report(build_group(scheme, spec, budget))
 
 
 @cache
-def _clifford_report(group: FiniteMatrixGroup) -> CliffordReport:
-    # build_group returns one group object per (scheme, spec)
+def _clifford_report(group: FiniteGroup) -> CliffordReport:
+    # the builders return one group object per (scheme, spec)
     return clifford_dimirr(group, default_normal_subgroup(group))
 
 
@@ -142,8 +145,9 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
         }
         hashed = _canonical_json({"schema": CACHE_SCHEMA, **key_obj})
         key = hashlib.sha256(hashed.encode()).hexdigest()
+        engine = _resolve_engine(config.engine, spec)
         try:
-            order = check_budget(config.scheme, spec, config.budget)
+            order = check_budget(config.scheme, spec, config.budget, clifford=engine == "clifford")
         except BudgetExceededError as exc:
             # the key leaves out the budget, so the budget is checked before the
             # cache is read, and the error is not cached
@@ -161,7 +165,7 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
             "n_irr": dm.total_count,
             "degrees": dm.to_json(),
         }
-        if _resolve_engine(config.engine, spec) in ("clifford", "both"):
+        if engine in ("clifford", "both"):
             report = compute_clifford_report(config.scheme, spec, config.budget)
             payload["strata"] = _strata_json(report)
             payload["dual_order"] = sum(o.orbit_size for o in report.orbits)

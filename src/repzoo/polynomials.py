@@ -78,7 +78,9 @@ class RationalPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # Fractions are kept in lowest terms, so equal polynomials have equal
+        # pairs; Fraction.__hash__ would pay a modular inverse per coefficient
+        return hash(tuple((c.numerator, c.denominator) for c in self.coeffs))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

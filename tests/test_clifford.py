@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import os
 import subprocess
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repzoo
+from repzoo import groups, harness
 from repzoo.characters import character_degrees
 from repzoo.clifford import (
     DualGroup,
@@ -20,11 +23,11 @@ from repzoo.groups import (
     FiniteMatrixGroup,
     GroupScheme,
     NotNormalError,
-    QuotientGroup,
     SubgroupView,
     build_group,
     center,
     congruence_kernel,
+    coset_group,
     predicted_order,
 )
 from repzoo.localring import RingSpec
@@ -81,7 +84,7 @@ def test_orbit_stabilizer_identity():
     group = build_group(GL2, RingSpec("unramified", 2, 1, 2))
     kernel = congruence_kernel(group, 1)
     dual = DualGroup(kernel)
-    records = orbits_and_stabilizers(QuotientGroup(group, kernel.ordinals), dual)
+    records = orbits_and_stabilizers(group.coset_coordinates(kernel), dual)
     assert sum(r.orbit_size for r in records) == 16
     for rec in records:
         assert rec.orbit_size * rec.stabilizer_order == group.order
@@ -96,7 +99,7 @@ def test_abelian_group_acting_on_own_dual_fixes_everything():
     # T is abelian of order 4 = 2^2, its own normal p-subgroup
     full = SubgroupView(torus, range(torus.order))
     dual = DualGroup(full)
-    records = orbits_and_stabilizers(QuotientGroup(torus, full.ordinals), dual)
+    records = orbits_and_stabilizers(torus.coset_coordinates(full), dual)
     assert all(r.orbit_size == 1 for r in records)
 
 
@@ -231,3 +234,55 @@ def test_clifford_agrees_with_direct_engine(case):
     group = build_group(*case)
     report = clifford_dimirr(group, default_normal_subgroup(group))
     assert report.degrees == character_degrees(group)
+
+
+def _level2_cases(bound=4_000):
+    """(scheme, ring) of every family, ring kind, p in {2, 3, 5} and r in {2, 3}
+    with predicted order <= bound; n = 2, and U also at n = 3, where it is not
+    abelian.  Above the bound, Dixon-Schneider on the stabilizer quotients of
+    B2 and U3 takes seconds to minutes a group on either path."""
+    cases = []
+    schemes = [GroupScheme(fam, 2) for fam in ("GL", "SL", "U", "B", "T")] + [GroupScheme("U", 3)]
+    for scheme, p, r in itertools.product(schemes, (2, 3, 5), (2, 3)):
+        specs = [RingSpec("unramified", p, 1, r), RingSpec("eqchar", p, 1, r)]
+        specs += [RingSpec("eisenstein", p, 1, r, e) for e in (2, 3) if e % p]
+        cases += [(scheme, spec) for spec in specs if predicted_order(scheme, spec) <= bound]
+    return cases
+
+
+@pytest.mark.parametrize("scheme,spec", _level2_cases(), ids=lambda v: v.label())
+def test_coset_coordinates_report_equals_the_enumerated_report(scheme, spec):
+    # G(o_r) in coset coordinates, G/N = G(o_ceil(r/2)) enumerated and each
+    # S/ker psi built from the cocycle, against the labelled cosets of the
+    # enumerated group
+    coset = coset_group(scheme, spec)
+    via_cosets = clifford_dimirr(coset, default_normal_subgroup(coset))
+    group = build_group(scheme, spec)
+    enumerated = clifford_dimirr(group, default_normal_subgroup(group))
+    assert dataclasses.asdict(via_cosets) == dataclasses.asdict(enumerated)
+    assert via_cosets == enumerated
+
+
+@pytest.mark.parametrize(
+    "scheme,spec",
+    [(GL2, RingSpec("eqchar", 5, 1, 2)), (GroupScheme("SL", 2), RingSpec("unramified", 3, 1, 3))],
+    ids=lambda v: v.label(),
+)
+def test_coset_path_never_enumerates_the_full_group(monkeypatch, scheme, spec):
+    enumerate_group = groups._enumerate_group
+    built = []
+
+    def guarded(scheme_, spec_):
+        if spec_.r == spec.r:
+            raise AssertionError(f"enumerated {scheme_.label()}({spec_.label()})")
+        built.append(spec_.r)
+        return enumerate_group(scheme_, spec_)
+
+    monkeypatch.setattr(groups, "_enumerate_group", guarded)
+    # fresh memos, so nothing built earlier in the process is reused
+    monkeypatch.setattr(groups, "_coset_group", functools.cache(groups._coset_group.__wrapped__))
+    monkeypatch.setattr(harness, "_clifford_report", functools.cache(harness._clifford_report.__wrapped__))
+    report = harness.compute_clifford_report(scheme, spec)
+    assert report.degrees.sum_of_squares == predicted_order(scheme, spec)
+    assert harness.compute_degrees(scheme, spec).entries == report.degrees.entries
+    assert built == [(spec.r + 1) // 2]

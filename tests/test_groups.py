@@ -9,11 +9,15 @@ from repzoo.groups import (
     FiniteMatrixGroup,
     GroupScheme,
     NotNormalError,
+    _identity_matrix,
     _mat_det,
+    _mat_mul,
     build_group,
     center,
+    clifford_size,
     congruence_kernel,
     conjugacy_classes,
+    coset_group,
     predicted_order,
     quotient_group,
     scheme_order_poly,
@@ -252,8 +256,8 @@ def _assert_batched_products_match(group, rng):
 def test_batched_products_equal_the_plain_loop(scheme, spec):
     group = _fresh(build_group(scheme, spec))
     _assert_batched_products_match(group, random.Random(f"{scheme.label()} {spec.label()}"))
-    # a table exists exactly when |R|^n <= |G|
-    assert bool(group._tables) == (spec.size**scheme.n <= group.order)
+    # a table exists exactly when |R|^n <= 2|G|
+    assert bool(group._tables) == (spec.size**scheme.n <= 2 * group.order)
 
 
 def test_batched_products_on_subgroups_and_quotients():
@@ -273,14 +277,16 @@ def test_no_table_when_vectors_outnumber_the_group():
     assert group._tables == {} and group._table_entries == 0
 
 
-def test_table_memo_never_exceeds_the_group_order():
-    # GL2(F_5): 480 elements and 25 vectors a table, so at most 19 tables,
-    # fewer than its 24 class representatives
+def test_table_memo_never_exceeds_twice_the_group_order():
+    # GL2(F_5): 480 elements and 25 vectors a table, so at most 38 tables; the
+    # tables of generators and conjugacy_classes are released, so each of its
+    # 24 class representatives gets one
     group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
     degrees = DegreeMultiset.from_degrees(character_table_modp(group).degrees)
     assert degrees.entries == ((1, 4), (4, 10), (5, 4), (6, 6))
-    assert group._table_entries == sum(map(len, group._tables.values())) <= group.order
-    assert len(group._tables) == group.order // 25
+    assert group._table_entries == sum(map(len, group._tables.values())) <= 2 * group.order
+    classes = conjugacy_classes(group)
+    assert set(group._tables) == {(False, rep) for rep in classes.representatives}
 
 
 @pytest.mark.parametrize(
@@ -297,3 +303,73 @@ def test_sl_lifts_solved_from_det_one_equal_the_det_one_filter(n, spec):
     ring = gl.ring
     expected = [m for m in gl.elements if _mat_det(ring, n, m) == ring.one]
     assert build_group(GroupScheme("SL", n), spec).elements == expected
+
+
+def _kernel_by_scan(group, i):
+    """K^i as the elements of G that reduce to the identity mod p^i."""
+    ring = group.ring
+    _, red = ring.reduce_to(i)
+    id_img = tuple(red[x] for x in _identity_matrix(ring, group.n))
+    return [k for k, m in enumerate(group.elements) if tuple(red[x] for x in m) == id_img]
+
+
+@pytest.mark.parametrize("family", sorted(_PATTERNS))
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RingSpec("unramified", 2, 1, 3),
+        RingSpec("eqchar", 3, 1, 2),
+        RingSpec("eisenstein", 3, 1, 2, 2),
+        RingSpec("unramified", 2, 2, 2),
+    ],
+    ids=lambda v: v.label(),
+)
+def test_congruence_kernel_from_the_pattern_equals_the_scan(family, spec):
+    group = build_group(GroupScheme(family, 2), spec)
+    for i in range(1, spec.r + 1):
+        assert congruence_kernel(group, i).ordinals == tuple(_kernel_by_scan(group, i))
+
+
+@pytest.mark.parametrize(
+    "scheme,spec",
+    [
+        (GL2, Z4),
+        (GroupScheme("SL", 2), RingSpec("unramified", 3, 1, 2)),
+        (GroupScheme("B", 2), RingSpec("eqchar", 2, 1, 3)),
+        (GroupScheme("U", 3), RingSpec("eisenstein", 3, 1, 2, 2)),
+    ],
+    ids=lambda v: v.label(),
+)
+def test_coset_group_products_are_matrix_products(scheme, spec):
+    # ordinal c |N| + j is s(c) k_j; mul and inv agree with the matrices
+    coset = coset_group(scheme, spec)
+    group = build_group(scheme, spec)
+    ring, n = group.ring, scheme.n
+    assert coset.order == group.order
+    assert coset.matrix(coset.identity) == group.matrix(group.identity)
+    assert sorted(coset.matrix(x) for x in range(coset.order)) == group.elements
+    rng = random.Random(7)
+    for _ in range(50):
+        x, y = rng.randrange(coset.order), rng.randrange(coset.order)
+        assert coset.matrix(coset.mul(x, y)) == _mat_mul(ring, n, coset.matrix(x), coset.matrix(y))
+        assert coset.mul(x, coset.inv(x)) == coset.identity
+    # s(c) k_j k_j' = s(c) k_(j j'), and s is a section of the reduction
+    kernel = coset.kernel
+    for c in rng.sample(range(coset.quotient.order), 5):
+        j, k = rng.randrange(kernel.order), rng.randrange(kernel.order)
+        x = coset.mul(c * kernel.order + j, coset.quotient.identity * kernel.order + k)
+        assert x == c * kernel.order + kernel.mul(j, k)
+
+
+def test_clifford_budget_bounds_what_is_enumerated():
+    # GL2(o_2) at q = 9 has 37.8 M elements; the Clifford engine lists
+    # G/N = GL2(F_9), N of 9^4 elements and stabilizer quotients of at most
+    # |GL2(F_9)| * 3 elements
+    spec = RingSpec("unramified", 3, 2, 2)
+    assert clifford_size(GL2, spec) == 5760 * 3 < predicted_order(GL2, spec)
+    assert clifford_size(GL2, RingSpec("unramified", 2, 1, 4)) == 96 * 4
+    assert clifford_size(GL2, RingSpec("eqchar", 2, 1, 4)) == 2 ** 8
+    assert clifford_size(GL2, F3) == 48
+    with pytest.raises(BudgetExceededError) as err:
+        coset_group(GL2, spec, budget=17_279)
+    assert err.value.predicted == 17_280

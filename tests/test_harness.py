@@ -437,3 +437,25 @@ def test_reproduce_gl2_table_script():
     proc = _run([sys.executable, str(script)])
     assert proc.returncode == 0, proc.stderr
     assert "prediction matches the oracle multiset" in proc.stdout
+
+
+Q9_LEVEL2 = ["dimirr", "--scheme", "GL2", "--ring", "unram:3,2,2"]
+
+
+def test_cli_dimirr_clifford_reaches_gl2_of_level_2_over_f9(capsys, tmp_path):
+    # |GL2(o_2)| = 37.8 M at q = 9; the Clifford engine lists GL2(F_9), N and
+    # stabilizer quotients of at most 17 280 elements, under the default budget.
+    # The degrees are the level-2 rows fitted on q = 2, 3, 4, evaluated at 9.
+    assert cli_main(["--cache-dir", str(tmp_path), *Q9_LEVEL2, "--engine", "clifford"]) == 0
+    out = json.loads(capsys.readouterr().out)["unram:3,2,2"]
+    assert out["degrees"] == [
+        [1, 72], [8, 324], [9, 72], [10, 252], [72, 2880], [80, 648], [90, 2304]
+    ]
+    assert out["order"] == predicted_order(GL2, RingSpec("unramified", 3, 2, 2)) == 37_791_360
+
+
+def test_cli_dimirr_chardeg_of_level_2_over_f9_is_over_budget(capsys, tmp_path):
+    assert cli_main(["--cache-dir", str(tmp_path), *Q9_LEVEL2, "--engine", "chardeg"]) == 1
+    out = json.loads(capsys.readouterr().out)["unram:3,2,2"]
+    assert out["predicted"] == 37_791_360 and "exceeds budget" in out["error"]
+    assert not list(tmp_path.glob("*.json"))

@@ -100,3 +100,11 @@ def test_ring_axioms_and_exact_eval(a_coeffs, b_coeffs, point):
     assert (a + b)(point) == a(point) + b(point)
     assert (a * b)(point) == a(point) * b(point)
     assert not (a * b).coeffs or (a * b).coeffs[-1] != 0
+
+
+def test_equal_polynomials_hash_equal():
+    a = RationalPoly([Fraction(2, 4), 3, Fraction(-6, 9)])
+    b = RationalPoly([half, Fraction(6, 2), Fraction(-2, 3), 0])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, a + 0, x * 0 + a}) == 1
+    assert len({x, x + 1, x + half, 2 * x}) == 4
