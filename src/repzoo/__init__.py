@@ -25,7 +25,6 @@ from .groups import (
     conjugacy_classes,
     coset_group,
     predicted_order,
-    quotient_group,
     scheme_order_poly,
 )
 from .harness import (
@@ -53,6 +52,5 @@ from .lietype import (
 )
 from .localring import QuotientRing, RingSpec, iso_check_truncated, make_ring
 from .polynomials import RationalPoly, SamplePointSet, interpolate
-from .porc import PorcFunction, porc_consolidate, porc_quotient
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,8 +26,6 @@ from .harness import (
 )
 from .lietype import root_datum, candidate_set, verify_containment
 from .localring import RingConstructionError, RingSpec
-from .polynomials import RationalPoly
-from .porc import PorcFunction, porc_consolidate, porc_quotient
 
 
 def _cmd_dimirr(args) -> int:
@@ -96,34 +94,6 @@ def _cmd_lietype(args) -> int:
     return code
 
 
-def _cmd_porc(args) -> int:
-    if args.action != "demo":
-        print(f"unknown porc action {args.action!r}", file=sys.stderr)
-        return 2
-    x = RationalPoly.x()
-    f = PorcFunction(2, (x * x - 1,))
-    g = PorcFunction(2, (x - 1,))
-    quo = porc_quotient(f, g)
-    family = (
-        PorcFunction(2, (x, x * x)),
-        PorcFunction(2, (x * x, x)),
-    )
-    cover = porc_consolidate(family, period_bound=2, value_count_bound=2, horizon=20)
-    out = {
-        "quotient": {
-            "f": [c.to_json() for c in f.constituents],
-            "g": [c.to_json() for c in g.constituents],
-            "f_over_g": [c.to_json() for c in quo.constituents],
-        },
-        "consolidation": {
-            "family_periods": [p.period for p in family],
-            "cover": [p.to_json() for p in cover],
-        },
-    }
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repzoo",
@@ -163,15 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("lietype", help="candidate degree polynomials from root data")
-    p.add_argument("--family", required=True, help="GL1..GL4 or SL2..SL4")
+    p.add_argument("--family", required=True,
+                   help="GL1..GL3 or SL2, SL3 (the GL4 and SL4 boxes exceed the enumeration limit)")
     p.add_argument("--twist", default="split", choices=["split", "unitary"])
     p.add_argument("--verify", default=None, help="comma-separated q values to verify containment")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_lietype)
-
-    p = sub.add_parser("porc", help="PORC function demonstrations")
-    p.add_argument("action", nargs="?", default="demo")
-    p.set_defaults(func=_cmd_porc)
     return parser
 
 

@@ -235,9 +235,6 @@ class _DualAction:
             out.append((p // step) % nj)
         return tuple(out)
 
-    def orbit_of(self, chi):
-        return {self.apply(key, chi) for key in self.buckets}
-
 
 def orbits_and_stabilizers(cosets: CosetCoordinates, dual: DualGroup) -> list[OrbitRecord]:
     """G-orbits on the dual of N with exact stabilizers, G acting through the
@@ -251,13 +248,18 @@ def orbits_and_stabilizers(cosets: CosetCoordinates, dual: DualGroup) -> list[Or
     seen: set[tuple[int, ...]] = set()
     records = []
     stab_cache: dict[frozenset, tuple[int, ...]] = {}
-    for chi in dual.characters():
-        if chi in seen:
+    # characters() is lexicographic and orbits are disjoint, so the first unseen
+    # character is the least member of its orbit: one pass over the buckets gives
+    # the orbit and the buckets that fix its representative
+    for rep in dual.characters():
+        if rep in seen:
             continue
-        orbit = sorted(action.orbit_of(chi))
+        images = {k: action.apply(k, rep) for k in action.buckets}
+        orbit = sorted(set(images.values()))
+        if orbit[0] != rep:
+            raise AssertionError(f"{orbit[0]} precedes the orbit representative {rep}")
         seen.update(orbit)
-        rep = orbit[0]
-        fixing = frozenset(k for k in action.buckets if action.apply(k, rep) == rep)
+        fixing = frozenset(k for k, image in images.items() if image == rep)
         stab = stab_cache.get(fixing)
         if stab is None:
             stab = tuple(sorted(c for k in fixing for c in action.buckets[k]))

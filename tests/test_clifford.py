@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repzoo
-from repzoo import groups, harness
+from repzoo import clifford, groups, harness
 from repzoo.characters import character_degrees
 from repzoo.clifford import (
     DualGroup,
@@ -92,6 +92,31 @@ def test_orbit_stabilizer_identity():
     trivial = tuple(0 for _ in dual.orders)
     triv_rec = next(r for r in records if trivial in r.orbit)
     assert triv_rec.orbit_size == 1
+
+
+@pytest.mark.parametrize(
+    "scheme,spec",
+    [
+        (GL2, RingSpec("unramified", 3, 1, 2)),
+        (GroupScheme("SL", 2), RingSpec("unramified", 3, 1, 3)),
+        (GroupScheme("B", 2), RingSpec("eqchar", 2, 1, 3)),
+    ],
+    ids=lambda v: v.label(),
+)
+def test_dual_action_applies_each_bucket_once_per_orbit(monkeypatch, scheme, spec):
+    # one pass over the buckets yields both the orbit and its fixing buckets
+    group = coset_group(scheme, spec)
+    n_view = default_normal_subgroup(group)
+    buckets = []
+    apply = clifford._DualAction.apply
+
+    def counted(self, key, chi):
+        buckets.append(len(self.buckets))
+        return apply(self, key, chi)
+
+    monkeypatch.setattr(clifford._DualAction, "apply", counted)
+    records = orbits_and_stabilizers(group.coset_coordinates(n_view), DualGroup(n_view))
+    assert len(buckets) == len(records) * buckets[0]
 
 
 def test_abelian_group_acting_on_own_dual_fixes_everything():

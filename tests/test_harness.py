@@ -1,3 +1,5 @@
+import ast
+import importlib
 import itertools
 import json
 import os
@@ -286,12 +288,6 @@ def test_cli_fit_rejects_fewer_than_three_distinct_samples_before_any_oracle(
         assert "need at least 3 distinct sample values" in capsys.readouterr().err
 
 
-def test_cli_porc_demo(capsys):
-    assert cli_main(["porc", "demo"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["quotient"]["f_over_g"] == [["1/1", "1/1"]]
-
-
 def test_cli_fit_level1_with_holdout(capsys):
     code = cli_main(
         ["fit", "--scheme", "GL2", "--level", "1",
@@ -437,6 +433,23 @@ def test_reproduce_gl2_table_script():
     proc = _run([sys.executable, str(script)])
     assert proc.returncode == 0, proc.stderr
     assert "prediction matches the oracle multiset" in proc.stdout
+
+
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+def test_script_imports_from_repzoo_resolve(script):
+    # only one script is run above, so a deleted name must not break the others
+    for node in ast.walk(ast.parse(script.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repzoo":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{script.name}: {node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repzoo":
+                    importlib.import_module(alias.name)
 
 
 Q9_LEVEL2 = ["dimirr", "--scheme", "GL2", "--ring", "unram:3,2,2"]
