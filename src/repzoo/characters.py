@@ -7,9 +7,11 @@ omega_t, from which degrees follow by the column orthogonality relation and
 lift uniquely below ell/2.  Following Schneider ("Dixon's character table
 algorithm revisited", J. Symb. Comp. 1990), each class matrix is kept sparse,
 as the nonzero entries of its columns, and is applied to a subspace basis by
-summing the columns its nonzero coordinates select; the eigenvalues are found
-by equal-degree splitting of the characteristic polynomial (Cantor-Zassenhaus,
-Math. Comp. 1981).  Everything is integer arithmetic; the structural
+summing the columns its nonzero coordinates select.  Only one column per
+orbit of the center Z(G) on the classes is counted; the others are that
+column with its rows permuted.  The eigenvalues are found by equal-degree
+splitting of the characteristic polynomial (Cantor-Zassenhaus, Math. Comp.
+1981).  Everything is integer arithmetic; the structural
 identities (sum of squares, class count, divisibility) are checked on every
 output.
 """
@@ -214,17 +216,48 @@ def choose_ell(order: int, exponent: int, bound: int = 10**7) -> int:
     raise ModulusSearchError(f"no prime = 1 mod {exponent} above 2 sqrt({order}) below {bound}")
 
 
-def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, inverse_members):
+def _center_moves(group: FiniteGroup, classes: ConjugacyClassData):
+    """For each class u, (t, perm): t is the least class in the orbit of u
+    under Z(G), and perm[s] is the class of z rep_s for a central z with
+    zC_t = C_u, or None when u = t.  Z(G) is the union of the classes of size 1,
+    and each perm takes k products."""
+    class_of = classes.class_of
+    reps = classes.representatives
+    perms = [
+        [class_of[y] for y in group.mul_right(reps, z)]
+        for z, size in zip(reps, classes.sizes)
+        if size == 1
+    ]
+    moves: list[tuple[int, list[int] | None] | None] = [None] * classes.n_classes
+    for t, move in enumerate(moves):
+        if move is None:
+            moves[t] = (t, None)
+            for perm in perms:
+                if moves[perm[t]] is None:
+                    moves[perm[t]] = (t, perm)
+    return moves
+
+
+def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, inverse_members, moves):
     """M_j[s][t] = #{x in C_j : x^{-1} rep_t in C_s}, as one list per column t of
     its nonzero (s, M_j[s][t]) entries; columns are omega eigenvectors.
 
     Inversion maps C_j onto C_j*, the inverse class, and only counts are read,
-    so the products run over inverse_members, the members of C_j*."""
+    so the products run over inverse_members, the members of C_j*.  They run
+    for one column t per orbit of Z(G) on the classes (moves, _center_moves):
+    M_j does not depend on which member of C_u stands for it, and for central z
+    the product x^{-1} (z rep_t) = z (x^{-1} rep_t) lies in zC_s exactly when
+    x^{-1} rep_t lies in C_s, so M_j[zC_s][zC_t] = M_j[s][t] and column
+    u = zC_t is column t with its rows relabelled by perm."""
     class_of = classes.class_of.__getitem__
-    return [
-        list(Counter(map(class_of, group.mul_right(inverse_members, rep))).items())
-        for rep in classes.representatives
-    ]
+    columns = []
+    for u, (t, perm) in enumerate(moves):
+        if perm is None:
+            products = group.mul_right(inverse_members, classes.representatives[u])
+            columns.append(list(Counter(map(class_of, products)).items()))
+        else:
+            columns.append([(perm[s], count) for s, count in columns[t]])
+    return columns
 
 
 def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
@@ -256,6 +289,7 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     # subspaces of (Z/ell)^k, split until all are lines, each kept as the
     # (rows, pivot columns) of its rref basis, so coordinates read off the pivots
     subspaces = [([[1 if i == j else 0 for i in range(k)] for j in range(k)], list(range(k)))]
+    moves = _center_moves(group, classes)
 
     for j in range(k):
         if all(len(rows) == 1 for rows, _ in subspaces):
@@ -263,7 +297,7 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
         if j == id_class:
             continue
         inv_j = classes.inverse_class[j]
-        columns = _class_matrix(group, classes, flat[start[inv_j]:start[inv_j + 1]])
+        columns = _class_matrix(group, classes, flat[start[inv_j]:start[inv_j + 1]], moves)
         new_spaces = []
         for space in subspaces:
             bt_rows, pivots = space

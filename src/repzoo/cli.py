@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .groups import BudgetExceededError, DEFAULT_BUDGET, GroupScheme
 from .harness import (
@@ -90,7 +91,12 @@ def _cmd_lietype(args) -> int:
         out["containment"] = report.to_json()
         if not report.all_contained:
             code = 1
-    print(json.dumps(out, indent=2, sort_keys=True))
+    # the GL3 candidate set is ~490 000 encoder chunks: write them in joined
+    # batches instead of holding them all for one join, as json.dumps does
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(out)
+    for batch in iter(lambda: "".join(islice(chunks, 8192)), ""):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
     return code
 
 

@@ -3,22 +3,35 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repzoo
+from repzoo import clifford
 from repzoo.characters import (
     DegreeMultiset,
+    _center_moves,
     _charpoly,
+    _class_matrix,
     _poly_roots,
     _sqrt_mod,
     character_degrees,
     character_table_modp,
     choose_ell,
 )
-from repzoo.groups import GroupScheme, build_group, congruence_kernel, conjugacy_classes
+from repzoo.clifford import clifford_dimirr, default_normal_subgroup
+from repzoo.groups import (
+    FiniteMatrixGroup,
+    GroupScheme,
+    build_group,
+    center,
+    congruence_kernel,
+    conjugacy_classes,
+    coset_group,
+)
 from repzoo.intlinalg import nullspace, rref
 from repzoo.localring import RingSpec, fp_mul
 
@@ -343,3 +356,76 @@ def test_modp_table_generators_and_classes_are_pinned(family, n, q, digest):
     table = character_table_modp(group)
     data = (table.ell, table.degrees, table.omega, tuple(group.generators()), table.classes.class_of)
     assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
+
+
+def _stabilizer_quotient_of_gl2_z9():
+    """The one non-abelian S/ker psi of the level-2 Clifford run of GL2(Z/9)."""
+    seen = []
+
+    def capture(group):
+        seen.append(group)
+        return character_table_modp(group)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clifford, "character_table_modp", capture)
+        group = coset_group(GroupScheme("GL", 2), RingSpec("unramified", 3, 1, 2))
+        clifford_dimirr(group, default_normal_subgroup(group))
+    (s_bar,) = seen
+    assert isinstance(s_bar, clifford._CentralExtension)
+    return s_bar
+
+
+def _members(classes, c):
+    return [x for x, label in enumerate(classes.class_of) if label == c]
+
+
+@pytest.mark.parametrize(
+    "make,orbits,n_classes",
+    [
+        (lambda: build_group(GroupScheme("GL", 2), RingSpec("unramified", 5, 1, 1)), 7, 24),
+        (lambda: build_group(GroupScheme("GL", 2), RingSpec("unramified", 3, 1, 2)), 14, 78),
+        (lambda: build_group(GroupScheme("U", 3), RingSpec("unramified", 3, 2, 1)), 81, 89),
+        (lambda: build_group(GroupScheme("B", 2), RingSpec("eqchar", 3, 1, 2)), 10, 60),
+        (_stabilizer_quotient_of_gl2_z9, 5, 24),
+    ],
+    ids=["GL2(F_5)", "GL2(Z/9)", "U3(F_9)", "B2(F_3[t]/t^2)", "S/ker psi of GL2(Z/9)"],
+)
+def test_class_matrix_columns_equal_direct_counts(make, orbits, n_classes):
+    group = make()
+    classes = conjugacy_classes(group)
+    k = classes.n_classes
+    moves = _center_moves(group, classes)
+    assert (sum(perm is None for _, perm in moves), k) == (orbits, n_classes)
+    central = [rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1]
+    if isinstance(group, FiniteMatrixGroup):
+        assert central == center(group)
+    # direct[c][t]: the classes of x rep_t over the members x of class c
+    direct = [[Counter() for _ in range(k)] for _ in range(k)]
+    for t, rep in enumerate(classes.representatives):
+        for x in range(group.order):
+            direct[classes.class_of[x]][t][classes.class_of[group.mul(x, rep)]] += 1
+    for j in range(k):
+        inv_j = classes.inverse_class[j]
+        columns = _class_matrix(group, classes, _members(classes, inv_j), moves)
+        assert [dict(column) for column in columns] == direct[inv_j]
+
+
+def test_class_matrix_multiplies_once_per_center_orbit(monkeypatch):
+    # GL2(F_5): Z(G) has 4 elements and 7 orbits on the 24 classes
+    group = build_group(GroupScheme("GL", 2), RingSpec("unramified", 5, 1, 1))
+    classes = conjugacy_classes(group)
+    moves = _center_moves(group, classes)
+    orbit_reps = sorted(classes.representatives[u] for u, (_, perm) in enumerate(moves) if perm is None)
+    assert len(orbit_reps) == 7
+    batches = []
+    batched = FiniteMatrixGroup.mul_right
+
+    def counted(self, xs, b):
+        batches.append(b)
+        return batched(self, xs, b)
+
+    monkeypatch.setattr(FiniteMatrixGroup, "mul_right", counted)
+    for j in range(classes.n_classes):
+        batches.clear()
+        _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), moves)
+        assert sorted(batches) == orbit_reps

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from repzoo.characters import DegreeMultiset, character_table_modp
+from repzoo.characters import DegreeMultiset, _center_moves, character_table_modp
 from repzoo.groups import (
     _PATTERNS,
     BudgetExceededError,
@@ -265,13 +265,19 @@ def test_no_table_when_vectors_outnumber_the_group():
 def test_table_memo_never_exceeds_twice_the_group_order():
     # GL2(F_5): 480 elements and 25 vectors a table, so at most 38 tables; the
     # tables of generators and conjugacy_classes are released, so each of its
-    # 24 class representatives gets one
+    # 4 central elements and the representative of each of the 7 Z(G)-orbits
+    # of its 24 classes get one
     group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
     degrees = DegreeMultiset.from_degrees(character_table_modp(group).degrees)
     assert degrees.entries == ((1, 4), (4, 10), (5, 4), (6, 6))
     assert group._table_entries == sum(map(len, group._tables.values())) <= 2 * group.order
     classes = conjugacy_classes(group)
-    assert set(group._tables) == {(False, rep) for rep in classes.representatives}
+    moves = _center_moves(group, classes)
+    orbit_reps = [classes.representatives[u] for u, (_, perm) in enumerate(moves) if perm is None]
+    assert len(orbit_reps) == 7
+    central = [rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1]
+    assert len(central) == 4
+    assert set(group._tables) == {(False, x) for x in orbit_reps + central}
 
 
 @pytest.mark.parametrize(
