@@ -9,9 +9,11 @@ algorithm revisited", J. Symb. Comp. 1990), each class matrix is kept sparse,
 as the nonzero entries of its columns, and is applied to a subspace basis by
 summing the columns its nonzero coordinates select.  Only one column per
 orbit of the center Z(G) on the classes is counted; the others are that
-column with its rows permuted.  The eigenvalues are found by equal-degree
-splitting of the characteristic polynomial (Cantor-Zassenhaus, Math. Comp.
-1981).  Everything is integer arithmetic; the structural
+column with its rows permuted.  The split starts from the central-character
+blocks, the eigenspaces of the class permutation of one central element,
+which are written down without elimination.  The eigenvalues are found by
+equal-degree splitting of the characteristic polynomial (Cantor-Zassenhaus,
+Math. Comp. 1981).  Everything is integer arithmetic; the structural
 identities (sum of squares, class count, divisibility) are checked on every
 output.
 """
@@ -216,19 +218,23 @@ def choose_ell(order: int, exponent: int, bound: int = 10**7) -> int:
     raise ModulusSearchError(f"no prime = 1 mod {exponent} above 2 sqrt({order}) below {bound}")
 
 
-def _center_moves(group: FiniteGroup, classes: ConjugacyClassData):
-    """For each class u, (t, perm): t is the least class in the orbit of u
-    under Z(G), and perm[s] is the class of z rep_s for a central z with
-    zC_t = C_u, or None when u = t.  Z(G) is the union of the classes of size 1,
-    and each perm takes k products."""
+def _center_perms(group: FiniteGroup, classes: ConjugacyClassData) -> dict[int, list[int]]:
+    """{z: perm} over the central z, where perm[t] is the class of z rep_t.  Z(G)
+    is the union of the classes of size 1, and each perm takes k products."""
     class_of = classes.class_of
-    reps = classes.representatives
-    perms = [
-        [class_of[y] for y in group.mul_right(reps, z)]
-        for z, size in zip(reps, classes.sizes)
+    return {
+        z: [class_of[y] for y in group.mul_right(classes.representatives, z)]
+        for z, size in zip(classes.representatives, classes.sizes)
         if size == 1
-    ]
-    moves: list[tuple[int, list[int] | None] | None] = [None] * classes.n_classes
+    }
+
+
+def _center_moves(perms) -> list[tuple[int, list[int] | None]]:
+    """For each class u, (t, perm): t is the least class in the orbit of u
+    under Z(G), and perm, one of the central class permutations perms, maps
+    C_t to C_u, or is None when u = t."""
+    perms = list(perms)
+    moves: list[tuple[int, list[int] | None] | None] = [None] * len(perms[0])
     for t, move in enumerate(moves):
         if move is None:
             moves[t] = (t, None)
@@ -236,6 +242,73 @@ def _center_moves(group: FiniteGroup, classes: ConjugacyClassData):
                 if moves[perm[t]] is None:
                     moves[perm[t]] = (t, perm)
     return moves
+
+
+def _cycle(perm: list[int], t: int) -> list[int]:
+    """(t, perm t, perm^2 t, ...) up to the return to t."""
+    orbit = [t]
+    u = perm[t]
+    while u != t:
+        orbit.append(u)
+        u = perm[u]
+    return orbit
+
+
+def _root_of_unity(m: int, ell: int) -> int:
+    """The first a^((ell-1)/m), a = 2, 3, ..., of order exactly m mod ell."""
+    if (ell - 1) % m:
+        raise AssertionError(f"no {m}-th root of unity mod {ell}")
+    primes = [p for p in range(2, m + 1) if m % p == 0 and is_prime(p)]
+    for a in range(2, ell):
+        zeta = pow(a, (ell - 1) // m, ell)
+        if all(pow(zeta, m // p, ell) != 1 for p in primes):
+            return zeta
+    raise AssertionError(f"no primitive {m}-th root of unity mod {ell}")
+
+
+def _central_blocks(
+    perms: dict[int, list[int]], id_class: int, ell: int
+) -> list[tuple[list[list[int]], list[int]]]:
+    """The eigenspaces of P_z: v -> (v[perm[t]])_t, as (rref rows, pivot
+    columns), for perm = perms[z] and z a central element of largest order m,
+    least on ties.  perm[id_class] = C_z, so the orbit of the identity class
+    has m classes, and m is the order of perm.
+
+    Every omega row lies in one of them: omega(zC_t) = mu omega(C_t) with mu
+    = chi(z)/chi(1), and so M_j, which commutes with P_z, keeps each one.  The
+    eigenvalues are mu = zeta^e for a primitive m-th root of unity zeta.  For
+    each <z>-orbit O = (t, perm t, perm^2 t, ...) written from its least class
+    t, the mu-eigenspace has the vector with entry mu^i at perm^i t when
+    mu^|O| = 1; its pivot is t, and distinct orbits share no class, so the
+    rows are already reduced."""
+    z = max(perms, key=lambda z: (len(_cycle(perms[z], id_class)), -z))
+    perm = perms[z]
+    m = len(_cycle(perm, id_class))
+    k = len(perm)
+    orbits = []
+    seen = set()
+    for t in range(k):
+        if t not in seen:
+            orbits.append(_cycle(perm, t))
+            seen.update(orbits[-1])
+    zeta = _root_of_unity(m, ell)
+    blocks = []
+    for e in range(m):
+        mu = pow(zeta, e, ell)
+        rows, pivots = [], []
+        for orbit in orbits:
+            if pow(mu, len(orbit), ell) == 1:
+                row = [0] * k
+                x = 1
+                for u in orbit:
+                    row[u] = x
+                    x = x * mu % ell
+                rows.append(row)
+                pivots.append(orbit[0])
+        blocks.append((rows, pivots))
+    if sum(len(rows) for rows, _ in blocks) != k:
+        raise AssertionError(f"central blocks of dimensions {[len(r) for r, _ in blocks]} do not sum to {k}")
+    return blocks
 
 
 def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, inverse_members, moves):
@@ -263,13 +336,14 @@ def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, inverse_membe
 def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     """Full Dixon-Schneider eigen-separation for the class algebra of G.
 
-    The subspaces of (Z/ell)^k are split by M_j for j = 0, 1, ... (skipping the
-    identity class) until all are lines.  M_j is kept as sparse columns, and
-    the image of each basis vector v is the sum of v[c] * column c over the
-    nonzero v[c], reduced mod ell once.  The eigenvalues of M_j on a subspace
+    The central blocks (_central_blocks) of (Z/ell)^k are split by M_j for
+    j = 0, 1, ... (skipping the identity class) until all are lines.  M_j is
+    kept as sparse columns, and the image of each basis vector v is the sum of
+    v[c] * column c over the nonzero v[c], reduced mod ell once.  A subspace on
+    which M_j is a scalar is kept whole; otherwise the eigenvalues of M_j on it
     are the roots of its characteristic polynomial, found by equal-degree
     splitting.  The rows are sorted by (degree, omega) at the end, so the
-    output does not depend on the order of the splits.
+    output does not depend on the blocks or the order of the splits.
     """
     if group.modp_table is not None:
         return group.modp_table
@@ -286,10 +360,11 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     for x, c in enumerate(classes.class_of):
         flat[fill[c]] = x
         fill[c] += 1
+    perms = _center_perms(group, classes)
+    moves = _center_moves(perms.values())
     # subspaces of (Z/ell)^k, split until all are lines, each kept as the
     # (rows, pivot columns) of its rref basis, so coordinates read off the pivots
-    subspaces = [([[1 if i == j else 0 for i in range(k)] for j in range(k)], list(range(k)))]
-    moves = _center_moves(group, classes)
+    subspaces = _central_blocks(perms, id_class, ell)
 
     for j in range(k):
         if all(len(rows) == 1 for rows, _ in subspaces):
@@ -322,6 +397,11 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
                     raise AssertionError("class operator left the subspace")
                 for r in range(d):
                     a[r][ci] = coords[r]
+            lam = a[0][0]
+            if all(a[r][c] == (lam if r == c else 0) for r in range(d) for c in range(d)):
+                # the only eigenspace of lam I is the whole subspace
+                new_spaces.append(space)
+                continue
             cp = _charpoly(a, ell)
             roots = _poly_roots(cp, ell)
             for lam in roots:
@@ -352,11 +432,11 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
 
     degrees = []
     inv_class = classes.inverse_class
-    sizes = classes.sizes
+    inv_sizes = [pow(size, -1, ell) for size in classes.sizes]
     for row in omega_rows:
         total = 0
         for j in range(k):
-            total = (total + row[j] * row[inv_class[j]] * pow(sizes[j], -1, ell)) % ell
+            total = (total + row[j] * row[inv_class[j]] * inv_sizes[j]) % ell
         d_sq = order * pow(total, -1, ell) % ell
         d = _sqrt_mod(d_sq, ell)
         d = min(d, ell - d)

@@ -55,9 +55,6 @@ class RootDatum:
     def n_positive(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def cartan_pairing(self, i: int, j: int) -> int:
-        return sum(a * b for a, b in zip(self.simple_roots[i], self.simple_coroots[j]))
-
 
 def root_datum(family: str, n: int) -> RootDatum:
     if family == "GL":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 
@@ -40,10 +40,6 @@ class RationalPoly:
     @classmethod
     def one(cls) -> "RationalPoly":
         return cls((1,))
-
-    @classmethod
-    def constant(cls, c: Rat) -> "RationalPoly":
-        return cls((c,))
 
     @classmethod
     def x(cls) -> "RationalPoly":
@@ -194,10 +190,6 @@ class RationalPoly:
     def to_json(self) -> list[str]:
         """JSON form: array of "num/den" strings ascending by degree."""
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "RationalPoly":
-        return cls(Fraction(s) for s in data)
 
     def pretty(self, var: str = "x") -> str:
         if not self.coeffs:

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repzoo
-from repzoo import clifford
+from repzoo import characters, clifford
 from repzoo.characters import (
     DegreeMultiset,
     _center_moves,
+    _center_perms,
+    _central_blocks,
     _charpoly,
     _class_matrix,
     _poly_roots,
@@ -331,12 +333,48 @@ def _reference_table(group):
     return ell, tuple(d for d, _ in rows), tuple(w for _, w in rows)
 
 
+def _group(scheme, ring):
+    """A builder of scheme(ring), as in the CLI: _group("GL2", "unram:3,1,2")."""
+    return lambda: build_group(GroupScheme(scheme[:-1], int(scheme[-1])), RingSpec.parse(ring))
+
+
+def _stabilizer_quotient_of_gl2_z9():
+    """The one non-abelian S/ker psi of the level-2 Clifford run of GL2(Z/9)."""
+    seen = []
+
+    def capture(group):
+        seen.append(group)
+        return character_table_modp(group)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clifford, "character_table_modp", capture)
+        group = coset_group(GroupScheme("GL", 2), RingSpec("unramified", 3, 1, 2))
+        clifford_dimirr(group, default_normal_subgroup(group))
+    (s_bar,) = seen
+    assert isinstance(s_bar, clifford._CentralExtension)
+    return s_bar
+
+
 @pytest.mark.parametrize(
-    "family,n,p,r",
-    [("GL", 2, 3, 1), ("GL", 2, 5, 1), ("SL", 2, 5, 1), ("U", 3, 3, 1), ("B", 2, 5, 1), ("GL", 2, 2, 2)],
+    "make",
+    [
+        pytest.param(_group("GL2", "unram:3,1,1"), id="GL-2-3-1"),
+        pytest.param(_group("GL2", "unram:5,1,1"), id="GL-2-5-1"),
+        pytest.param(_group("SL2", "unram:5,1,1"), id="SL-2-5-1"),
+        pytest.param(_group("U3", "unram:3,1,1"), id="U-3-3-1"),
+        pytest.param(_group("B2", "unram:5,1,1"), id="B-2-5-1"),
+        pytest.param(_group("GL2", "unram:2,1,2"), id="GL-2-2-2"),
+        # Z(G) cyclic of order 6
+        pytest.param(_group("GL2", "unram:7,1,1"), id="GL2(F_7)"),
+        # Z(G) = C2 x C2: one central element does not generate it
+        pytest.param(_group("GL2", "unram:2,1,3"), id="GL2(Z/8)"),
+        pytest.param(_group("GL2", "eqchar:3,1,2"), id="GL2(F_3[t]/t^2)"),
+        pytest.param(_group("GL2", "eis:3,1,2,2"), id="GL2(eis:3,1,2,2)"),
+        pytest.param(_stabilizer_quotient_of_gl2_z9, id="S/ker psi of GL2(Z/9)"),
+    ],
 )
-def test_modp_table_matches_dense_reference(family, n, p, r):
-    group = build_group(GroupScheme(family, n), RingSpec("unramified", p, 1, r))
+def test_modp_table_matches_dense_reference(make):
+    group = make()
     table = character_table_modp(group)
     assert (table.ell, table.degrees, table.omega) == _reference_table(group)
 
@@ -358,23 +396,6 @@ def test_modp_table_generators_and_classes_are_pinned(family, n, q, digest):
     assert hashlib.sha256(repr(data).encode()).hexdigest() == digest
 
 
-def _stabilizer_quotient_of_gl2_z9():
-    """The one non-abelian S/ker psi of the level-2 Clifford run of GL2(Z/9)."""
-    seen = []
-
-    def capture(group):
-        seen.append(group)
-        return character_table_modp(group)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clifford, "character_table_modp", capture)
-        group = coset_group(GroupScheme("GL", 2), RingSpec("unramified", 3, 1, 2))
-        clifford_dimirr(group, default_normal_subgroup(group))
-    (s_bar,) = seen
-    assert isinstance(s_bar, clifford._CentralExtension)
-    return s_bar
-
-
 def _members(classes, c):
     return [x for x, label in enumerate(classes.class_of) if label == c]
 
@@ -394,7 +415,7 @@ def test_class_matrix_columns_equal_direct_counts(make, orbits, n_classes):
     group = make()
     classes = conjugacy_classes(group)
     k = classes.n_classes
-    moves = _center_moves(group, classes)
+    moves = _center_moves(_center_perms(group, classes).values())
     assert (sum(perm is None for _, perm in moves), k) == (orbits, n_classes)
     central = [rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1]
     if isinstance(group, FiniteMatrixGroup):
@@ -414,7 +435,7 @@ def test_class_matrix_multiplies_once_per_center_orbit(monkeypatch):
     # GL2(F_5): Z(G) has 4 elements and 7 orbits on the 24 classes
     group = build_group(GroupScheme("GL", 2), RingSpec("unramified", 5, 1, 1))
     classes = conjugacy_classes(group)
-    moves = _center_moves(group, classes)
+    moves = _center_moves(_center_perms(group, classes).values())
     orbit_reps = sorted(classes.representatives[u] for u, (_, perm) in enumerate(moves) if perm is None)
     assert len(orbit_reps) == 7
     batches = []
@@ -429,3 +450,79 @@ def test_class_matrix_multiplies_once_per_center_orbit(monkeypatch):
         batches.clear()
         _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), moves)
         assert sorted(batches) == orbit_reps
+
+
+def _orbit(perm, t):
+    orbit = {t}
+    while perm[t] not in orbit:
+        t = perm[t]
+        orbit.add(t)
+    return orbit
+
+
+@pytest.mark.parametrize(
+    "make,n_blocks",
+    [(_group("GL2", "unram:13,1,1"), 12), (_stabilizer_quotient_of_gl2_z9, 6)],
+    ids=["GL2(F_13)", "S/ker psi of GL2(Z/9)"],
+)
+def test_central_blocks_are_reduced_and_kept_by_every_class_operator(make, n_blocks):
+    group = make()
+    classes = conjugacy_classes(group)
+    k = classes.n_classes
+    ell = choose_ell(group.order, group.exponent())
+    perms = _center_perms(group, classes)
+    # the central z of largest order, least on ties
+    z = min(perms, key=lambda z: (-group.element_order(z), z))
+    blocks = _central_blocks(perms, classes.class_of[group.identity], ell)
+    assert len(blocks) == n_blocks
+    assert sum(len(rows) for rows, _ in blocks) == k
+    for rows, pivots in blocks:
+        assert rref(rows, ell) == (rows, pivots)
+        for row, pivot in zip(rows, pivots):
+            orbit = _orbit(perms[z], pivot)
+            assert pivot == min(orbit)
+            assert {c for c, x in enumerate(row) if x} == orbit
+    # every M_j as sparse columns, which test_class_matrix_columns_equal_direct_counts
+    # checks against direct counts, applied to every basis vector of every block
+    moves = _center_moves(perms.values())
+    operators = [
+        _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), moves)
+        for j in range(k)
+    ]
+    for rows, pivots in blocks:
+        supports = [[c for c, x in enumerate(row) if x] for row in rows]
+        for v in rows:
+            for columns in operators:
+                image = [0] * k
+                for t, vt in enumerate(v):
+                    if vt:
+                        for s, count in columns[t]:
+                            image[s] += vt * count
+                image = [x % ell for x in image]
+                # in the span of rows exactly when it is the combination of
+                # rows given by its pivot coordinates; the supports are disjoint
+                combo = [0] * k
+                for row, pivot, support in zip(rows, pivots, supports):
+                    for c in support:
+                        combo[c] = image[pivot] * row[c] % ell
+                assert image == combo
+
+
+def test_scalar_operators_skip_the_characteristic_polynomial(monkeypatch):
+    group = build_group(GroupScheme("GL", 2), RingSpec("unramified", 13, 1, 1))
+    expected = character_table_modp(group)
+    calls = []
+    charpoly = characters._charpoly
+
+    def checked(a, ell):
+        d = len(a)
+        if all(a[r][c] == (a[0][0] if r == c else 0) for r in range(d) for c in range(d)):
+            raise AssertionError("_charpoly called on a scalar matrix")
+        calls.append(d)
+        return charpoly(a, ell)
+
+    monkeypatch.setattr(characters, "_charpoly", checked)
+    monkeypatch.setattr(group, "modp_table", None)
+    table = character_table_modp(group)
+    assert (table.ell, table.degrees, table.omega) == (expected.ell, expected.degrees, expected.omega)
+    assert len(calls) == 114

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from repzoo.characters import DegreeMultiset, _center_moves, character_table_modp
+from repzoo.characters import DegreeMultiset, _center_moves, _center_perms, character_table_modp
 from repzoo.groups import (
     _PATTERNS,
     BudgetExceededError,
@@ -272,7 +272,7 @@ def test_table_memo_never_exceeds_twice_the_group_order():
     assert degrees.entries == ((1, 4), (4, 10), (5, 4), (6, 6))
     assert group._table_entries == sum(map(len, group._tables.values())) <= 2 * group.order
     classes = conjugacy_classes(group)
-    moves = _center_moves(group, classes)
+    moves = _center_moves(_center_perms(group, classes).values())
     orbit_reps = [classes.representatives[u] for u, (_, perm) in enumerate(moves) if perm is None]
     assert len(orbit_reps) == 7
     central = [rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1]

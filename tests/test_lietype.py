@@ -39,7 +39,8 @@ def test_cartan_matrix_type_a():
             for i in range(n - 1):
                 for j in range(n - 1):
                     expected = 2 if i == j else (-1 if abs(i - j) == 1 else 0)
-                    assert datum.cartan_pairing(i, j) == expected
+                    pairing = sum(a * b for a, b in zip(datum.simple_roots[i], datum.simple_coroots[j]))
+                    assert pairing == expected
 
 
 def test_weyl_group_sizes_and_lengths():
