@@ -30,7 +30,7 @@ from .localring import fp_gcd, fp_powmod, fp_sub, is_prime
 
 
 class ModulusSearchError(RuntimeError):
-    """No usable prime ell below the configured bound."""
+    """No usable prime ell below 10^7."""
 
 
 @dataclass(frozen=True)
@@ -208,14 +208,14 @@ class CharacterTableModP:
     classes: ConjugacyClassData
 
 
-def choose_ell(order: int, exponent: int, bound: int = 10**7) -> int:
+def choose_ell(order: int, exponent: int) -> int:
     """Smallest prime ell = 1 mod exp(G) with ell^2 > 4|G|."""
     ell = exponent + 1
-    while ell <= bound:
+    while ell <= 10**7:
         if ell * ell > 4 * order and is_prime(ell):
             return ell
         ell += exponent
-    raise ModulusSearchError(f"no prime = 1 mod {exponent} above 2 sqrt({order}) below {bound}")
+    raise ModulusSearchError(f"no prime = 1 mod {exponent} above 2 sqrt({order}) below 10^7")
 
 
 def _center_perms(group: FiniteGroup, classes: ConjugacyClassData) -> dict[int, list[int]]:
@@ -461,12 +461,11 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
 def character_degrees(group: FiniteGroup) -> DegreeMultiset:
     """Exact multiset {dim rho : rho in Irr(G)} with multiplicities."""
     classes = conjugacy_classes(group)
-    if group.is_abelian():
+    # G is abelian exactly when every class is a single element
+    if classes.n_classes == group.order:
         out = DegreeMultiset(((1, group.order),))
-        out.validate(group.order, classes.n_classes)
-        return out
-    table = character_table_modp(group)
-    out = DegreeMultiset.from_degrees(table.degrees)
+    else:
+        out = DegreeMultiset.from_degrees(character_table_modp(group).degrees)
     out.validate(group.order, classes.n_classes)
     return out
 

@@ -10,8 +10,9 @@ import argparse
 import json
 import sys
 from itertools import islice
+from pathlib import Path
 
-from .groups import BudgetExceededError, DEFAULT_BUDGET, GroupScheme
+from .groups import BudgetExceededError, DEFAULT_BUDGET, GroupScheme, check_budget
 from .harness import (
     AlignmentError,
     AmbiguousFitError,
@@ -21,9 +22,8 @@ from .harness import (
     compute_clifford_report,
     compute_degrees,
     fit_polynomials,
-    render_fit_markdown,
+    render_fit,
     run_dimirr,
-    write_report,
 )
 from .lietype import root_datum, candidate_set, verify_containment
 from .localring import RingConstructionError, RingSpec
@@ -46,24 +46,24 @@ def _cmd_fit(args) -> int:
     sample_qs = [int(tok) for tok in args.samples.split(",")]
     if len(set(sample_qs)) < 3:
         raise ValueError(f"need at least 3 distinct sample values of q, got {args.samples!r}")
+    hq = None if args.holdout is None else int(args.holdout)
+    # every argument is checked before the first oracle runs; at level >= 2 the
+    # samples and the holdout all go through the Clifford engine
+    specs = {q: RingSpec.for_q(q, level) for q in [*sample_qs, hq] if q is not None}
+    for spec in specs.values():
+        check_budget(scheme, spec, args.budget, clifford=level >= 2)
     samples = {}
     for q in sample_qs:
-        spec = RingSpec.for_q(q, level)
         if level >= 2:
-            samples[q] = compute_clifford_report(scheme, spec, args.budget)
+            samples[q] = compute_clifford_report(scheme, specs[q], args.budget)
         else:
-            samples[q] = compute_degrees(scheme, spec, "chardeg", args.budget)
-    holdout = None
-    if args.holdout is not None:
-        hq = int(args.holdout)
-        holdout = (hq, compute_degrees(scheme, RingSpec.for_q(hq, level), "auto", args.budget))
+            samples[q] = compute_degrees(scheme, specs[q], "chardeg", args.budget)
+    holdout = None if hq is None else (hq, compute_degrees(scheme, specs[hq], "auto", args.budget))
     report = fit_polynomials(scheme, level, samples, holdout=holdout)
+    text = render_fit(report, args.format)
     if args.out:
-        write_report(report, args.format, args.out)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(render_fit_markdown(report))
+        Path(args.out).write_text(text)
+    sys.stdout.write(text)
     if holdout is not None and not report.holdout_match:
         print(json.dumps({"holdout_diff": [list(t) for t in report.holdout_diff]}))
         return 1

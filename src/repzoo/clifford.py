@@ -52,7 +52,6 @@ from .groups import (
     NotNormalError,
     QuotientGroup,
     SubgroupView,
-    center,
     congruence_kernel,
     conjugacy_classes,
 )
@@ -178,9 +177,6 @@ class DualGroup:
     def power(self, chi: tuple[int, ...], u: int) -> tuple[int, ...]:
         return tuple(a * u % n for a, n in zip(chi, self.orders))
 
-    def product(self, chi1, chi2) -> tuple[int, ...]:
-        return tuple((a + b) % n for a, b, n in zip(chi1, chi2, self.orders))
-
 
 def _power(group: FiniteGroup, x: int, e: int) -> int:
     if e < 0:
@@ -288,7 +284,6 @@ class OrbitDims:
     orbit_size: int
     stabilizer_order: int
     dims: tuple[tuple[int, int], ...]  # (degree, multiplicity) in Irr(Stab | psi)
-    isotypic: bool
     extension_matches: bool | None
 
     @property
@@ -300,7 +295,6 @@ class OrbitDims:
 class CliffordReport:
     degrees: DegreeMultiset
     orbits: tuple[OrbitDims, ...]
-    isotypic_count: int
 
 
 def _faithful_dims(
@@ -459,18 +453,14 @@ def _dims_above(cosets: CosetCoordinates, dual: DualGroup, rec: OrbitRecord):
     return _faithful_dims(s_bar, s_bar.image_of_n, M)
 
 
-def clifford_dimirr(group: FiniteGroup, n) -> CliffordReport:
+def clifford_dimirr(group: FiniteGroup, n_view: FiniteGroup) -> CliffordReport:
     """Assemble dimirr(G) orbit by orbit from the normal abelian p-subgroup N,
-    given as a FiniteGroup (a SubgroupView of G, or the kernel of a CosetGroup)
-    or as parent ordinals."""
-    n_view = n if isinstance(n, FiniteGroup) else SubgroupView(group, n)
-    if not n_view.is_abelian():
-        raise NotAbelianNormalError("N must be abelian")
+    a SubgroupView of G or the kernel of a CosetGroup; DualGroup checks that N
+    is abelian, and the dual action that it is normal."""
     if n_view.order == 1:
         # one orbit, the trivial character, fixed by G: Irr(G | 1) = Irr(G)
         dm = character_degrees(group)
-        orbit = OrbitDims((), 1, group.order, dm.entries, True, True)
-        return CliffordReport(dm, (orbit,), dm.total_count)
+        return CliffordReport(dm, (OrbitDims((), 1, group.order, dm.entries, True),))
     if prime_power(n_view.order) is None:
         raise NotAbelianNormalError("N must be a p-group")
     dual = DualGroup(n_view)
@@ -483,28 +473,18 @@ def clifford_dimirr(group: FiniteGroup, n) -> CliffordReport:
     class_dims: dict[int, tuple] = {}
     orbit_slices = []
     pairs = []
-    iso_count = 0
     for rec, c in zip(records, _galois_classes(dual, records)):
         if c not in class_dims:
             class_dims[c] = _dims_above(cosets, dual, records[c])
         dims, ext = class_dims[c]
-        od = OrbitDims(
-            rec.representative,
-            rec.orbit_size,
-            rec.stabilizer_order,
-            dims,
-            rec.orbit_size == 1,
-            ext,
-        )
+        od = OrbitDims(rec.representative, rec.orbit_size, rec.stabilizer_order, dims, ext)
         orbit_slices.append(od)
-        if od.isotypic:
-            iso_count += od.irr_count
         pairs.extend((d * od.orbit_size, m) for d, m in od.dims)
     degrees = DegreeMultiset.from_pairs(pairs)
     degrees.validate(group.order)
     if degrees.total_count != sum(od.irr_count for od in orbit_slices):
         raise AssertionError("orbit slices do not add up to the degree multiset")
-    return CliffordReport(degrees, tuple(orbit_slices), iso_count)
+    return CliffordReport(degrees, tuple(orbit_slices))
 
 
 def default_normal_subgroup(group: FiniteGroup) -> FiniteGroup:
@@ -516,5 +496,7 @@ def default_normal_subgroup(group: FiniteGroup) -> FiniteGroup:
         return congruence_kernel(group, (ring.r + 1) // 2)
     split = prime_power(group.order)
     if split is not None and split[0] == ring.p:
-        return SubgroupView(group, center(group))
+        # Z(G) is the union of the classes of size 1
+        classes = conjugacy_classes(group)
+        return SubgroupView(group, [x for x, size in zip(classes.representatives, classes.sizes) if size == 1])
     return SubgroupView(group, [group.identity])

@@ -120,7 +120,7 @@ class GroupScheme:
     @classmethod
     def parse(cls, text: str) -> "GroupScheme":
         for fam in sorted(_PATTERNS, key=len, reverse=True):
-            if text.upper().startswith(fam):
+            if text.upper().startswith(fam) and text[len(fam):].isdecimal():
                 return cls(fam, int(text[len(fam):]))
         raise ValueError(f"cannot parse scheme {text!r}")
 
@@ -494,8 +494,9 @@ class CosetGroup(FiniteGroup, CosetCoordinates):
     Ordinal c |N| + j stands for s(c) k_j: c is an element of G/N = G(o_m),
     which build_group enumerates; s is the coordinate section of _lifts; and
     k_j is the j-th matrix of N, lifted from the identity through the p^m tails
-    (_kernel_matrices), sorted as in the enumerated group.  mul and inv go
-    through matrices; the Clifford engine reads only the coset coordinates.
+    (_kernel_matrices), sorted as in the enumerated group.  The Clifford engine
+    reads the coset coordinates; mul and inv, through matrices, serve only a
+    trivial N (U1, of dimension 0), where the engine reads G as a FiniteGroup.
     """
 
     def __init__(self, scheme: GroupScheme, ring: QuotientRing, quotient: FiniteMatrixGroup):
@@ -805,14 +806,6 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
     group.classes = data
     group.release_tables(mark)
     return data
-
-
-def center(group: FiniteGroup) -> list[int]:
-    members = list(range(group.order))
-    for g in group.generators():
-        right, left = group.mul_right(members, g), group.mul_left(g, members)
-        members = [x for x, u, v in zip(members, right, left) if u == v]
-    return members
 
 
 def congruence_kernel(group: FiniteGroup, i: int) -> FiniteGroup:

@@ -744,18 +744,17 @@ def render_fit_csv(report: FitReport) -> str:
     lines = ["i,d_i,m_i"]
     for i, row in enumerate(report.rows, 1):
         lines.append(f'{i},"{row.dim.pretty()}","{row.mult.pretty()}"')
-    lines.append("")
     return "\n".join(lines)
 
 
-def write_report(report: FitReport, fmt: str, path: str | Path) -> Path:
-    path = Path(path)
+def render_fit(report: FitReport, fmt: str) -> str:
+    """The report as `repzoo fit --format fmt` prints it and writes it to --out."""
     if fmt == "json":
-        path.write_text(_canonical_json(report.to_json()))
+        text = json.dumps(report.to_json(), indent=2)
     elif fmt == "markdown":
-        path.write_text(render_fit_markdown(report))
+        text = render_fit_markdown(report)
     elif fmt == "csv":
-        path.write_text(render_fit_csv(report))
+        text = render_fit_csv(report)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    return path
+    return text + "\n"

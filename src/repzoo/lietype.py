@@ -134,10 +134,10 @@ class TwistedWeylGroup:
     def order(self) -> int:
         return len(self.perms)
 
-    def length_sum_poly(self, fixed_only: bool = True) -> RationalPoly:
-        idx = self.fixed if fixed_only else range(self.order)
+    def length_sum_poly(self) -> RationalPoly:
+        """sum of q^l(w) over W^F."""
         coeffs: dict[int, int] = {}
-        for i in idx:
+        for i in self.fixed:
             coeffs[self.lengths[i]] = coeffs.get(self.lengths[i], 0) + 1
         top = max(coeffs)
         return RationalPoly([coeffs.get(k, 0) for k in range(top + 1)])
@@ -287,7 +287,7 @@ def order_polynomial_parts(
     orbit_factor = RationalPoly.one()
     for orb in w.root_orbits:
         orbit_factor = orbit_factor * (x ** len(orb) - 1)
-    return zc * orbit_factor * w.length_sum_poly(fixed_only=True), datum.n_positive
+    return zc * orbit_factor * w.length_sum_poly(), datum.n_positive
 
 
 def order_polynomial(datum: RootDatum, twist: str = "split") -> RationalPoly:

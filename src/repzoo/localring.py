@@ -1,8 +1,8 @@
 """Finite quotient rings o/p^r of local fields, all built one way.
 
 Each ring is W(F_q)[pi]/(pi^e - p, pi^r), where W(F_q) is the unramified
-extension of Z_p with residue field F_q = F_p[x]/h(x), q = p^f, h monic
-irreducible mod p.  The kind of a spec fixes e:
+extension of Z_p with residue field F_q = F_p[x]/h(x), q = p^f, h the least
+monic irreducible of degree f mod p (default_modulus).  A spec's kind fixes e:
 
 unramified(p, f, r)   : e = 1, the Galois ring Z[x]/(p^r, h(x)).
 eqchar(p, f, r)       : e = r, so p = pi^r = 0 and the ring is F_q[t]/(t^r).
@@ -24,7 +24,7 @@ _TABLE_LIMIT = 256  # build full add/mul tables when the ring is this small
 
 
 class RingConstructionError(ValueError):
-    """Invalid ring specification (bad prime, reducible modulus, wild ramification)."""
+    """Invalid ring specification (bad prime, bad level, wild ramification)."""
 
 
 def is_prime(n: int) -> bool:
@@ -176,7 +176,6 @@ class RingSpec:
     f: int
     r: int
     e: int = 1
-    modulus: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -194,12 +193,6 @@ class RingSpec:
                 )
         elif self.e != 1:
             raise RingConstructionError("e != 1 only makes sense for eisenstein")
-        if self.modulus is not None:
-            object.__setattr__(self, "modulus", tuple(int(c) % self.p for c in self.modulus[:-1]) + (1,))
-            if len(self.modulus) - 1 != self.f:
-                raise RingConstructionError("modulus degree must equal f")
-            if not fp_irreducible(self.modulus, self.p):
-                raise RingConstructionError("modulus polynomial is reducible mod p")
 
     @property
     def q(self) -> int:
@@ -209,11 +202,8 @@ class RingSpec:
     def size(self) -> int:
         return self.q**self.r
 
-    def resolved_modulus(self) -> tuple[int, ...]:
-        return self.modulus if self.modulus is not None else default_modulus(self.p, self.f)
-
     def at_level(self, level: int) -> "RingSpec":
-        return RingSpec(self.kind, self.p, self.f, level, self.e, self.modulus)
+        return RingSpec(self.kind, self.p, self.f, level, self.e)
 
     def label(self) -> str:
         short = {"unramified": "unram", "eqchar": "eqchar", "eisenstein": "eis"}[self.kind]
@@ -257,19 +247,8 @@ class RingSpec:
             "f": self.f,
             "e": self.e,
             "r": self.r,
-            "modulus": list(self.resolved_modulus()),
+            "modulus": list(default_modulus(self.p, self.f)),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RingSpec":
-        return cls(
-            data["kind"],
-            data["p"],
-            data["f"],
-            data["r"],
-            data.get("e", 1),
-            tuple(data["modulus"]) if data.get("modulus") else None,
-        )
 
 
 # -- the ring itself -----------------------------------------------------------
@@ -292,7 +271,7 @@ class QuotientRing:
         self.r = spec.r
         self.q = spec.q
         self.size = spec.size
-        self.modulus = spec.resolved_modulus()
+        self.modulus = default_modulus(spec.p, spec.f)
         self.e = spec.r if spec.kind == "eqchar" else spec.e
 
         alpha, beta = divmod(self.r, self.e)
@@ -496,7 +475,7 @@ def iso_check_truncated(spec: RingSpec) -> TruncationIso:
         return TruncationIso(isomorphic=False)
 
     target = make_ring(spec)
-    source_spec = RingSpec("eqchar", spec.p, spec.f, spec.r, modulus=spec.modulus)
+    source_spec = RingSpec("eqchar", spec.p, spec.f, spec.r)
     source = make_ring(source_spec)
     iso = TruncationIso(True, source_spec, spec)
 

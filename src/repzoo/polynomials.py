@@ -9,7 +9,6 @@ zero polynomial has an empty coefficient tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -230,27 +229,15 @@ def _binomial_poly(k: int) -> RationalPoly:
     return out * Fraction(1, math.factorial(k))
 
 
-@dataclass(frozen=True)
-class SamplePointSet:
-    """Interpolation input: (argument, value) pairs, arguments strictly increasing."""
-
-    points: tuple[tuple[int, Fraction], ...]
-
-    def __init__(self, points: Iterable[tuple[Rat, Rat]]):
-        pts = sorted((int(x), Fraction(y)) for x, y in points)
-        for (x0, _), (x1, _) in zip(pts, pts[1:]):
-            if x0 == x1:
-                raise MalformedSampleError(f"duplicate sample argument {x0}")
-        if not pts:
-            raise MalformedSampleError("empty sample set")
-        object.__setattr__(self, "points", tuple(pts))
-
-
-def interpolate(samples) -> RationalPoly:
-    """Unique polynomial of degree < #points through all samples (exact Lagrange)."""
-    if not isinstance(samples, SamplePointSet):
-        samples = SamplePointSet(samples)
-    pts = samples.points
+def interpolate(samples: Iterable[tuple[Rat, Rat]]) -> RationalPoly:
+    """Unique polynomial of degree < #points through the (argument, value)
+    samples (exact Lagrange); the arguments must be distinct."""
+    pts = sorted((int(x), Fraction(y)) for x, y in samples)
+    for (x0, _), (x1, _) in zip(pts, pts[1:]):
+        if x0 == x1:
+            raise MalformedSampleError(f"duplicate sample argument {x0}")
+    if not pts:
+        raise MalformedSampleError("empty sample set")
     result = RationalPoly.zero()
     for i, (xi, yi) in enumerate(pts):
         if yi == 0:

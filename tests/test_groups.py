@@ -13,7 +13,6 @@ from repzoo.groups import (
     _mat_det,
     _mat_mul,
     build_group,
-    center,
     clifford_size,
     congruence_kernel,
     conjugacy_classes,
@@ -189,15 +188,18 @@ def test_gl2_z4_mod_k1_is_gl2_f2():
 
 
 def test_center_of_heisenberg():
-    group = build_group(GroupScheme("U", 3), F3)
-    assert len(center(group)) == 3
+    # Z(G) is the union of the classes of size 1
+    classes = conjugacy_classes(build_group(GroupScheme("U", 3), F3))
+    assert classes.sizes.count(1) == 3
 
 
 def test_scheme_parse():
     assert GroupScheme.parse("GL2") == GL2
     assert GroupScheme.parse("U4") == GroupScheme("U", 4)
-    with pytest.raises(ValueError):
-        GroupScheme.parse("E8")
+    # a bad size raises the parser's own error, not int()'s
+    for text in ("E8", "GLx", "SL", "U", "GL2x", "B-1"):
+        with pytest.raises(ValueError, match="cannot parse scheme"):
+            GroupScheme.parse(text)
 
 
 def test_budget_is_checked_after_the_group_is_built():
@@ -332,24 +334,33 @@ def test_congruence_kernel_from_the_pattern_equals_the_scan(family, spec):
     ids=lambda v: v.label(),
 )
 def test_coset_group_products_are_matrix_products(scheme, spec):
-    # ordinal c |N| + j is s(c) k_j; mul and inv agree with the matrices
+    # ordinal c |N| + j is s(c) k_j; the coordinates the Clifford engine reads
+    # agree with matrix arithmetic and with the enumerated group
     coset = coset_group(scheme, spec)
     group = build_group(scheme, spec)
-    ring, n = group.ring, scheme.n
+    ring, n, kernel = group.ring, scheme.n, coset.kernel
     assert coset.order == group.order
-    assert coset.matrix(coset.identity) == group.matrix(group.identity)
     assert sorted(coset.matrix(x) for x in range(coset.order)) == group.elements
+    assert all(coset.ordinal(coset.matrix(x)) == x for x in range(coset.order))
+    section = [coset.matrix(c * kernel.order + kernel.identity) for c in range(coset.quotient.order)]
+    assert section[coset.quotient.identity] == group.matrix(group.identity)
     rng = random.Random(7)
     for _ in range(50):
         x, y = rng.randrange(coset.order), rng.randrange(coset.order)
         assert coset.matrix(coset.mul(x, y)) == _mat_mul(ring, n, coset.matrix(x), coset.matrix(y))
         assert coset.mul(x, coset.inv(x)) == coset.identity
-    # s(c) k_j k_j' = s(c) k_(j j'), and s is a section of the reduction
-    kernel = coset.kernel
-    for c in rng.sample(range(coset.quotient.order), 5):
-        j, k = rng.randrange(kernel.order), rng.randrange(kernel.order)
-        x = coset.mul(c * kernel.order + j, coset.quotient.identity * kernel.order + k)
-        assert x == c * kernel.order + kernel.mul(j, k)
+        c, d = rng.randrange(coset.quotient.order), rng.randrange(coset.quotient.order)
+        # product(c, d) is s(c) s(d)
+        x, y = group.index[section[c]], group.index[section[d]]
+        assert group.index[coset.matrix(coset.product(c, d))] == group.mul(x, y)
+        # conjugate(c, j) is the j' with s(c) k_j' = k_j s(c)
+        j = rng.randrange(kernel.order)
+        k = coset.conjugate(c, j)
+        assert _mat_mul(ring, n, section[c], kernel.matrix(k)) == _mat_mul(ring, n, kernel.matrix(j), section[c])
+        # s(c) k_j k_j' = s(c) k_(j j')
+        m = rng.randrange(kernel.order)
+        x = c * kernel.order + j
+        assert coset.ordinal(_mat_mul(ring, n, coset.matrix(x), kernel.matrix(m))) == c * kernel.order + kernel.mul(j, m)
 
 
 def test_clifford_budget_bounds_what_is_enumerated():

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import itertools
 import json
@@ -23,9 +24,9 @@ from repzoo.harness import (
     compute_clifford_report,
     compute_degrees,
     fit_polynomials,
+    render_fit,
     render_fit_markdown,
     run_dimirr,
-    write_report,
     _solve_linear,
 )
 from repzoo.localring import RingSpec
@@ -202,16 +203,15 @@ def test_fit_needs_three_samples():
         fit_polynomials(GL2, 1, field_samples((2, 3)))
 
 
-def test_fit_report_round_trip(tmp_path):
+def test_fit_report_round_trip():
     rep = fit_polynomials(GL2, 1, field_samples((2, 3, 5)))
-    path = write_report(rep, "json", tmp_path / "fit.json")
-    back = json.loads(path.read_text())
-    assert back == rep.to_json()
-    md = render_fit_markdown(rep)
-    assert "| i | d_i(x) | m_i(x) |" in md
-    write_report(rep, "markdown", tmp_path / "fit.md")
-    write_report(rep, "csv", tmp_path / "fit.csv")
-    assert (tmp_path / "fit.md").exists() and (tmp_path / "fit.csv").exists()
+    assert json.loads(render_fit(rep, "json")) == rep.to_json()
+    assert "| i | d_i(x) | m_i(x) |" in render_fit(rep, "markdown")
+    assert render_fit(rep, "csv").splitlines()[1:] == [
+        f'{i},"{r.dim.pretty()}","{r.mult.pretty()}"' for i, r in enumerate(rep.rows, 1)
+    ]
+    with pytest.raises(ValueError):
+        render_fit(rep, "html")
 
 
 def test_fit_markdown_renders_example_table():
@@ -266,6 +266,86 @@ def test_cli_lietype_verify(capsys):
 
 def test_cli_config_error_exit_2(capsys):
     assert cli_main(["dimirr", "--scheme", "GL2", "--ring", "bogus:1"]) == 2
+
+
+@pytest.mark.parametrize("scheme", ["GLx", "SL"])
+def test_cli_scheme_without_a_size_is_a_config_error(capsys, scheme):
+    assert cli_main(["dimirr", "--scheme", scheme, "--ring", "unram:2,1,1"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot parse scheme {scheme!r}" in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--samples", "2,3,6"],
+        ["--samples", "2,3,4", "--holdout", "6"],
+        ["--samples", "2,3,4", "--holdout", "x"],
+        ["--samples", "2,3,9", "--budget", "200"],
+    ],
+    ids=["sample", "holdout", "holdout-not-int", "budget"],
+)
+def test_cli_fit_rejects_a_bad_later_argument_before_any_oracle(args, monkeypatch, capsys):
+    # GL2(F_9) has 5 760 elements, and GL2(o_2) at q = 9 lists 17 280 in the
+    # Clifford engine: both over the budget, while q = 2 and 3 are within it
+    calls = []
+
+    def oracle(*args):
+        calls.append(args)
+        raise AssertionError("an oracle ran")
+
+    monkeypatch.setattr(repzoo.cli, "compute_degrees", oracle)
+    monkeypatch.setattr(repzoo.cli, "compute_clifford_report", oracle)
+    for level in ("1", "2"):
+        assert cli_main(["fit", "--scheme", "GL2", "--level", level, *args]) == 2
+        assert "configuration error" in capsys.readouterr().err
+    assert calls == []
+
+
+FIT_L1 = ["fit", "--scheme", "GL2", "--level", "1", "--samples", "2,3,5"]
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
+def test_cli_fit_out_file_equals_stdout(fmt, capsys, tmp_path):
+    out = tmp_path / f"fit.{fmt}"
+    assert cli_main([*FIT_L1, "--format", fmt, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert out.read_text() == stdout
+    first = {"markdown": "# Dimension/multiplicity fit", "json": "{", "csv": "i,d_i,m_i\n"}[fmt]
+    assert stdout.startswith(first)
+
+
+def test_cli_fit_markdown_and_json_stdout_are_pinned(capsys):
+    # the bytes these printed before --out and stdout shared one renderer
+    assert cli_main(FIT_L1) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "5b2cf0a119cc101cfdc5f0fbe4a8b6d57faa7c266016ecaf83f3e33fe39b4aee"
+    assert cli_main([*FIT_L1, "--holdout", "7", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "e352b4fc7b130a3eaa2c3b05b916ae9dcf776f304056aec40a5ed154d1fbb35e"
+
+
+@pytest.mark.parametrize(
+    "scheme,ring,digest",
+    [
+        ("U3", "unram:3,1,1", "11275aa1b8024532fa28a5f8480a87d6baecfd608b6c62ef9143df08f16aadae"),
+        ("U4", "unram:2,1,1", "3c5f331603bf0df283d89c11e7a7344e90b2166da93dac6a72b819dcfda34857"),
+        ("B3", "unram:2,1,1", "6000f68e0fa41620e123ca1b2c5395f6d62f8ff2b6793e0359d9944b7f0607f3"),
+    ],
+)
+def test_cli_dimirr_both_over_the_center_is_pinned(scheme, ring, digest, capsys, tmp_path):
+    # at r = 1 a p-group's Clifford N is its center, the classes of size 1
+    argv = ["--cache-dir", str(tmp_path), "dimirr", "--engine", "both", "--scheme", scheme, "--ring", ring]
+    assert cli_main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_run_dimirr_cache_file_name_is_pinned(tmp_path):
+    # the key still carries the ring's modulus, so existing caches stay readable
+    spec = RingSpec.parse("unram:3,1,2")
+    run_dimirr(ExperimentConfig(GL2, (spec,), engine="chardeg", cache_dir=str(tmp_path)))
+    (path,) = tmp_path.iterdir()
+    assert path.name == "b207cd89ac59acb2fef6e3309e74581a2a35c99887b17e72fba990004c3dff91.json"
 
 
 def test_cli_fit_rejects_non_prime_power_samples(capsys):

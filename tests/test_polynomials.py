@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repzoo.polynomials import (
     MalformedSampleError,
     RationalPoly,
-    SamplePointSet,
     interpolate,
 )
 
@@ -42,7 +41,7 @@ def test_interpolate_constant():
 
 def test_interpolate_duplicate_argument_rejected():
     with pytest.raises(MalformedSampleError):
-        SamplePointSet([(2, 1), (2, 5)])
+        interpolate([(2, 1), (2, 5)])
 
 
 def test_canonical_no_trailing_zeros():
