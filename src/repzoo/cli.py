@@ -25,7 +25,7 @@ from .harness import (
     render_fit,
     run_dimirr,
 )
-from .lietype import root_datum, candidate_set, verify_containment
+from .lietype import candidate_set, require_split, root_datum, verify_containment
 from .localring import RingConstructionError, RingSpec
 
 
@@ -82,11 +82,17 @@ def _cmd_compare(args) -> int:
 def _cmd_lietype(args) -> int:
     scheme = GroupScheme.parse(args.family)
     datum = root_datum(scheme.family, scheme.n)
+    # --verify is checked before the candidate set is built
+    qs = []
+    if args.verify:
+        qs = [int(tok) for tok in args.verify.split(",")]
+        require_split(args.twist)
+        for q in qs:
+            check_budget(scheme, RingSpec.for_q(q, 1), args.budget)
     cands = candidate_set(datum, args.twist)
     out = {"candidate_set": cands.to_json()}
     code = 0
-    if args.verify:
-        qs = [int(tok) for tok in args.verify.split(",")]
+    if qs:
         report = verify_containment(scheme, args.twist, cands, qs, args.budget)
         out["containment"] = report.to_json()
         if not report.all_contained:

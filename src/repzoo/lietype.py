@@ -11,8 +11,8 @@ the exact quotient of the q'-part of the order by the torus order.  The
 candidate set collects (1/|W|) sum a_w f_w over the integer box |a_w| <=
 floor(|W|^(3/2)), deduplicated and pruned to polynomials positive at
 q = 2^20.  The box is enumerated on integer coefficient vectors (the f_w
-scaled by the lcm of their denominators); each distinct candidate becomes a
-RationalPoly once.
+scaled by the lcm of their denominators), and the candidates stay integer
+vectors over one common denominator through verification and rendering.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .characters import character_degrees
 from .groups import GroupScheme, build_group
@@ -324,17 +322,37 @@ _POSITIVITY_PROBE = 2**20
 @dataclass
 class CandidateSet:
     """Polynomials (1/|W|) sum_w a_w f_w with |a_w| <= floor(|W|^{3/2}),
-    ascending by coefficient tuple."""
+    ascending by coefficient tuple.
 
-    polynomials: tuple[RationalPoly, ...]
+    Each polynomial is stored as its numerator vector over ``denominator``:
+    the key (c_0, .., c_d) stands for sum_k (c_k / denominator) q^k, with no
+    trailing zero."""
+
+    polynomials: tuple[tuple[int, ...], ...]
+    denominator: int
     bound: int
     weyl_order: int
 
+    def scaled_values(self, q: int) -> set[int]:
+        """denominator * p(q) over the candidates p, by Horner on the keys."""
+        values = set()
+        for key in self.polynomials:
+            value = 0
+            for c in reversed(key):
+                value = value * q + c
+            values.add(value)
+        return values
+
     def to_json(self) -> dict:
         # the polynomials share few coefficient values (GL3 split: 168 among
-        # 280 154), so one string per value keeps the rendered form small
+        # 280 154), so each value is rendered once, as Fraction's "num/den"
+        den = self.denominator
+        text = {}
+        for c in set().union(*self.polynomials):
+            g = math.gcd(c, den)
+            text[c] = f"{c // g}/{den // g}"
         return {
-            "polys": [[sys.intern(c) for c in p.to_json()] for p in self.polynomials],
+            "polys": [list(map(text.__getitem__, key)) for key in self.polynomials],
             "bound": self.bound,
             "weyl_order": self.weyl_order,
         }
@@ -349,9 +367,11 @@ def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
 
     The box runs on integer coefficient vectors: with L the lcm of the
     coefficient denominators of the distinct f, each point is c = sum a_i L f_i
-    and its candidate is c / (L |W|).  A point is kept when c is nonzero and
-    positive at q = _POSITIVITY_PROBE; the scale is positive, so testing c's
-    sign there is exact.  Each distinct c becomes a RationalPoly once, at the end.
+    and its candidate is c / (L |W|).  A point is kept when c is positive at
+    q = _POSITIVITY_PROBE; the scale is positive, so testing c's sign there is
+    exact.  That value is linear in the point, so each level carries
+    a_i L f_i(probe) beside its vector and the test is one sum.  The candidates
+    stay integer vectors over the denominator L |W|.
     """
     w = weyl_group(datum, twist)
     bound = math.isqrt(w.order**3)
@@ -370,34 +390,36 @@ def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
         )
     scale = math.lcm(*(c.denominator for f, _mult in distinct for c in f.coeffs))
     width = max(len(f.coeffs) for f, _mult in distinct)
-    # per distinct f, each aggregate a as the vector a * L * f, padded to width
+    # per distinct f, each aggregate a as (a * L * f padded to width, a * L * f(probe))
     levels = []
     for f, mult in distinct:
         scaled = [c * scale for c in f.coeffs]
         if any(c.denominator != 1 for c in scaled):
             raise AssertionError(f"{scale} does not clear the denominators of {f.pretty()}")
         step = [int(c) for c in scaled] + [0] * (width - len(scaled))
+        at_probe = 0
+        for c in reversed(step):
+            at_probe = at_probe * _POSITIVITY_PROBE + c
         reach = mult * bound
-        levels.append([[a * c for c in step] for a in range(-reach, reach + 1)])
+        levels.append([([a * c for c in step], a * at_probe) for a in range(-reach, reach + 1)])
     *outer_levels, inner = levels
     found: set[tuple[int, ...]] = set()
     for outer in itertools.product(*outer_levels):
-        base = [sum(col) for col in zip([0] * width, *outer)]
-        for vec in inner:
-            c = list(map(operator.add, base, vec))
-            while c and not c[-1]:
-                c.pop()
-            if not c:
-                continue
-            value = 0
-            for coeff in reversed(c):
-                value = value * _POSITIVITY_PROBE + coeff
-            if value > 0:
-                found.add(tuple(c))
+        base = [sum(col) for col in zip([0] * width, *(vec for vec, _value in outer))]
+        base_value = sum(value for _vec, value in outer)
+        for vec, value in inner:
+            if base_value + value > 0:
+                found.add(tuple(map(operator.add, base, vec)))
+    # the padded vectors are deduplicated first; a kept point is not zero
+    keys = []
+    for padded in found:
+        top = width
+        while not padded[top - 1]:
+            top -= 1
+        keys.append(padded[:top])
     # ascending int keys give ascending Fraction coefficients: the scale is positive
-    denominator = scale * w.order
-    polys = tuple(RationalPoly(Fraction(c, denominator) for c in key) for key in sorted(found))
-    return CandidateSet(polys, bound, w.order)
+    keys.sort()
+    return CandidateSet(tuple(keys), scale * w.order, bound, w.order)
 
 
 @dataclass
@@ -421,21 +443,26 @@ class ContainmentReport:
         }
 
 
+def require_split(twist: str) -> None:
+    """Raise UnsupportedTwistError unless containment can be verified under twist."""
+    if twist != "split":
+        raise UnsupportedTwistError(
+            "containment verification runs on split forms (the scheme menu has no unitary schemes)"
+        )
+
+
 def verify_containment(
     scheme: GroupScheme, twist: str, cands: CandidateSet, q_list, budget: int = 10**7
 ) -> ContainmentReport:
     """Check dimirr(G(F_q)) against the evaluations of ``cands``, the candidate
     set of the scheme's root datum under ``twist``, at each listed q."""
-    if twist != "split":
-        raise UnsupportedTwistError(
-            "containment verification runs on split forms (the scheme menu has no unitary schemes)"
-        )
+    require_split(twist)
     results = []
     for q in q_list:
         group = build_group(scheme, RingSpec.for_q(q, 1), budget)
         degrees = character_degrees(group).degrees_set()
-        values = {poly(q) for poly in cands.polynomials}
-        missing = tuple(sorted(d for d in degrees if d not in values))
+        values = cands.scaled_values(q)
+        missing = tuple(sorted(d for d in degrees if d * cands.denominator not in values))
         results.append((q, not missing, missing))
     return ContainmentReport(scheme.label(), twist, tuple(results))
 

@@ -228,18 +228,43 @@ def test_dl_degrees_occur_in_dimirr():
             assert q + 1 in degrees
 
 
+def _as_polys(cands):
+    """The candidates as RationalPolys: each key is a numerator vector over cands.denominator."""
+    return tuple(
+        RationalPoly(Fraction(c, cands.denominator) for c in key) for key in cands.polynomials
+    )
+
+
 def test_candidate_set_gl1():
     cands = candidate_set(root_datum("GL", 1))
-    assert set(cands.polynomials) == {RationalPoly.one()}
+    assert set(_as_polys(cands)) == {RationalPoly.one()}
 
 
 def test_candidate_set_gl2_contents():
     cands = candidate_set(root_datum("GL", 2))
     assert cands.bound == 2 and cands.weyl_order == 2
-    assert {RationalPoly.one(), x - 1, x, x + 1} <= set(cands.polynomials)
+    assert {RationalPoly.one(), x - 1, x, x + 1} <= set(_as_polys(cands))
     # deterministic across runs
     again = candidate_set(root_datum("GL", 2))
     assert again.polynomials == cands.polynomials
+    assert again.denominator == cands.denominator
+
+
+@pytest.mark.parametrize("twist", ["split", "unitary"])
+@pytest.mark.parametrize("family", ["GL", "SL"])
+def test_candidate_set_json_matches_fraction_route(family, twist):
+    # rank 3 is too slow for the Fraction reference enumeration, but not for
+    # rendering each key through RationalPoly
+    cands = candidate_set(root_datum(family, 3), twist)
+    assert len(cands.polynomials) == 70252
+    assert cands.to_json()["polys"] == [p.to_json() for p in _as_polys(cands)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_candidate_values_match_fraction_route(q):
+    cands = candidate_set(root_datum("GL", 2))
+    values = {Fraction(v, cands.denominator) for v in cands.scaled_values(q)}
+    assert values == {p(q) for p in _as_polys(cands)}
 
 
 def test_cli_lietype_gl4_box_is_beyond_the_enumeration_limit(capsys):
@@ -293,7 +318,7 @@ def test_candidate_set_matches_fraction_reference(family, n, twist):
     datum = root_datum(family, n)
     cands = candidate_set(datum, twist)
     polys, bound = _reference_candidate_set(datum, twist)
-    assert cands.polynomials == polys
+    assert _as_polys(cands) == polys
     assert cands.bound == bound
 
 
@@ -305,7 +330,28 @@ def test_cli_lietype_gl3_split_digest(capsys):
     assert len(json.loads(out)["candidate_set"]["polys"]) == 70252
 
 
-def test_cli_lietype_verify_builds_the_candidate_set_once(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["--family", "SL3", "--twist", "split"],
+         "9ce9a0ac1aa3e050b2d8a30b538630e6116991139d9a7532b3df2ce90bc2271f"),
+        (["--family", "GL3", "--twist", "unitary"],
+         "80bfc15966b69952910fb7fff3537f86e4872f6b05538f65acba8d58e5473e95"),
+        (["--family", "SL3", "--twist", "unitary"],
+         "80bfc15966b69952910fb7fff3537f86e4872f6b05538f65acba8d58e5473e95"),
+        (["--family", "GL2", "--verify", "2,3,5"],
+         "7b45e02f7163a3c370784eed8827814af111491719d34c3c89bf011aaaea8bde"),
+        (["--family", "GL3", "--verify", "2,3"],
+         "316514431c70343d1674e116603a362402c44eeeb4e1858cff26f3e61a0be243"),
+    ],
+    ids=["SL3-split", "GL3-unitary", "SL3-unitary", "GL2-verify", "GL3-verify"],
+)
+def test_cli_lietype_digest(argv, digest, capsys):
+    assert repzoo.cli.main(["lietype", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _count_candidate_sets(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
@@ -314,9 +360,30 @@ def test_cli_lietype_verify_builds_the_candidate_set_once(monkeypatch, capsys):
 
     monkeypatch.setattr(repzoo.cli, "candidate_set", counted)
     monkeypatch.setattr(repzoo.lietype, "candidate_set", counted)
+    return calls
+
+
+def test_cli_lietype_verify_builds_the_candidate_set_once(monkeypatch, capsys):
+    calls = _count_candidate_sets(monkeypatch)
     assert repzoo.cli.main(["lietype", "--family", "GL2", "--verify", "2,3"]) == 0
     assert json.loads(capsys.readouterr().out)["containment"]["results"]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--family", "GL3", "--verify", "6"], "6 is not a prime power"),
+        (["--family", "GL3", "--twist", "unitary", "--verify", "2"], "runs on split forms"),
+        (["--family", "GL3", "--verify", "2,3", "--budget", "100"], "exceeds budget 100"),
+    ],
+    ids=["not-prime-power", "unitary", "over-budget"],
+)
+def test_cli_lietype_rejects_bad_verify_before_the_candidate_set(argv, message, monkeypatch, capsys):
+    calls = _count_candidate_sets(monkeypatch)
+    assert repzoo.cli.main(["lietype", *argv]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize(
