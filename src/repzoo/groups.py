@@ -1,7 +1,8 @@
 """Finite matrix groups over quotient rings: enumeration, classes, kernels, quotients.
 
-A matrix is a tuple of n*n ring-element ordinals, so group elements hash and
-compare as flat int tuples.  Groups expose a small uniform protocol (order,
+A matrix is written by its n*n ring-element ordinals, and an enumerated group
+stores each element as one int key made of them (FiniteMatrixGroup).  Groups
+expose a small uniform protocol (order,
 mul, inv, generators, and the batched mul_right/mul_left by one fixed factor)
 that the character-theory code runs against; subgroups and quotients
 implement the same protocol, which keeps Dixon-Schneider and the Clifford
@@ -31,7 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cache, partial, reduce
-from operator import add, itemgetter
+from operator import add, and_, lshift, rshift
 from typing import TYPE_CHECKING, NamedTuple
 
 from .localring import QuotientRing, RingSpec, make_ring
@@ -171,6 +172,8 @@ class FiniteGroup:
     # derived data, filled in on first use by generators(), conjugacy_classes()
     # and character_table_modp()
     gens: list[int] | None = None
+    # right_products[t][x] = x gens[t], from generators() until conjugacy_classes
+    right_products: list[memoryview] | None = None
     classes: ConjugacyClassData | None = None
     modp_table: CharacterTableModP | None = None
 
@@ -205,33 +208,45 @@ class FiniteGroup:
         return n
 
     def generators(self) -> list[int]:
-        """Greedy generating set: first ordinals that strictly grow the closure."""
+        """Greedy generating set: the first ordinals that strictly grow the
+        closure.
+
+        The closure grows over the right Cayley graph: when g joins, every old
+        member times g, then every new member times every generator, until
+        nothing new appears.  That closure is <gens>, as a two-sided one is, so
+        the list is the same, and x g is made exactly once for each element x
+        and generator g.  The products are kept in right_products, one buffer
+        per generator, for conjugacy_classes."""
         if self.gens is not None:
             return self.gens
         mark = self.table_mark()
         gens: list[int] = []
+        products: list[memoryview] = []
         closure = bytearray(self.order)  # membership flags
         closure[self.identity] = 1
-        size = 1
+        members = [self.identity]
         for i in range(self.order):
             if closure[i]:
                 continue
             gens.append(i)
-            closure[i] = 1
-            size += 1
-            frontier = [i]
+            products.append(uint_buffer(self.order, self.order))
+            # old members times the new generator, then new members times all
+            frontier, steps = members, [len(gens) - 1]
             while frontier:
                 nxt = []
-                for g in gens:
-                    for y in self.mul_right(frontier, g) + self.mul_left(g, frontier):
+                for t in steps:
+                    row = products[t]
+                    for x, y in zip(frontier, self.mul_right(frontier, gens[t])):
+                        row[x] = y
                         if not closure[y]:
                             closure[y] = 1
                             nxt.append(y)
-                size += len(nxt)
-                frontier = nxt
-            if size == self.order:
+                members.extend(nxt)
+                frontier, steps = nxt, range(len(gens))
+            if len(members) == self.order:
                 break
         self.gens = gens
+        self.right_products = products
         self.release_tables(mark)
         return gens
 
@@ -255,50 +270,82 @@ class FiniteGroup:
 class FiniteMatrixGroup(FiniteGroup):
     """Fully enumerated matrix group over a quotient ring.
 
+    Each element is stored as one int, its key: the n*n entry ordinals, row by
+    row, as the big-endian digits of a number in base 256^w, w the bytes an
+    entry needs (one up to 256 ring elements).  Keys sort as the entry tuples
+    do, so ordinal i is the i-th matrix in tuple order.  index maps a key to
+    its ordinal and matrix(i) decodes one.  With one-byte entries a key is
+    encoded and decoded by one int.from_bytes or int.to_bytes call, and mul
+    reads the ring's tables directly (_mat_mul), so a single product costs no
+    more than it did on tuples.
+
     mul_right and mul_left multiply a batch by one fixed factor through a
     table of that factor over the |R|^n vectors: row i of x*b is (row i of
-    x)*b = b^T (row i of x), as the ring is commutative, and column j of a*x is
-    a (column j of x).  A product is then n table lookups and one index
-    lookup.  The tables are memoized here, at most 2|G| entries in all, each
-    entry one pointer to a shared vector, so no table is built when
-    |R|^n > 2|G|; past that the plain loop runs.  generators and
+    x)*b = b^T (row i of x), as the ring is commutative, and column j of a*x
+    is a (column j of x).  Every element carries the code of each of its rows
+    (for mul_right) and columns (for mul_left), its place in the product order
+    of R^n, and the table gives, for each row or column and each code, the
+    image vector's share of the product's key.  A product is then n code
+    reads, n table reads, one integer sum and one int-keyed index lookup, with
+    no tuple built.  The tables are memoized here, at most 2|G| entries in
+    all, n|R|^n for each, so none is built when n|R|^n > 2|G| or an entry
+    needs more than one byte; past that the plain loop runs.  generators and
     conjugacy_classes release the tables they built once their result is
-    memoized, which leaves the room to the class operators.
+    memoized, which leaves the room to the class operators; the codes of a
+    side are dropped with its last table.
     """
 
     def __init__(self, scheme: GroupScheme, ring: QuotientRing, matrices):
         self.scheme = scheme
         self.ring = ring
-        self.n = scheme.n
-        self.elements = sorted(matrices)
-        self.order = len(self.elements)
-        self.index = {m: i for i, m in enumerate(self.elements)}
-        self.identity = self.index[_identity_matrix(ring, scheme.n)]
+        self.n = n = scheme.n
+        self._entry_bytes = ((ring.size - 1).bit_length() + 7) // 8
+        self._key_bytes = self._entry_bytes * n * n
+        self.keys = sorted(map(self.key, matrices))
+        self.order = len(self.keys)
+        self.index = dict(zip(self.keys, range(self.order)))
+        self.identity = self.ordinal(_identity_matrix(ring, n))
         self._inv_cache: dict[int, int] = {}
-        n = self.n
-        perm = [j * n + i for i in range(n) for j in range(n)]
-        # itemgetter of a single index returns the bare entry, not a 1-tuple
-        self._transpose = itemgetter(*perm) if n > 1 else tuple
-        # fixed-factor tables, keyed by (left, factor): table[c] is the image of
-        # the vector of code c, as the shared tuple vectors[code of the image]
-        self._tables: dict[tuple[bool, int], list[tuple[int, ...]]] = {}
+        # fixed-factor tables, keyed by (left, factor): table[j][c] is the share
+        # of the key of the product from row (right) or column (left) j of code c
+        self._tables: dict[tuple[bool, int], list[list[int]]] = {}
         self._table_entries = 0
-        self._vectors: list[tuple[int, ...]] = []
-        self._vector_code: dict[tuple[int, ...], int] = {}
         # left -> for each j, the code of column (left) or row j of every element
         self._codes: dict[bool, list[memoryview]] = {}
 
-    def matrix(self, i: int):
-        return self.elements[i]
+    def key(self, mat) -> int:
+        """The key of a matrix given by its n*n entry ordinals."""
+        w = self._entry_bytes
+        if w == 1:
+            return int.from_bytes(mat, "big")
+        return int.from_bytes(b"".join(e.to_bytes(w, "big") for e in mat), "big")
+
+    def ordinal(self, mat) -> int:
+        return self.index[self.key(mat)]
+
+    def _entries(self, key: int):
+        """The n*n entry ordinals of key, as bytes when each fits in one."""
+        raw = key.to_bytes(self._key_bytes, "big")
+        w = self._entry_bytes
+        if w == 1:
+            return raw
+        return tuple(int.from_bytes(raw[p : p + w], "big") for p in range(0, len(raw), w))
+
+    def matrix(self, i: int) -> tuple[int, ...]:
+        return tuple(self._entries(self.keys[i]))
 
     def mul(self, i: int, j: int) -> int:
-        return self.index[_mat_mul(self.ring, self.n, self.elements[i], self.elements[j])]
+        keys, size = self.keys, self._key_bytes
+        if self._entry_bytes == 1:
+            # key and _entries inlined: a method call costs about what the lookups do
+            a, b = keys[i].to_bytes(size, "big"), keys[j].to_bytes(size, "big")
+            return self.index[int.from_bytes(_mat_mul(self.ring, self.n, a, b), "big")]
+        return self.ordinal(_mat_mul(self.ring, self.n, self._entries(keys[i]), self._entries(keys[j])))
 
     def inv(self, i: int) -> int:
         v = self._inv_cache.get(i)
         if v is None:
-            v = self.index[_mat_inv(self.ring, self.n, self.elements[i])]
-            self._inv_cache[i] = v
+            v = self._inv_cache[i] = self.ordinal(_mat_inv(self.ring, self.n, self._entries(self.keys[i])))
         return v
 
     def mul_right(self, xs, b: int) -> list[int]:
@@ -315,40 +362,50 @@ class FiniteMatrixGroup(FiniteGroup):
         table = self._table(factor, left)
         if table is None:
             return None
-        parts = (map(table.__getitem__, map(codes.__getitem__, xs)) for codes in self._codes[left])
-        mats = reduce(partial(map, add), parts)
-        if left:
-            # the columns of a*x, concatenated, are a*x transposed
-            mats = map(self._transpose, mats)
-        return list(map(self.index.__getitem__, mats))
+        parts = (
+            map(shares.__getitem__, map(codes.__getitem__, xs))
+            for shares, codes in zip(table, self._codes[left])
+        )
+        return list(map(self.index.__getitem__, reduce(partial(map, add), parts)))
 
-    def _table(self, factor: int, left: bool) -> list[tuple[int, ...]] | None:
-        """v -> factor v (left) or factor^T v, by the code of v; None when
-        adding it would take the memo past 2|G| entries."""
+    def _table(self, factor: int, left: bool) -> list[list[int]] | None:
+        """For each j, code of v -> the share of the key of factor v (left) or
+        factor^T v (right) placed as column or row j; None when adding it would
+        take the memo past 2|G| entries."""
         key = (left, factor)
         table = self._tables.get(key)
         if table is not None:
             return table
         ring, n = self.ring, self.n
-        size = ring.size**n
-        if self._table_entries + size > 2 * self.order:
+        entries = n * ring.size**n
+        if self._entry_bytes != 1 or self._table_entries + entries > 2 * self.order:
             return None
-        if not self._vectors:
-            self._vectors = list(itertools.product(range(ring.size), repeat=n))
-            self._vector_code = {v: c for c, v in enumerate(self._vectors)}
-        vectors, code = self._vectors, self._vector_code
+        # the pattern of a vector v puts entry t at bit stride (n - 1 - t);
+        # shifted by shifts[j], it is v's share of a key as its row (right) or
+        # column (left) j
+        stride = 8 * n if left else 8
+        shifts = [8 * (n - 1 - j) * (1 if left else n) for j in range(n)]
+        weights = [stride * (n - 1 - t) for t in range(n)]
+        vectors = list(itertools.product(range(ring.size), repeat=n))
         if left not in self._codes:
-            codes = [uint_buffer(self.order, size) for _ in range(n)]
-            for x, m in enumerate(self.elements):
-                for j, buf in enumerate(codes):
-                    buf[x] = code[m[j::n] if left else m[j * n : j * n + n]]
-            self._codes[left] = codes
-        a = self.elements[factor]
+            # the code of row or column j of x: its vector's place in vectors,
+            # from x's key shifted by shifts[j] and masked to that vector
+            code = {sum(map(lshift, v, weights)): c for c, v in enumerate(vectors)}
+            mask = sum(map(lshift, [255] * n, weights))
+            self._codes[left] = [
+                uint_buffer(self.order, len(vectors), map(
+                    code.__getitem__, map(and_, map(rshift, self.keys, itertools.repeat(s)), itertools.repeat(mask))
+                ))
+                for s in shifts
+            ]
+        a = self._entries(self.keys[factor])
         if not left:
-            a = self._transpose(a)
-        table = [vectors[code[_mat_vec(ring, n, a, v)]] for v in vectors]
+            # the rows of b^T are the columns of b
+            a = b"".join(a[j::n] for j in range(n))
+        images = [sum(map(lshift, _mat_vec(ring, n, a, v), weights)) for v in vectors]
+        table = [[image << s for image in images] for s in shifts]
         self._tables[key] = table
-        self._table_entries += size
+        self._table_entries += entries
         return table
 
     def table_mark(self) -> int:
@@ -356,7 +413,11 @@ class FiniteMatrixGroup(FiniteGroup):
 
     def release_tables(self, mark: int) -> None:
         for key in list(self._tables)[mark:]:
-            self._table_entries -= len(self._tables.pop(key))
+            table = self._tables.pop(key)
+            self._table_entries -= len(table) * len(table[0])
+        for left in list(self._codes):
+            if not any(side == left for side, _ in self._tables):
+                del self._codes[left]
 
 
 class SubgroupView(FiniteGroup):
@@ -507,7 +568,7 @@ class CosetGroup(FiniteGroup, CosetCoordinates):
         kernel = FiniteMatrixGroup(scheme, ring, _kernel_matrices(scheme, ring, self.level))
         super().__init__(quotient, kernel, quotient.order * kernel.order)
         self.section = list(
-            _lifts(scheme, ring, _sections(ring, quotient.ring, quotient.elements), (ring.zero,))
+            _lifts(scheme, ring, _sections(ring, quotient.ring, map(quotient.matrix, range(quotient.order))), (ring.zero,))
         )
         self._section_inv: list[tuple[int, ...] | None] = [None] * quotient.order
         self._reduce = ring.reduce_to(self.level)[1]
@@ -520,11 +581,11 @@ class CosetGroup(FiniteGroup, CosetCoordinates):
 
     def matrix(self, x: int):
         c, j = divmod(x, self.kernel.order)
-        return _mat_mul(self.ring, self.n, self.section[c], self.kernel.elements[j])
+        return _mat_mul(self.ring, self.n, self.section[c], self.kernel.matrix(j))
 
     def ordinal(self, mat) -> int:
-        c = self.quotient.index[tuple(map(self._reduce.__getitem__, mat))]
-        return c * self.kernel.order + self.kernel.index[self._times_inverse(c, mat)]
+        c = self.quotient.ordinal(map(self._reduce.__getitem__, mat))
+        return c * self.kernel.order + self.kernel.ordinal(self._times_inverse(c, mat))
 
     def mul(self, i: int, j: int) -> int:
         return self.ordinal(_mat_mul(self.ring, self.n, self.matrix(i), self.matrix(j)))
@@ -541,7 +602,7 @@ class CosetGroup(FiniteGroup, CosetCoordinates):
 
     def conjugate(self, c: int, j: int) -> int:
         ring, n, kernel = self.ring, self.n, self.kernel
-        k = kernel.index.get(self._times_inverse(c, _mat_mul(ring, n, kernel.elements[j], self.section[c])))
+        k = kernel.index.get(kernel.key(self._times_inverse(c, _mat_mul(ring, n, kernel.matrix(j), self.section[c]))))
         if k is None:
             raise NotNormalError(c * kernel.order, self.quotient.identity * kernel.order + j)
         return k
@@ -558,31 +619,50 @@ def _identity_matrix(ring: QuotientRing, n: int):
 
 
 def _mat_mul(ring: QuotientRing, n: int, a, b):
-    if n == 2:
+    mt, at = ring.mul_table, ring.add_table
+    if mt is None:
         m, s = ring.mul, ring.add
-        return (
-            s(m(a[0], b[0]), m(a[1], b[2])),
-            s(m(a[0], b[1]), m(a[1], b[3])),
-            s(m(a[2], b[0]), m(a[3], b[2])),
-            s(m(a[2], b[1]), m(a[3], b[3])),
+        return tuple(
+            reduce(s, (m(a[i * n + k], b[k * n + j]) for k in range(n)))
+            for i in range(n)
+            for j in range(n)
         )
-    m, s = ring.mul, ring.add
+    # the ring's tables, read directly: a method call costs more than the lookup
+    if n == 2:
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        m0, m1, m2, m3 = mt[a0], mt[a1], mt[a2], mt[a3]
+        return (
+            at[m0[b0]][m1[b2]],
+            at[m0[b1]][m1[b3]],
+            at[m2[b0]][m3[b2]],
+            at[m2[b1]][m3[b3]],
+        )
     out = []
     for i in range(n):
+        row = [mt[x] for x in a[i * n : i * n + n]]
         for j in range(n):
-            acc = ring.zero
-            for k in range(n):
-                acc = s(acc, m(a[i * n + k], b[k * n + j]))
+            acc = row[0][b[j]]
+            for k in range(1, n):
+                acc = at[acc][row[k][b[k * n + j]]]
             out.append(acc)
     return tuple(out)
 
 
-def uint_buffer(count: int, bound: int) -> memoryview:
-    """count zeros in the narrowest unsigned buffer that holds values below
-    bound; a list would hold an int object each, and an array import would
-    cost every run its memory."""
+def uint_buffer(count: int, bound: int, values=None) -> memoryview:
+    """count zeros, or the count given values, in the narrowest unsigned
+    buffer that holds values below bound; a list would hold an int object
+    each, and an array import would cost every run its memory."""
     width = next(w for w in (1, 2, 4, 8) if bound <= 256**w)
-    return memoryview(bytearray(width * count)).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width])
+    if values is not None and width == 1:
+        buf = memoryview(bytearray(values))  # filled in C, with no list built
+    else:
+        buf = memoryview(bytearray(width * count)).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[width])
+        for x, value in enumerate(values or ()):
+            buf[x] = value
+    if len(buf) != count:
+        raise ValueError(f"{len(buf)} values, not {count}")
+    return buf
 
 
 def _mat_vec(ring: QuotientRing, n: int, a, v):
@@ -596,6 +676,9 @@ def _mat_det(ring: QuotientRing, n: int, a) -> int:
     if n == 1:
         return a[0]
     if n == 2:
+        mt = ring.mul_table
+        if mt is not None:
+            return ring.add_table[mt[a[0]][a[3]]][ring.neg(mt[a[1]][a[2]])]
         return ring.sub(ring.mul(a[0], a[3]), ring.mul(a[1], a[2]))
     det = ring.zero
     for j in range(n):
@@ -629,6 +712,9 @@ def _mat_inv(ring: QuotientRing, n: int, a):
     dinv = ring.inv(det)
     if n == 1:
         return (dinv,)
+    if n == 2:
+        neg, mul = ring.neg, ring.mul
+        return (mul(a[3], dinv), mul(neg(a[1]), dinv), mul(neg(a[2]), dinv), mul(a[0], dinv))
     adj = []
     for i in range(n):
         for j in range(n):
@@ -773,11 +859,16 @@ class ConjugacyClassData:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
+    """The orbits of conjugation by the generators, each seeded from its least
+    ordinal.  x -> g^-1 x g is read off the generators' right products x g
+    with one batch of left products by g^-1 per generator, and the right
+    products are dropped."""
     if group.classes is not None:
         return group.classes
     mark = group.table_mark()
     gens = group.generators()
-    gen_invs = [group.inv(g) for g in gens]
+    conjugates = [group.mul_left(group.inv(g), xg) for g, xg in zip(gens, group.right_products)]
+    group.right_products = None
     class_of = [-1] * group.order
     reps: list[int] = []
     sizes: list[int] = []
@@ -791,8 +882,8 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
         frontier = [seed]
         while frontier:
             nxt = []
-            for g, gi in zip(gens, gen_invs):
-                for y in group.mul_left(gi, group.mul_right(frontier, g)):
+            for images in conjugates:
+                for y in map(images.__getitem__, frontier):
                     if class_of[y] < 0:
                         class_of[y] = cid
                         nxt.append(y)
@@ -819,7 +910,7 @@ def congruence_kernel(group: FiniteGroup, i: int) -> FiniteGroup:
     ring = group.ring
     if not 1 <= i <= ring.r:
         raise ValueError(f"congruence level must be in 1..{ring.r}")
-    view = SubgroupView(group, map(group.index.__getitem__, _kernel_matrices(group.scheme, ring, i)))
+    view = SubgroupView(group, map(group.ordinal, _kernel_matrices(group.scheme, ring, i)))
     exponent = (ring.r - i) * group.scheme.dim
     if view.order != ring.q**exponent:
         raise AssertionError(f"kernel of order {view.order}, not q^{exponent}")

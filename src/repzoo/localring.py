@@ -290,17 +290,18 @@ class QuotientRing:
         self.one = self.from_coords((1,))
 
         self._inv_cache: dict[int, int] = {}
+        # add_table[i][j] and mul_table[i][j], or None above _TABLE_LIMIT
         if self.size <= _TABLE_LIMIT:
             els = self.elements
-            self._add_table = [
+            self.add_table = [
                 [self.index[self._add_raw(a, b)] for b in els] for a in els
             ]
-            self._mul_table = [
+            self.mul_table = [
                 [self.index[self._mul_raw(a, b)] for b in els] for a in els
             ]
         else:
-            self._add_table = None
-            self._mul_table = None
+            self.add_table = None
+            self.mul_table = None
         self._neg_table = [
             self.index[tuple((-c) % m for c, m in zip(t, self._ranges))]
             for t in self.elements
@@ -357,13 +358,13 @@ class QuotientRing:
     # -- public index arithmetic ---------------------------------------------
 
     def add(self, i: int, j: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[i][j]
+        if self.add_table is not None:
+            return self.add_table[i][j]
         return self.index[self._add_raw(self.elements[i], self.elements[j])]
 
     def mul(self, i: int, j: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[i][j]
+        if self.mul_table is not None:
+            return self.mul_table[i][j]
         return self.index[self._mul_raw(self.elements[i], self.elements[j])]
 
     def neg(self, i: int) -> int:

@@ -37,7 +37,7 @@ GL2 = GroupScheme("GL", 2)
 def heisenberg(q_spec):
     """U3 and its center, the matrices with zero off the top-right corner."""
     group = build_group(GroupScheme("U", 3), q_spec)
-    corner = [k for k, m in enumerate(group.elements) if m[1] == m[5] == group.ring.zero]
+    corner = [k for k in range(group.order) if group.matrix(k)[1] == group.matrix(k)[5] == group.ring.zero]
     return group, SubgroupView(group, corner)
 
 
@@ -198,7 +198,7 @@ def test_extension_observable_recorded():
 def test_non_normal_subgroup_is_refused_with_a_witness():
     group = build_group(GL2, RingSpec("unramified", 3, 1, 1))
     ring = group.ring
-    unitriangular = [group.index[(ring.one, b, ring.zero, ring.one)] for b in range(ring.size)]
+    unitriangular = [group.ordinal((ring.one, b, ring.zero, ring.one)) for b in range(ring.size)]
     with pytest.raises(NotAbelianNormalError) as info:
         clifford_dimirr(group, SubgroupView(group, unitriangular))
     cause = info.value.__cause__

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from repzoo import clifford
 from repzoo.characters import DegreeMultiset, _center_moves, _center_perms, character_table_modp
+from repzoo.clifford import clifford_dimirr, default_normal_subgroup
 from repzoo.groups import (
     _PATTERNS,
     BudgetExceededError,
     FiniteMatrixGroup,
     GroupScheme,
     QuotientGroup,
+    SubgroupView,
     _identity_matrix,
     _mat_det,
     _mat_mul,
@@ -216,9 +219,14 @@ SMALL_RINGS = [
 ]
 
 
+def _matrices(group):
+    """The matrices of an enumerated group, in ordinal order."""
+    return [group.matrix(x) for x in range(group.order)]
+
+
 def _fresh(group):
     """The same group with an empty table memo."""
-    return FiniteMatrixGroup(group.scheme, group.ring, group.elements)
+    return FiniteMatrixGroup(group.scheme, group.ring, _matrices(group))
 
 
 def _assert_batched_products_match(group, rng):
@@ -243,8 +251,11 @@ def _assert_batched_products_match(group, rng):
 def test_batched_products_equal_the_plain_loop(scheme, spec):
     group = _fresh(build_group(scheme, spec))
     _assert_batched_products_match(group, random.Random(f"{scheme.label()} {spec.label()}"))
-    # a table exists exactly when |R|^n <= 2|G|
-    assert bool(group._tables) == (spec.size**scheme.n <= 2 * group.order)
+    # a table of n |R|^n entries exists exactly when it fits in 2|G|
+    assert bool(group._tables) == (scheme.n * spec.size**scheme.n <= 2 * group.order)
+    for (left, _), table in group._tables.items():
+        assert len(table) == scheme.n and all(len(shares) == spec.size**scheme.n for shares in table)
+        assert len(group._codes[left]) == scheme.n
 
 
 def test_batched_products_on_subgroups_and_quotients():
@@ -253,6 +264,20 @@ def test_batched_products_on_subgroups_and_quotients():
     rng = random.Random(5)
     _assert_batched_products_match(kernel, rng)
     _assert_batched_products_match(QuotientGroup(group, kernel.ordinals), rng)
+
+
+def test_batched_products_past_the_memo_budget():
+    # GL2(F_5): 480 elements and 2 * 25 entries a table, so 19 tables fit; a
+    # factor past them takes the plain loop on either side
+    group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
+    xs = list(range(group.order))
+    for b in range(12):
+        assert group.mul_right(xs, b) == [group.mul(x, b) for x in xs]
+        assert group.mul_left(b, xs) == [group.mul(b, x) for x in xs]
+    assert len(group._tables) == 19 and group._table_entries == 19 * 50 <= 2 * group.order
+    assert {left for left, _ in group._tables} == {False, True}
+    group.release_tables(0)
+    assert group._tables == {} and group._codes == {} and group._table_entries == 0
 
 
 def test_no_table_when_vectors_outnumber_the_group():
@@ -264,22 +289,39 @@ def test_no_table_when_vectors_outnumber_the_group():
     assert group._tables == {} and group._table_entries == 0
 
 
-def test_table_memo_never_exceeds_twice_the_group_order():
-    # GL2(F_5): 480 elements and 25 vectors a table, so at most 38 tables; the
-    # tables of generators and conjugacy_classes are released, so each of its
-    # 4 central elements and the representative of each of the 7 Z(G)-orbits
-    # of its 24 classes get one
+def test_table_memo_never_exceeds_twice_the_group_order(monkeypatch):
+    # GL2(F_5): 480 elements and 2 * 25 entries a table, so at most 19 tables;
+    # the tables of generators and conjugacy_classes are released, so each of
+    # its 4 central elements and the representative of each of the 7
+    # Z(G)-orbits of its 24 classes get one, and all go, with the codes, when
+    # character_table_modp returns
     group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
+    held = []
+    release = FiniteMatrixGroup.release_tables
+
+    def recorded(self, mark):
+        entries = sum(len(table) * len(table[0]) for table in self._tables.values())
+        assert self._table_entries == entries <= 2 * self.order
+        held.append(set(self._tables))
+        release(self, mark)
+
+    monkeypatch.setattr(FiniteMatrixGroup, "release_tables", recorded)
     degrees = DegreeMultiset.from_degrees(character_table_modp(group).degrees)
     assert degrees.entries == ((1, 4), (4, 10), (5, 4), (6, 6))
-    assert group._table_entries == sum(map(len, group._tables.values())) <= 2 * group.order
+    assert group._tables == {} and group._codes == {} and group._table_entries == 0
     classes = conjugacy_classes(group)
+    gens = group.generators()
     moves = _center_moves(_center_perms(group, classes).values())
     orbit_reps = [classes.representatives[u] for u, (_, perm) in enumerate(moves) if perm is None]
     assert len(orbit_reps) == 7
     central = [rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1]
     assert len(central) == 4
-    assert set(group._tables) == {(False, x) for x in orbit_reps + central}
+    # generators, conjugacy_classes (right products by g, left by g^-1), then the table
+    assert held == [
+        {(False, g) for g in gens},
+        {(True, group.inv(g)) for g in gens},
+        {(False, x) for x in orbit_reps + central},
+    ]
 
 
 @pytest.mark.parametrize(
@@ -294,8 +336,8 @@ def test_table_memo_never_exceeds_twice_the_group_order():
 def test_sl_lifts_solved_from_det_one_equal_the_det_one_filter(n, spec):
     gl = build_group(GroupScheme("GL", n), spec)
     ring = gl.ring
-    expected = [m for m in gl.elements if _mat_det(ring, n, m) == ring.one]
-    assert build_group(GroupScheme("SL", n), spec).elements == expected
+    expected = [m for m in _matrices(gl) if _mat_det(ring, n, m) == ring.one]
+    assert _matrices(build_group(GroupScheme("SL", n), spec)) == expected
 
 
 def _kernel_by_scan(group, i):
@@ -303,7 +345,7 @@ def _kernel_by_scan(group, i):
     ring = group.ring
     _, red = ring.reduce_to(i)
     id_img = tuple(red[x] for x in _identity_matrix(ring, group.n))
-    return [k for k, m in enumerate(group.elements) if tuple(red[x] for x in m) == id_img]
+    return [k for k, m in enumerate(_matrices(group)) if tuple(red[x] for x in m) == id_img]
 
 
 @pytest.mark.parametrize("family", sorted(_PATTERNS))
@@ -340,7 +382,7 @@ def test_coset_group_products_are_matrix_products(scheme, spec):
     group = build_group(scheme, spec)
     ring, n, kernel = group.ring, scheme.n, coset.kernel
     assert coset.order == group.order
-    assert sorted(coset.matrix(x) for x in range(coset.order)) == group.elements
+    assert sorted(coset.matrix(x) for x in range(coset.order)) == _matrices(group)
     assert all(coset.ordinal(coset.matrix(x)) == x for x in range(coset.order))
     section = [coset.matrix(c * kernel.order + kernel.identity) for c in range(coset.quotient.order)]
     assert section[coset.quotient.identity] == group.matrix(group.identity)
@@ -351,8 +393,8 @@ def test_coset_group_products_are_matrix_products(scheme, spec):
         assert coset.mul(x, coset.inv(x)) == coset.identity
         c, d = rng.randrange(coset.quotient.order), rng.randrange(coset.quotient.order)
         # product(c, d) is s(c) s(d)
-        x, y = group.index[section[c]], group.index[section[d]]
-        assert group.index[coset.matrix(coset.product(c, d))] == group.mul(x, y)
+        x, y = group.ordinal(section[c]), group.ordinal(section[d])
+        assert group.ordinal(coset.matrix(coset.product(c, d))) == group.mul(x, y)
         # conjugate(c, j) is the j' with s(c) k_j' = k_j s(c)
         j = rng.randrange(kernel.order)
         k = coset.conjugate(c, j)
@@ -375,3 +417,94 @@ def test_clifford_budget_bounds_what_is_enumerated():
     with pytest.raises(BudgetExceededError) as err:
         coset_group(GL2, spec, budget=17_279)
     assert err.value.predicted == 17_280
+
+
+def _two_sided_greedy_generators(group):
+    """The greedy generating set as first computed: each new generator's
+    closure grown by products with every generator on both sides."""
+    gens = []
+    closure = {group.identity}
+    for i in range(group.order):
+        if i in closure:
+            continue
+        gens.append(i)
+        closure.add(i)
+        frontier = [i]
+        while frontier:
+            nxt = []
+            for g in gens:
+                for x in frontier:
+                    for y in (group.mul(x, g), group.mul(g, x)):
+                        if y not in closure:
+                            closure.add(y)
+                            nxt.append(y)
+            frontier = nxt
+        if len(closure) == group.order:
+            break
+    return gens
+
+
+def _classes_by_brute_force(group):
+    """(class_of, representatives, sizes, inverse_class): each orbit is
+    {g^-1 x g : g in G}, labelled in the order of its least element."""
+    class_of = [-1] * group.order
+    reps, sizes = [], []
+    for x in range(group.order):
+        if class_of[x] < 0:
+            orbit = {group.mul(group.inv(g), group.mul(x, g)) for g in range(group.order)}
+            for y in orbit:
+                class_of[y] = len(reps)
+            reps.append(x)
+            sizes.append(len(orbit))
+    inverse_class = [class_of[group.inv(r)] for r in reps]
+    return tuple(class_of), tuple(reps), tuple(sizes), tuple(inverse_class)
+
+
+def _central_extension_of_gl2_z9():
+    """A fresh copy of the non-abelian S/ker psi of the level-2 Clifford run of GL2(Z/9)."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clifford, "character_table_modp", lambda group: seen.append(group) or character_table_modp(group))
+        group = coset_group(GL2, RingSpec("unramified", 3, 1, 2))
+        clifford_dimirr(group, default_normal_subgroup(group))
+    (s_bar,) = seen
+    return clifford._CentralExtension(s_bar.cosets, s_bar.stab, s_bar.psi, s_bar.M)
+
+
+def _sl2_in_gl2_z4():
+    group = build_group(GL2, Z4)
+    ring = group.ring
+    return SubgroupView(group, [x for x in range(group.order) if _mat_det(ring, 2, group.matrix(x)) == ring.one])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda scheme=GroupScheme(family, n), spec=spec: _fresh(build_group(scheme, spec)),
+                     id=f"{family}{n}-{spec.label()}")
+        for family in sorted(_PATTERNS)
+        for n in (1, 2)
+        for spec in SMALL_RINGS
+    ]
+    + [
+        pytest.param(lambda: QuotientGroup(build_group(GL2, Z4), congruence_kernel(build_group(GL2, Z4), 1).ordinals),
+                     id="GL2(Z/4)/K^1"),
+        pytest.param(lambda: QuotientGroup(build_group(GroupScheme("B", 2), RingSpec("eqchar", 3, 1, 2)),
+                                           congruence_kernel(build_group(GroupScheme("B", 2), RingSpec("eqchar", 3, 1, 2)), 1).ordinals),
+                     id="B2(F_3[t]/t^2)/K^1"),
+        pytest.param(lambda: congruence_kernel(build_group(GL2, Z4), 1), id="K^1 of GL2(Z/4)"),
+        pytest.param(_sl2_in_gl2_z4, id="SL2(Z/4) in GL2(Z/4)"),
+        pytest.param(_central_extension_of_gl2_z9, id="S/ker psi of GL2(Z/9)"),
+    ],
+)
+def test_generators_and_classes_equal_the_references(make):
+    group = make()
+    expected = _two_sided_greedy_generators(group)
+    assert group.generators() == expected
+    assert len(group.right_products) == len(expected)
+    for g, products in zip(expected, group.right_products):
+        assert list(products) == [group.mul(x, g) for x in range(group.order)]
+    classes = conjugacy_classes(group)
+    assert group.right_products is None
+    got = (classes.class_of, classes.representatives, classes.sizes, classes.inverse_class)
+    assert got == _classes_by_brute_force(group)
