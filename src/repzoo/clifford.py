@@ -112,11 +112,8 @@ class DualGroup:
         m = len(gens)
         # dlog in the polycyclic normal form (mixed radix over relative orders)
         dlog_pc: dict[int, tuple[int, ...]] = {}
-        for exps in itertools.product(*[range(r) for r in rel_orders]):
-            elem = n_view.identity
-            for g, e in zip(gens, exps):
-                for _ in range(e):
-                    elem = n_view.mul(elem, g)
+        exponents = itertools.product(*[range(r) for r in rel_orders])
+        for elem, exps in zip(_words(n_view, gens, rel_orders), exponents):
             dlog_pc.setdefault(elem, exps)
         if len(dlog_pc) != n_view.order:
             raise AssertionError("polycyclic sequence does not reach all of N")
@@ -147,10 +144,8 @@ class DualGroup:
 
     def _build_dlog(self) -> dict[int, tuple[int, ...]]:
         dlog: dict[int, tuple[int, ...]] = {}
-        for exps in itertools.product(*[range(n) for n in self.orders]):
-            elem = self.group.identity
-            for b, e in zip(self.basis, exps):
-                elem = self.group.mul(elem, _power(self.group, b, e))
+        exponents = itertools.product(*[range(n) for n in self.orders])
+        for elem, exps in zip(_words(self.group, self.basis, self.orders), exponents):
             if elem in dlog:
                 raise AssertionError("basis is not a direct decomposition")
             dlog[elem] = exps
@@ -176,6 +171,22 @@ class DualGroup:
 
     def power(self, chi: tuple[int, ...], u: int) -> tuple[int, ...]:
         return tuple(a * u % n for a, n in zip(chi, self.orders))
+
+
+def _words(group: FiniteGroup, gens, orders) -> list[int]:
+    """g_1^e_1 ... g_m^e_m for every exponent vector e below orders, in the
+    order of itertools.product: each word is its predecessor times one g_i,
+    so the list takes one product per word."""
+    words = [group.identity]
+    for g, r in zip(gens, orders):
+        longer = []
+        for x in words:
+            longer.append(x)
+            for _ in range(r - 1):
+                x = group.mul(x, g)
+                longer.append(x)
+        words = longer
+    return words
 
 
 def _power(group: FiniteGroup, x: int, e: int) -> int:

@@ -289,6 +289,23 @@ def test_no_table_when_vectors_outnumber_the_group():
     assert group._tables == {} and group._table_entries == 0
 
 
+def test_keys_of_two_byte_entries():
+    # F_3[t]/t^6 has 729 elements, so an entry takes two bytes of a key, and
+    # products take the plain loop
+    group = _fresh(build_group(GroupScheme("U", 2), RingSpec("eqchar", 3, 1, 6)))
+    ring = group.ring
+    assert (ring.size, group.order, group._entry_bytes) == (729, 729, 2)
+    mats = _matrices(group)
+    assert mats == sorted(mats) and all(group.ordinal(m) == x for x, m in enumerate(mats))
+    rng = random.Random(3)
+    for _ in range(50):
+        x, y = rng.randrange(group.order), rng.randrange(group.order)
+        assert mats[group.mul(x, y)] == _mat_mul(ring, 2, mats[x], mats[y])
+        assert group.mul(x, group.inv(x)) == group.identity
+    _assert_batched_products_match(group, rng)
+    assert group._tables == {}
+
+
 def test_table_memo_never_exceeds_twice_the_group_order(monkeypatch):
     # GL2(F_5): 480 elements and 2 * 25 entries a table, so at most 19 tables;
     # the tables of generators and conjugacy_classes are released, so each of
