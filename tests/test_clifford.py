@@ -37,7 +37,7 @@ GL2 = GroupScheme("GL", 2)
 def heisenberg(q_spec):
     """U3 and its center, the matrices with zero off the top-right corner."""
     group = build_group(GroupScheme("U", 3), q_spec)
-    corner = [k for k in range(group.order) if group.matrix(k)[1] == group.matrix(k)[5] == group.ring.zero]
+    corner = [k for k, m in enumerate(map(group.matrix, range(group.order))) if m[1] == m[5] == group.ring.zero]
     return group, SubgroupView(group, corner)
 
 
