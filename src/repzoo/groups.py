@@ -276,8 +276,8 @@ class FiniteMatrixGroup(FiniteGroup):
     do, so ordinal i is the i-th matrix in tuple order.  index maps a key to
     its ordinal and matrix(i) decodes one.  With one-byte entries a key is
     encoded and decoded by one int.from_bytes or int.to_bytes call, and mul
-    reads the ring's tables directly (_mat_mul), so a single product costs no
-    more than it did on tuples.
+    reads the ring's tables directly (_mat_mul), which offsets most of what
+    the codec costs a single product.
 
     mul_right and mul_left multiply a batch by one fixed factor through a
     table of that factor over the |R|^n vectors: row i of x*b is (row i of
