@@ -347,7 +347,6 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     """
     if group.modp_table is not None:
         return group.modp_table
-    mark = group.table_mark()
     classes = conjugacy_classes(group)
     k = classes.n_classes
     order = group.order
@@ -456,8 +455,6 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     result = DegreeMultiset.from_degrees(table.degrees)
     result.validate(order, k)
     group.modp_table = table
-    # the class operators' tables and the codes they read are not needed again
-    group.release_tables(mark)
     return table
 
 

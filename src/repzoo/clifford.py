@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from .characters import DegreeMultiset, character_degrees, character_table_modp
 from .groups import (
     CosetCoordinates,
+    CosetGroup,
     FiniteGroup,
     NotNormalError,
     QuotientGroup,
@@ -464,10 +465,11 @@ def _dims_above(cosets: CosetCoordinates, dual: DualGroup, rec: OrbitRecord):
     return _faithful_dims(s_bar, s_bar.image_of_n, M)
 
 
-def clifford_dimirr(group: FiniteGroup, n_view: FiniteGroup) -> CliffordReport:
+def clifford_dimirr(group: FiniteGroup | CosetGroup, n_view: FiniteGroup) -> CliffordReport:
     """Assemble dimirr(G) orbit by orbit from the normal abelian p-subgroup N,
     a SubgroupView of G or the kernel of a CosetGroup; DualGroup checks that N
-    is abelian, and the dual action that it is normal."""
+    is abelian, and the dual action that it is normal.  Only an enumerated
+    group has a trivial N, which reads G itself."""
     if n_view.order == 1:
         # one orbit, the trivial character, fixed by G: Irr(G | 1) = Irr(G)
         dm = character_degrees(group)
@@ -498,10 +500,11 @@ def clifford_dimirr(group: FiniteGroup, n_view: FiniteGroup) -> CliffordReport:
     return CliffordReport(degrees, tuple(orbit_slices))
 
 
-def default_normal_subgroup(group: FiniteGroup) -> FiniteGroup:
+def default_normal_subgroup(group: FiniteGroup | CosetGroup) -> FiniteGroup:
     """The pipeline's N: abelian congruence kernel at level ceil(r/2), or the
     center for unipotent-type groups at level 1, or trivial.  group is a
-    FiniteMatrixGroup or, at r >= 2, a CosetGroup."""
+    FiniteMatrixGroup or, at r >= 2 and dim G > 0, a CosetGroup, whose N is
+    its kernel."""
     ring = group.ring
     if ring.r >= 2:
         return congruence_kernel(group, (ring.r + 1) // 2)

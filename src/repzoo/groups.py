@@ -67,11 +67,14 @@ _MOVING = ("any", "unit")
 
 
 class BudgetExceededError(ValueError):
-    def __init__(self, scheme, spec, predicted, budget, what=""):
+    def __init__(self, scheme, spec, predicted, budget, clifford=False):
         self.predicted = predicted
-        super().__init__(
-            f"{what}|{scheme.family}{scheme.n}({spec.label()})| = {predicted} exceeds budget {budget}"
+        group = f"{scheme.family}{scheme.n}({spec.label()})"
+        what = (
+            f"the Clifford engine on {group} lists G/N, N and stabilizer quotients of up to {predicted} elements, which"
+            if clifford else f"|{group}| = {predicted}"
         )
+        super().__init__(f"{what} exceeds budget {budget}")
 
 
 class NotNormalError(ValueError):
@@ -137,7 +140,7 @@ def check_budget(scheme: GroupScheme, spec: RingSpec, budget: int, clifford: boo
     if clifford:
         size = clifford_size(scheme, spec)
         if size > budget:
-            raise BudgetExceededError(scheme, spec, size, budget, "Clifford pieces of ")
+            raise BudgetExceededError(scheme, spec, size, budget, clifford=True)
     elif predicted > budget:
         raise BudgetExceededError(scheme, spec, predicted, budget)
     return predicted
@@ -193,13 +196,6 @@ class FiniteGroup:
         mul = self.mul
         return [mul(a, x) for x in xs]
 
-    def table_mark(self) -> int:
-        """A mark of the fixed-factor table memo, for release_tables."""
-        return 0
-
-    def release_tables(self, mark: int) -> None:
-        """Drop the fixed-factor tables built since mark."""
-
     def element_order(self, i: int) -> int:
         n, x = 1, i
         while x != self.identity:
@@ -219,7 +215,6 @@ class FiniteGroup:
         per generator, for conjugacy_classes."""
         if self.gens is not None:
             return self.gens
-        mark = self.table_mark()
         gens: list[int] = []
         products: list[memoryview] = []
         closure = bytearray(self.order)  # membership flags
@@ -247,7 +242,6 @@ class FiniteGroup:
                 break
         self.gens = gens
         self.right_products = products
-        self.release_tables(mark)
         return gens
 
     def is_abelian(self) -> bool:
@@ -287,12 +281,10 @@ class FiniteMatrixGroup(FiniteGroup):
     of R^n, and the table gives, for each row or column and each code, the
     image vector's share of the product's key.  A product is then n code
     reads, n table reads, one integer sum and one int-keyed index lookup, with
-    no tuple built.  The tables are memoized here, at most 2|G| entries in
-    all, n|R|^n for each, so none is built when n|R|^n > 2|G| or an entry
-    needs more than one byte; past that the plain loop runs.  generators and
-    conjugacy_classes release the tables they built once their result is
-    memoized, which leaves the room to the class operators; the codes of a
-    side are dropped with its last table.
+    no tuple built.  The tables and the codes stay for the life of the group,
+    n|R|^n entries a table and at most 2|G| in all, so at most
+    floor(2|G| / (n|R|^n)) tables, and none when an entry needs more than one
+    byte; past that the plain loop runs.
     """
 
     def __init__(self, scheme: GroupScheme, ring: QuotientRing, matrices):
@@ -307,9 +299,10 @@ class FiniteMatrixGroup(FiniteGroup):
         self.identity = self.ordinal(_identity_matrix(ring, n))
         self._inv_cache: dict[int, int] = {}
         # fixed-factor tables, keyed by (left, factor): table[j][c] is the share
-        # of the key of the product from row (right) or column (left) j of code c
+        # of the key of the product from row (right) or column (left) j of code c;
+        # n |R|^n entries each and at most 2|G| in all
         self._tables: dict[tuple[bool, int], list[list[int]]] = {}
-        self._table_entries = 0
+        self._table_room = 2 * self.order // (n * ring.size**n) if self._entry_bytes == 1 else 0
         # left -> for each j, the code of column (left) or row j of every element
         self._codes: dict[bool, list[memoryview]] = {}
 
@@ -370,16 +363,13 @@ class FiniteMatrixGroup(FiniteGroup):
 
     def _table(self, factor: int, left: bool) -> list[list[int]] | None:
         """For each j, code of v -> the share of the key of factor v (left) or
-        factor^T v (right) placed as column or row j; None when adding it would
-        take the memo past 2|G| entries."""
+        factor^T v (right) placed as column or row j; None when the memo is
+        full."""
         key = (left, factor)
         table = self._tables.get(key)
-        if table is not None:
+        if table is not None or len(self._tables) >= self._table_room:
             return table
         ring, n = self.ring, self.n
-        entries = n * ring.size**n
-        if self._entry_bytes != 1 or self._table_entries + entries > 2 * self.order:
-            return None
         # the pattern of a vector v puts entry t at bit stride (n - 1 - t);
         # shifted by shifts[j], it is v's share of a key as its row (right) or
         # column (left) j
@@ -405,19 +395,7 @@ class FiniteMatrixGroup(FiniteGroup):
         images = [sum(map(lshift, _mat_vec(ring, n, a, v), weights)) for v in vectors]
         table = [[image << s for image in images] for s in shifts]
         self._tables[key] = table
-        self._table_entries += entries
         return table
-
-    def table_mark(self) -> int:
-        return len(self._tables)
-
-    def release_tables(self, mark: int) -> None:
-        for key in list(self._tables)[mark:]:
-            table = self._tables.pop(key)
-            self._table_entries -= len(table) * len(table[0])
-        for left in list(self._codes):
-            if not any(side == left for side, _ in self._tables):
-                del self._codes[left]
 
 
 class SubgroupView(FiniteGroup):
@@ -549,15 +527,14 @@ class LabelledCosets(CosetCoordinates):
         return quotient.label[x] * self.kernel.order + quotient.offset[x]
 
 
-class CosetGroup(FiniteGroup, CosetCoordinates):
-    """G(o_r), r >= 2, over N = K^m, m = ceil(r/2), with no element list.
+class CosetGroup(CosetCoordinates):
+    """The coset coordinates of G(o_r), r >= 2, dim G > 0, over N = K^m,
+    m = ceil(r/2), with no element list.
 
-    Ordinal c |N| + j stands for s(c) k_j: c is an element of G/N = G(o_m),
-    which build_group enumerates; s is the coordinate section of _lifts; and
-    k_j is the j-th matrix of N, lifted from the identity through the p^m tails
-    (_kernel_matrices), sorted as in the enumerated group.  The Clifford engine
-    reads the coset coordinates; mul and inv, through matrices, serve only a
-    trivial N (U1, of dimension 0), where the engine reads G as a FiniteGroup.
+    The coordinates c |N| + j stand for s(c) k_j: c is an element of
+    G/N = G(o_m), which build_group enumerates; s is the coordinate section of
+    _lifts; and k_j is the j-th matrix of N, lifted from the identity through
+    the p^m tails (_kernel_matrices), sorted as in the enumerated group.
     """
 
     def __init__(self, scheme: GroupScheme, ring: QuotientRing, quotient: FiniteMatrixGroup):
@@ -572,26 +549,16 @@ class CosetGroup(FiniteGroup, CosetCoordinates):
         )
         self._section_inv: list[tuple[int, ...] | None] = [None] * quotient.order
         self._reduce = ring.reduce_to(self.level)[1]
-        self.identity = self.ordinal(_identity_matrix(ring, self.n))
 
     def coset_coordinates(self, kernel: FiniteGroup) -> CosetCoordinates:
         if kernel is not self.kernel:
             raise ValueError("a coset group has coordinates over its own kernel only")
         return self
 
-    def matrix(self, x: int):
-        c, j = divmod(x, self.kernel.order)
-        return _mat_mul(self.ring, self.n, self.section[c], self.kernel.matrix(j))
-
     def ordinal(self, mat) -> int:
+        """The coordinates of a matrix of G."""
         c = self.quotient.ordinal(map(self._reduce.__getitem__, mat))
         return c * self.kernel.order + self.kernel.ordinal(self._times_inverse(c, mat))
-
-    def mul(self, i: int, j: int) -> int:
-        return self.ordinal(_mat_mul(self.ring, self.n, self.matrix(i), self.matrix(j)))
-
-    def inv(self, i: int) -> int:
-        return self.ordinal(_mat_inv(self.ring, self.n, self.matrix(i)))
 
     def _times_inverse(self, c: int, mat):
         """s(c)^-1 mat."""
@@ -819,17 +786,17 @@ def clifford_size(scheme: GroupScheme, spec: RingSpec) -> int:
     m = (r + 1) // 2
     # N = 1 + p^m X is additive in X (2m >= r), so exp N divides the
     # additive order of 1 in o_(r-m)
-    e = {"unramified": 1, "eqchar": r - m}.get(spec.kind, spec.e)
-    exponent = spec.p ** -(-(r - m) // e)
+    exponent = make_ring(spec.at_level(r - m)).additive_order_of_one()
     return max(predicted_order(scheme, spec.at_level(m)) * exponent, spec.q ** ((r - m) * scheme.dim))
 
 
 def coset_group(scheme: GroupScheme, spec: RingSpec, budget: int = DEFAULT_BUDGET) -> "CosetGroup":
     """G(o_r), r >= 2, in coset coordinates over K^ceil(r/2), built once per
     process; the budget bounds clifford_size and is checked on every call,
-    before the memo."""
-    if spec.r < 2:
-        raise ValueError("coset coordinates need level r >= 2")
+    before the memo.  A scheme of dimension 0 has one element at every level,
+    so its N is trivial and it has no coordinates over N to write."""
+    if spec.r < 2 or scheme.dim == 0:
+        raise ValueError("coset coordinates need level r >= 2 and dim G > 0")
     check_budget(scheme, spec, budget, clifford=True)
     return _coset_group(scheme, spec)
 
@@ -865,7 +832,6 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
     products are dropped."""
     if group.classes is not None:
         return group.classes
-    mark = group.table_mark()
     gens = group.generators()
     conjugates = [group.mul_left(group.inv(g), xg) for g, xg in zip(gens, group.right_products)]
     group.right_products = None
@@ -895,11 +861,10 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
     if sum(sizes) != group.order:
         raise AssertionError(f"class sizes sum to {sum(sizes)}, not |G|={group.order}")
     group.classes = data
-    group.release_tables(mark)
     return data
 
 
-def congruence_kernel(group: FiniteGroup, i: int) -> FiniteGroup:
+def congruence_kernel(group: FiniteGroup | CosetGroup, i: int) -> FiniteGroup:
     """K^i = ker(G(o_r) -> G(o_i)), built from the pattern (_kernel_matrices)
     with no scan of G: a SubgroupView of an enumerated group, and the kernel
     itself of a coset group over K^i."""

@@ -35,6 +35,7 @@ from .clifford import CliffordReport, clifford_dimirr, default_normal_subgroup
 from .groups import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    CosetGroup,
     FiniteGroup,
     GroupScheme,
     build_group,
@@ -112,16 +113,16 @@ def compute_clifford_report(
     scheme: GroupScheme, spec: RingSpec, budget: int = DEFAULT_BUDGET
 ) -> CliffordReport:
     """The Clifford report of the group, built once per process.  At r >= 2 the
-    group is a CosetGroup, so G(o_r) is never enumerated; the builders check
-    the budget on every call, before the memo (coset_group against
-    clifford_size)."""
-    if spec.r >= 2:
+    group is a CosetGroup, so G(o_r) is never enumerated, unless dim G = 0 and
+    G has one element; the builders check the budget on every call, before the
+    memo (coset_group against clifford_size)."""
+    if spec.r >= 2 and scheme.dim:
         return _clifford_report(coset_group(scheme, spec, budget))
     return _clifford_report(build_group(scheme, spec, budget))
 
 
 @cache
-def _clifford_report(group: FiniteGroup) -> CliffordReport:
+def _clifford_report(group: FiniteGroup | CosetGroup) -> CliffordReport:
     # the builders return one group object per (scheme, spec)
     return clifford_dimirr(group, default_normal_subgroup(group))
 

@@ -15,6 +15,7 @@ from repzoo.characters import character_degrees
 from repzoo.clifford import (
     DualGroup,
     NotAbelianNormalError,
+    OrbitDims,
     clifford_dimirr,
     default_normal_subgroup,
     orbits_and_stabilizers,
@@ -158,9 +159,17 @@ def test_trivial_n_delegates_to_chardeg():
 
 
 def test_trivial_n_of_a_coset_group_reads_it_as_a_finite_group():
-    # U1 has dimension 0, so its N = K^1 at level 2 is trivial
-    report = harness.compute_clifford_report(GroupScheme("U", 1), RingSpec("unramified", 2, 1, 2))
-    assert report.degrees.entries == ((1, 1),)
+    # U1 and SL1 have dimension 0, so G and its N = K^ceil(r/2) are trivial at
+    # every level; the report reads the one-element enumerated group, which
+    # has no coset coordinates
+    for family in ("U", "SL"):
+        for r in (2, 3):
+            scheme, spec = GroupScheme(family, 1), RingSpec("unramified", 2, 1, r)
+            report = harness.compute_clifford_report(scheme, spec)
+            assert report.degrees.entries == ((1, 1),)
+            assert report.orbits == (OrbitDims((), 1, 1, ((1, 1),), True),)
+            with pytest.raises(ValueError):
+                coset_group(scheme, spec)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from repzoo.clifford import clifford_dimirr, default_normal_subgroup
 from repzoo.groups import (
     _PATTERNS,
     BudgetExceededError,
+    FiniteGroup,
     FiniteMatrixGroup,
     GroupScheme,
     QuotientGroup,
@@ -274,10 +275,8 @@ def test_batched_products_past_the_memo_budget():
     for b in range(12):
         assert group.mul_right(xs, b) == [group.mul(x, b) for x in xs]
         assert group.mul_left(b, xs) == [group.mul(b, x) for x in xs]
-    assert len(group._tables) == 19 and group._table_entries == 19 * 50 <= 2 * group.order
+    assert len(group._tables) == group._table_room == 19 and 19 * 50 <= 2 * group.order
     assert {left for left, _ in group._tables} == {False, True}
-    group.release_tables(0)
-    assert group._tables == {} and group._codes == {} and group._table_entries == 0
 
 
 def test_no_table_when_vectors_outnumber_the_group():
@@ -286,7 +285,7 @@ def test_no_table_when_vectors_outnumber_the_group():
     xs = list(range(group.order))
     assert group.mul_right(xs, 1) == [group.mul(x, 1) for x in xs]
     assert group.mul_left(1, xs) == [group.mul(1, x) for x in xs]
-    assert group._tables == {} and group._table_entries == 0
+    assert group._tables == {} and group._table_room == 0
 
 
 def test_keys_of_two_byte_entries():
@@ -308,37 +307,61 @@ def test_keys_of_two_byte_entries():
 
 def test_table_memo_never_exceeds_twice_the_group_order(monkeypatch):
     # GL2(F_5): 480 elements and 2 * 25 entries a table, so at most 19 tables;
-    # the tables of generators and conjugacy_classes are released, so each of
-    # its 4 central elements and the representative of each of the 7
-    # Z(G)-orbits of its 24 classes get one, and all go, with the codes, when
-    # character_table_modp returns
+    # the tables stay with the group, so when character_table_modp returns,
+    # its generators, their inverses, the representative of each of the 7
+    # Z(G)-orbits of its 24 classes and its 4 central elements each hold one
     group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
-    held = []
-    release = FiniteMatrixGroup.release_tables
+    assert group._table_room == 19
+    table = FiniteMatrixGroup._table
 
-    def recorded(self, mark):
-        entries = sum(len(table) * len(table[0]) for table in self._tables.values())
-        assert self._table_entries == entries <= 2 * self.order
-        held.append(set(self._tables))
-        release(self, mark)
+    def bounded(self, factor, left):
+        out = table(self, factor, left)
+        assert sum(len(t) * len(t[0]) for t in self._tables.values()) <= 2 * self.order
+        return out
 
-    monkeypatch.setattr(FiniteMatrixGroup, "release_tables", recorded)
+    monkeypatch.setattr(FiniteMatrixGroup, "_table", bounded)
     degrees = DegreeMultiset.from_degrees(character_table_modp(group).degrees)
     assert degrees.entries == ((1, 4), (4, 10), (5, 4), (6, 6))
-    assert group._tables == {} and group._codes == {} and group._table_entries == 0
-    classes = conjugacy_classes(group)
     gens = group.generators()
+    classes = conjugacy_classes(group)
     moves = _center_moves(_center_perms(group, classes).values())
     orbit_reps = [classes.representatives[u] for u, (_, perm) in enumerate(moves) if perm is None]
     assert len(orbit_reps) == 7
     central = [rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1]
     assert len(central) == 4
     # generators, conjugacy_classes (right products by g, left by g^-1), then the table
-    assert held == [
-        {(False, g) for g in gens},
-        {(True, group.inv(g)) for g in gens},
-        {(False, x) for x in orbit_reps + central},
-    ]
+    held = list(group._tables)
+    g = len(gens)
+    assert held[:g] == [(False, x) for x in gens]
+    assert held[g : 2 * g] == [(True, group.inv(x)) for x in gens]
+    assert set(held[2 * g :]) == {(False, x) for x in orbit_reps + central} - set(held[:g])
+
+
+def test_row_codes_are_built_once():
+    # the row codes generators builds are the ones the class operators read
+    group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
+    group.generators()
+    codes = group._codes[False]
+    character_table_modp(group)
+    assert group._codes[False] is codes
+
+
+@pytest.mark.parametrize(
+    "scheme,spec",
+    [(GL2, RingSpec("unramified", 13, 1, 1)), (GroupScheme("GL", 3), F3)],
+    ids=lambda v: v.label(),
+)
+def test_class_operators_never_take_the_plain_loop(monkeypatch, scheme, spec):
+    # every class-operator batch of a fresh group finds room for its table
+    group = _fresh(build_group(scheme, spec))
+    conjugacy_classes(group)
+    plain = []
+    mul_right, mul_left = FiniteGroup.mul_right, FiniteGroup.mul_left
+    monkeypatch.setattr(FiniteGroup, "mul_right", lambda self, xs, b: plain.append(b) or mul_right(self, xs, b))
+    monkeypatch.setattr(FiniteGroup, "mul_left", lambda self, a, xs: plain.append(a) or mul_left(self, a, xs))
+    character_table_modp(group)
+    assert plain == []
+    assert len(group._tables) <= group._table_room
 
 
 @pytest.mark.parametrize(
@@ -393,25 +416,26 @@ def test_congruence_kernel_from_the_pattern_equals_the_scan(family, spec):
     ids=lambda v: v.label(),
 )
 def test_coset_group_products_are_matrix_products(scheme, spec):
-    # ordinal c |N| + j is s(c) k_j; the coordinates the Clifford engine reads
-    # agree with matrix arithmetic and with the enumerated group
+    # coordinates c |N| + j are s(c) k_j; the coordinates the Clifford engine
+    # reads agree with matrix arithmetic and with the enumerated group
     coset = coset_group(scheme, spec)
     group = build_group(scheme, spec)
-    ring, n, kernel = group.ring, scheme.n, coset.kernel
+    ring, n, kernel, section = group.ring, scheme.n, coset.kernel, coset.section
+
+    def matrix(x):
+        c, j = divmod(x, kernel.order)
+        return _mat_mul(ring, n, section[c], kernel.matrix(j))
+
     assert coset.order == group.order
-    assert sorted(coset.matrix(x) for x in range(coset.order)) == _matrices(group)
-    assert all(coset.ordinal(coset.matrix(x)) == x for x in range(coset.order))
-    section = [coset.matrix(c * kernel.order + kernel.identity) for c in range(coset.quotient.order)]
+    assert sorted(map(matrix, range(coset.order))) == _matrices(group)
+    assert all(coset.ordinal(matrix(x)) == x for x in range(coset.order))
     assert section[coset.quotient.identity] == group.matrix(group.identity)
     rng = random.Random(7)
     for _ in range(50):
-        x, y = rng.randrange(coset.order), rng.randrange(coset.order)
-        assert coset.matrix(coset.mul(x, y)) == _mat_mul(ring, n, coset.matrix(x), coset.matrix(y))
-        assert coset.mul(x, coset.inv(x)) == coset.identity
         c, d = rng.randrange(coset.quotient.order), rng.randrange(coset.quotient.order)
         # product(c, d) is s(c) s(d)
         x, y = group.ordinal(section[c]), group.ordinal(section[d])
-        assert group.ordinal(coset.matrix(coset.product(c, d))) == group.mul(x, y)
+        assert group.ordinal(matrix(coset.product(c, d))) == group.mul(x, y)
         # conjugate(c, j) is the j' with s(c) k_j' = k_j s(c)
         j = rng.randrange(kernel.order)
         k = coset.conjugate(c, j)
@@ -419,7 +443,7 @@ def test_coset_group_products_are_matrix_products(scheme, spec):
         # s(c) k_j k_j' = s(c) k_(j j')
         m = rng.randrange(kernel.order)
         x = c * kernel.order + j
-        assert coset.ordinal(_mat_mul(ring, n, coset.matrix(x), kernel.matrix(m))) == c * kernel.order + kernel.mul(j, m)
+        assert coset.ordinal(_mat_mul(ring, n, matrix(x), kernel.matrix(m))) == c * kernel.order + kernel.mul(j, m)
 
 
 def test_clifford_budget_bounds_what_is_enumerated():
@@ -431,6 +455,8 @@ def test_clifford_budget_bounds_what_is_enumerated():
     assert clifford_size(GL2, RingSpec("unramified", 2, 1, 4)) == 96 * 4
     assert clifford_size(GL2, RingSpec("eqchar", 2, 1, 4)) == 2 ** 8
     assert clifford_size(GL2, F3) == 48
+    # o = Z_3[3^(1/2)] at level 4: N = K^2 has exponent 3, the additive order of 1 in o_2
+    assert clifford_size(GL2, RingSpec("eisenstein", 3, 1, 4, 2)) == 11664
     with pytest.raises(BudgetExceededError) as err:
         coset_group(GL2, spec, budget=17_279)
     assert err.value.predicted == 17_280

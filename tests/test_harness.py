@@ -552,3 +552,13 @@ def test_cli_dimirr_chardeg_of_level_2_over_f9_is_over_budget(capsys, tmp_path):
     out = json.loads(capsys.readouterr().out)["unram:3,2,2"]
     assert out["predicted"] == 37_791_360 and "exceeds budget" in out["error"]
     assert not list(tmp_path.glob("*.json"))
+
+
+def test_cli_fit_clifford_budget_error_says_what_it_counts(capsys):
+    # |GL2(Z/4)| = 96, but what the budget bounds at level 2 is clifford_size,
+    # here the 16 elements of N = K^1, so the message must not call 16 the order
+    argv = ["fit", "--scheme", "GL2", "--level", "2", "--samples", "2,3,4", "--budget", "10"]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "GL2(unram:2,1,2)" in err and "up to 16 elements" in err and "exceeds budget 10" in err
+    assert "| = 16" not in err
