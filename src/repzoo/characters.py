@@ -455,6 +455,7 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     result = DegreeMultiset.from_degrees(table.degrees)
     result.validate(order, k)
     group.modp_table = table
+    group.drop_tables()
     return table
 
 

@@ -196,6 +196,9 @@ class FiniteGroup:
         mul = self.mul
         return [mul(a, x) for x in xs]
 
+    def drop_tables(self) -> None:
+        """Free whatever mul_right and mul_left keep for their batches."""
+
     def element_order(self, i: int) -> int:
         n, x = 1, i
         while x != self.identity:
@@ -212,7 +215,8 @@ class FiniteGroup:
         nothing new appears.  That closure is <gens>, as a two-sided one is, so
         the list is the same, and x g is made exactly once for each element x
         and generator g.  The products are kept in right_products, one buffer
-        per generator, for conjugacy_classes."""
+        per generator, for conjugacy_classes, and the tables they were made
+        with are dropped."""
         if self.gens is not None:
             return self.gens
         gens: list[int] = []
@@ -242,6 +246,7 @@ class FiniteGroup:
                 break
         self.gens = gens
         self.right_products = products
+        self.drop_tables()
         return gens
 
     def is_abelian(self) -> bool:
@@ -281,10 +286,11 @@ class FiniteMatrixGroup(FiniteGroup):
     of R^n, and the table gives, for each row or column and each code, the
     image vector's share of the product's key.  A product is then n code
     reads, n table reads, one integer sum and one int-keyed index lookup, with
-    no tuple built.  The tables and the codes stay for the life of the group,
-    n|R|^n entries a table and at most 2|G| in all, so at most
-    floor(2|G| / (n|R|^n)) tables, and none when an entry needs more than one
-    byte; past that the plain loop runs.
+    no tuple built.  A table has n|R|^n entries and at most 2|G| are held,
+    so at most floor(2|G| / (n|R|^n)) tables, and none when an entry needs
+    more than one byte; past that the plain loop runs.  generators,
+    conjugacy_classes and character_table_modp drop the tables when they store
+    their result, and the codes stay for the life of the group.
     """
 
     def __init__(self, scheme: GroupScheme, ring: QuotientRing, matrices):
@@ -348,6 +354,10 @@ class FiniteMatrixGroup(FiniteGroup):
     def mul_left(self, a: int, xs) -> list[int]:
         out = self._by_table(xs, a, True)
         return super().mul_left(a, xs) if out is None else out
+
+    def drop_tables(self) -> None:
+        # the codes stay: the next batch on either side reads the same ones
+        self._tables.clear()
 
     def _by_table(self, xs, factor: int, left: bool) -> list[int] | None:
         """The products of xs by factor on the given side, or None when the
@@ -779,14 +789,15 @@ def _kernel_matrices(scheme: GroupScheme, ring: QuotientRing, i: int) -> list[tu
 def clifford_size(scheme: GroupScheme, spec: RingSpec) -> int:
     """The most elements the Clifford engine lists for G(o_r).  At r >= 2 it
     works over N = K^m, m = ceil(r/2), and lists G/N = G(o_m), N, and each
-    S/ker psi, of order |Stab(psi)| M <= |G/N| exp N; at r = 1, G itself."""
+    S/ker psi, of order |Stab(psi)| M <= |G/N| exp N; at r = 1, and for
+    dim G = 0, G itself, which build_group lists."""
     r = spec.r
-    if r == 1:
+    if r == 1 or not scheme.dim:
         return predicted_order(scheme, spec)
     m = (r + 1) // 2
     # N = 1 + p^m X is additive in X (2m >= r), so exp N divides the
-    # additive order of 1 in o_(r-m)
-    exponent = make_ring(spec.at_level(r - m)).additive_order_of_one()
+    # additive order of 1 in o_(r-m), read off the spec with no ring built
+    exponent = spec.at_level(r - m).additive_order_of_one()
     return max(predicted_order(scheme, spec.at_level(m)) * exponent, spec.q ** ((r - m) * scheme.dim))
 
 
@@ -829,12 +840,13 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
     """The orbits of conjugation by the generators, each seeded from its least
     ordinal.  x -> g^-1 x g is read off the generators' right products x g
     with one batch of left products by g^-1 per generator, and the right
-    products are dropped."""
+    products and the tables of the left ones are dropped."""
     if group.classes is not None:
         return group.classes
     gens = group.generators()
     conjugates = [group.mul_left(group.inv(g), xg) for g, xg in zip(gens, group.right_products)]
     group.right_products = None
+    group.drop_tables()
     class_of = [-1] * group.order
     reps: list[int] = []
     sizes: list[int] = []

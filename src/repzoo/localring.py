@@ -202,6 +202,15 @@ class RingSpec:
     def size(self) -> int:
         return self.q**self.r
 
+    @property
+    def blocks(self) -> int:
+        """The e of the layout: pi^e = p, and e = r in equal characteristic."""
+        return self.r if self.kind == "eqchar" else self.e
+
+    def additive_order_of_one(self) -> int:
+        """p^ceil(r/e), the additive order of 1 in o/p^r, read off the spec."""
+        return self.p ** -(-self.r // self.blocks)
+
     def at_level(self, level: int) -> "RingSpec":
         return RingSpec(self.kind, self.p, self.f, level, self.e)
 
@@ -272,7 +281,7 @@ class QuotientRing:
         self.q = spec.q
         self.size = spec.size
         self.modulus = default_modulus(spec.p, spec.f)
-        self.e = spec.r if spec.kind == "eqchar" else spec.e
+        self.e = spec.blocks
 
         alpha, beta = divmod(self.r, self.e)
         self._ranges = tuple(
@@ -419,7 +428,7 @@ class QuotientRing:
     # -- structure maps -----------------------------------------------------------
 
     def additive_order_of_one(self) -> int:
-        return self._ranges[0]
+        return self.spec.additive_order_of_one()
 
     def reduce_to(self, level: int) -> tuple["QuotientRing", list[int]]:
         """Quotient ring at a lower level plus the index map realizing it."""

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from repzoo import clifford
+from repzoo import clifford, groups
 from repzoo.characters import DegreeMultiset, _center_moves, _center_perms, character_table_modp
 from repzoo.clifford import clifford_dimirr, default_normal_subgroup
 from repzoo.groups import (
@@ -17,6 +17,7 @@ from repzoo.groups import (
     _mat_det,
     _mat_mul,
     build_group,
+    check_budget,
     clifford_size,
     congruence_kernel,
     conjugacy_classes,
@@ -307,34 +308,37 @@ def test_keys_of_two_byte_entries():
 
 def test_table_memo_never_exceeds_twice_the_group_order(monkeypatch):
     # GL2(F_5): 480 elements and 2 * 25 entries a table, so at most 19 tables;
-    # the tables stay with the group, so when character_table_modp returns,
-    # its generators, their inverses, the representative of each of the 7
-    # Z(G)-orbits of its 24 classes and its 4 central elements each hold one
+    # generators, conjugacy_classes and character_table_modp each drop their
+    # tables when they store their result, so each of its 4 central elements
+    # and the representative of each of the 7 Z(G)-orbits of its 24 classes
+    # get one, and the codes stay with the group
     group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
     assert group._table_room == 19
-    table = FiniteMatrixGroup._table
+    held = []
+    drop = FiniteMatrixGroup.drop_tables
 
-    def bounded(self, factor, left):
-        out = table(self, factor, left)
-        assert sum(len(t) * len(t[0]) for t in self._tables.values()) <= 2 * self.order
-        return out
+    def recorded(self):
+        assert sum(len(table) * len(table[0]) for table in self._tables.values()) <= 2 * self.order
+        held.append(set(self._tables))
+        drop(self)
 
-    monkeypatch.setattr(FiniteMatrixGroup, "_table", bounded)
+    monkeypatch.setattr(FiniteMatrixGroup, "drop_tables", recorded)
     degrees = DegreeMultiset.from_degrees(character_table_modp(group).degrees)
     assert degrees.entries == ((1, 4), (4, 10), (5, 4), (6, 6))
-    gens = group.generators()
+    assert group._tables == {} and set(group._codes) == {False, True}
     classes = conjugacy_classes(group)
+    gens = group.generators()
     moves = _center_moves(_center_perms(group, classes).values())
     orbit_reps = [classes.representatives[u] for u, (_, perm) in enumerate(moves) if perm is None]
     assert len(orbit_reps) == 7
     central = [rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1]
     assert len(central) == 4
     # generators, conjugacy_classes (right products by g, left by g^-1), then the table
-    held = list(group._tables)
-    g = len(gens)
-    assert held[:g] == [(False, x) for x in gens]
-    assert held[g : 2 * g] == [(True, group.inv(x)) for x in gens]
-    assert set(held[2 * g :]) == {(False, x) for x in orbit_reps + central} - set(held[:g])
+    assert held == [
+        {(False, g) for g in gens},
+        {(True, group.inv(g)) for g in gens},
+        {(False, x) for x in orbit_reps + central},
+    ]
 
 
 def test_row_codes_are_built_once():
@@ -348,11 +352,13 @@ def test_row_codes_are_built_once():
 
 @pytest.mark.parametrize(
     "scheme,spec",
-    [(GL2, RingSpec("unramified", 13, 1, 1)), (GroupScheme("GL", 3), F3)],
+    [(GL2, RingSpec("unramified", 13, 1, 1)), (GroupScheme("GL", 3), F3)]
+    + [(GroupScheme("SL", 2), RingSpec.for_q(q, 1)) for q in (9, 11)],
     ids=lambda v: v.label(),
 )
 def test_class_operators_never_take_the_plain_loop(monkeypatch, scheme, spec):
-    # every class-operator batch of a fresh group finds room for its table
+    # every class-operator batch of a fresh group finds room for its table;
+    # SL2 has room for about q tables, so the generators' tables must be gone
     group = _fresh(build_group(scheme, spec))
     conjugacy_classes(group)
     plain = []
@@ -459,6 +465,20 @@ def test_clifford_budget_bounds_what_is_enumerated():
     with pytest.raises(BudgetExceededError) as err:
         coset_group(GL2, spec, budget=17_279)
     assert err.value.predicted == 17_280
+    # a dimension-0 scheme has one element at every level, and build_group lists it
+    for family in ("U", "SL"):
+        assert clifford_size(GroupScheme(family, 1), RingSpec("unramified", 2, 1, 2)) == 1
+
+
+def test_clifford_budget_refuses_a_large_q_without_building_a_ring(monkeypatch):
+    # exp N is read off the spec, so a level-2 sample at q = 1 000 003 is
+    # refused before any ring of q^(r-m) elements is listed
+    def no_ring(spec):
+        raise AssertionError(f"built the ring {spec.label()}")
+
+    monkeypatch.setattr(groups, "make_ring", no_ring)
+    with pytest.raises(BudgetExceededError):
+        check_budget(GL2, RingSpec.for_q(1_000_003, 2), 10**7, clifford=True)
 
 
 def _two_sided_greedy_generators(group):

@@ -554,6 +554,15 @@ def test_cli_dimirr_chardeg_of_level_2_over_f9_is_over_budget(capsys, tmp_path):
     assert not list(tmp_path.glob("*.json"))
 
 
+def test_cli_dimirr_clifford_budget_of_u1_is_its_one_element(capsys, tmp_path):
+    # the pre-check and compute_clifford_report bound the same count: U1 at
+    # level 2 is one element, which build_group lists
+    argv = ["--cache-dir", str(tmp_path), "dimirr", "--scheme", "U1", "--ring", "unram:2,1,2"]
+    assert cli_main([*argv, "--engine", "clifford", "--budget", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)["unram:2,1,2"]
+    assert out["order"] == 1 and "error" not in out
+
+
 def test_cli_fit_clifford_budget_error_says_what_it_counts(capsys):
     # |GL2(Z/4)| = 96, but what the budget bounds at level 2 is clifford_size,
     # here the 16 elements of N = K^1, so the message must not call 16 the order
