@@ -3,19 +3,19 @@
 The degree multiset of Irr(G) is computed from the class-multiplication-
 coefficient matrices: their simultaneous eigenvectors over Z/ell (ell prime,
 ell = 1 mod exp(G), ell > 2 sqrt(|G|)) recover the algebra homomorphisms
-omega_t, from which degrees follow by the column orthogonality relation and
-lift uniquely below ell/2.  Following Schneider ("Dixon's character table
-algorithm revisited", J. Symb. Comp. 1990), each class matrix is kept sparse,
-as the nonzero entries of its columns, and is applied to a subspace basis by
-summing the columns its nonzero coordinates select.  Only one column per
-orbit of the center Z(G) on the classes is counted; the others are that
-column with its rows permuted.  The split starts from the central-character
-blocks, the eigenspaces of the class permutation of one central element,
-which are written down without elimination.  The eigenvalues are found by
-equal-degree splitting of the characteristic polynomial (Cantor-Zassenhaus,
-Math. Comp. 1981).  Everything is integer arithmetic; the structural
-identities (sum of squares, class count, divisibility) are checked on every
-output.
+omega_t, from which the squared degrees follow mod ell by the column
+orthogonality relation; each degree is read from the divisors of |G|.
+Following Schneider ("Dixon's character table algorithm revisited", J. Symb.
+Comp. 1990), each class matrix is kept sparse, as the nonzero entries of its
+columns, and is applied to a subspace basis by summing the columns its
+nonzero coordinates select.  Only one column per orbit of the center Z(G) on
+the classes is counted; the others are that column with its rows permuted.
+The split starts from the central-character blocks, the eigenspaces of the
+class permutation of one central element, which are written down without
+elimination.  The eigenvalues are found by equal-degree splitting of the
+characteristic polynomial (Cantor-Zassenhaus, Math. Comp. 1981).  Everything
+is integer arithmetic; the structural identities (sum of squares, class
+count, divisibility) are checked on every output.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isqrt
 
 from .groups import ConjugacyClassData, FiniteGroup, conjugacy_classes, uint_buffer
 from .intlinalg import nullspace, rref
@@ -167,32 +168,6 @@ def _poly_roots(poly: list[int], ell: int) -> list[int]:
         if not factors:
             break
     return sorted(roots)
-
-
-def _sqrt_mod(a: int, ell: int) -> int:
-    """Tonelli-Shanks square root mod an odd prime (deterministic scan for a non-residue)."""
-    a %= ell
-    if a == 0:
-        return 0
-    if pow(a, (ell - 1) // 2, ell) != 1:
-        raise AssertionError(f"{a} is not a quadratic residue mod {ell}")
-    if ell % 4 == 3:
-        return pow(a, (ell + 1) // 4, ell)
-    q, s = ell - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = next(z for z in range(2, ell) if pow(z, (ell - 1) // 2, ell) == ell - 1)
-    m, c, t, r = s, pow(z, q, ell), pow(a, q, ell), pow(a, (q + 1) // 2, ell)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % ell
-            i += 1
-        b = pow(c, 1 << (m - i - 1), ell)
-        m, c = i, b * b % ell
-        t, r = t * c % ell, r * b % ell
-    return r
 
 
 # -- the mod-ell table ---------------------------------------------------------------
@@ -433,16 +408,18 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     degrees = []
     inv_class = classes.inverse_class
     inv_sizes = [pow(size, -1, ell) for size in classes.sizes]
+    # a degree d divides |G| and d^2 <= |G| < ell^2/4, so it is the one divisor
+    # of |G| up to isqrt(|G|) with square d^2 mod ell: two would give ell |
+    # (d1 - d2)(d1 + d2) with both factors in (0, ell)
+    lifts = {d * d % ell: d for d in range(1, isqrt(order) + 1) if order % d == 0}
     for row in omega_rows:
         total = 0
         for j in range(k):
             total = (total + row[j] * row[inv_class[j]] * inv_sizes[j]) % ell
         d_sq = order * pow(total, -1, ell) % ell
-        d = _sqrt_mod(d_sq, ell)
-        d = min(d, ell - d)
-        if not (0 < d and d * d % ell == d_sq):
-            raise AssertionError(f"degree {d} does not lift d^2 = {d_sq} mod {ell}")
-        degrees.append(d)
+        if d_sq not in lifts:
+            raise AssertionError(f"no divisor of |G| = {order} has square {d_sq} mod {ell}")
+        degrees.append(lifts[d_sq])
 
     # deterministic row order: by degree, then omega row
     order_idx = sorted(range(k), key=lambda t: (degrees[t], omega_rows[t]))

@@ -47,6 +47,8 @@ def _cmd_fit(args) -> int:
     if len(set(sample_qs)) < 3:
         raise ValueError(f"need at least 3 distinct sample values of q, got {args.samples!r}")
     hq = None if args.holdout is None else int(args.holdout)
+    if hq in sample_qs:
+        raise ValueError(f"holdout q={hq} is one of the samples, which every fit reproduces")
     # every argument is checked before the first oracle runs; at level >= 2 the
     # samples and the holdout all go through the Clifford engine
     specs = {q: RingSpec.for_q(q, level) for q in [*sample_qs, hq] if q is not None}

@@ -73,6 +73,9 @@ class DualGroup:
     The basis realizes N as a direct product of cyclic groups (Smith normal form
     of the relation lattice of a greedy polycyclic generating sequence); the
     decomposition is verified by exhaustive re-enumeration on construction.
+    The sequence is N's own greedy generators, which is_abelian has built: N is
+    abelian, so <C, x> = C<x>, and a greedy closure of products would pick the
+    same list.
     """
 
     def __init__(self, n_view: FiniteGroup):
@@ -89,43 +92,28 @@ class DualGroup:
     def _abelian_basis(n_view: FiniteGroup):
         if n_view.order == 1:
             return (), ()
-        # greedy polycyclic generators with relative orders
-        gens: list[int] = []
-        rel_orders: list[int] = []
-        closure = {n_view.identity}
-        for x in range(n_view.order):
-            if x in closure:
-                continue
-            power, rel = x, 1
-            while power not in closure:
-                power = n_view.mul(power, x)
-                rel += 1
-            new = set()
-            acc = n_view.identity
-            for _ in range(rel):
-                new.update(n_view.mul(h, acc) for h in closure)
-                acc = n_view.mul(acc, x)
-            gens.append(x)
-            rel_orders.append(rel)
-            closure = new
-            if len(closure) == n_view.order:
-                break
+        # one word list grown over N's greedy generators g_i: the words so far
+        # are <g_1, ..., g_(i-1)>, r_i is the first power of g_i among them, and
+        # each word times g_i^e, e < r_i, is a new word
+        gens = n_view.generators()
+        words, rel_orders, powers = [n_view.identity], [], []
+        for g in gens:
+            members, power, r = set(words), g, 1
+            while power not in members:
+                power = n_view.mul(power, g)
+                r += 1
+            rel_orders.append(r)
+            powers.append(power)
+            words = _words(n_view, [g], [r], words)
         m = len(gens)
         # dlog in the polycyclic normal form (mixed radix over relative orders)
-        dlog_pc: dict[int, tuple[int, ...]] = {}
-        exponents = itertools.product(*[range(r) for r in rel_orders])
-        for elem, exps in zip(_words(n_view, gens, rel_orders), exponents):
-            dlog_pc.setdefault(elem, exps)
+        dlog_pc = dict(zip(words, itertools.product(*[range(r) for r in rel_orders])))
         if len(dlog_pc) != n_view.order:
             raise AssertionError("polycyclic sequence does not reach all of N")
         # relation lattice columns: r_i e_i - dlog(g_i^{r_i})
         cols = []
-        for i, (g, r) in enumerate(zip(gens, rel_orders)):
-            power = n_view.identity
-            for _ in range(r):
-                power = n_view.mul(power, g)
-            rel_vec = list(dlog_pc[power])
-            col = [-rel_vec[j] for j in range(m)]
+        for i, (power, r) in enumerate(zip(powers, rel_orders)):
+            col = [-x for x in dlog_pc[power]]
             col[i] += r
             cols.append(col)
         relmat = [[cols[c][rw] for c in range(m)] for rw in range(m)]
@@ -174,11 +162,12 @@ class DualGroup:
         return tuple(a * u % n for a, n in zip(chi, self.orders))
 
 
-def _words(group: FiniteGroup, gens, orders) -> list[int]:
-    """g_1^e_1 ... g_m^e_m for every exponent vector e below orders, in the
-    order of itertools.product: each word is its predecessor times one g_i,
-    so the list takes one product per word."""
-    words = [group.identity]
+def _words(group: FiniteGroup, gens, orders, words=None) -> list[int]:
+    """w g_1^e_1 ... g_m^e_m for every w in words (default: the identity) and
+    every exponent vector e below orders, in the order of itertools.product:
+    each word is its predecessor times one g_i, so the list takes one product
+    per word."""
+    words = words or [group.identity]
     for g, r in zip(gens, orders):
         longer = []
         for x in words:
@@ -317,7 +306,8 @@ def _faithful_dims(
     Returns (dims multiset, extension observable) where the observable compares
     the count against #Irr(Stab/N), the count a cocycle-free extension would give.
     """
-    phi_m = sum(1 for u in range(1, M + 1) if math.gcd(u, M) == 1)
+    p, _ = prime_power(M)  # M divides exp(N), and N is a p-group
+    phi_m = M - M // p
     if len(set(n_bar_labels)) != M:
         raise AssertionError(f"image of N has {len(set(n_bar_labels))} elements, not {M}")
 
@@ -338,8 +328,6 @@ def _faithful_dims(
     gen_class = classes.class_of[gen]
     table = character_table_modp(s_bar)
     ell = table.ell
-
-    p, _ = prime_power(M)  # M divides exp(N), and N is a p-group
 
     def has_order_m(v: int) -> bool:
         if pow(v, M, ell) != 1:
@@ -376,25 +364,17 @@ def _faithful_dims(
 
 
 def _galois_classes(dual: DualGroup, records: list[OrbitRecord]) -> list[int]:
-    """For each orbit, the least orbit index of its Galois-power class."""
+    """For each orbit, the least orbit index of its Galois-power class.
+
+    G acts on the dual by automorphisms, so (g psi)^u = g (psi^u), and "some
+    psi^u of orbit i's representative lies in orbit j" is an equivalence
+    already: u = 1 makes it reflexive, u^-1 mod exp N symmetric and uv
+    transitive.  The class of orbit i is the set of orbits of its
+    representative's powers, with no union-find to close it."""
     chi_to_orbit = {chi: i for i, r in enumerate(records) for chi in r.orbit}
     E = dual.exponent
     units = [u for u in range(1, E + 1) if math.gcd(u, E) == 1]
-    parent = list(range(len(records)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, rec in enumerate(records):
-        for u in units:
-            j = chi_to_orbit[dual.power(rec.representative, u)]
-            ra, rb = find(i), find(j)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return [find(i) for i in range(len(records))]
+    return [min(chi_to_orbit[dual.power(rec.representative, u)] for u in units) for rec in records]
 
 
 class _CentralExtension(FiniteGroup):

@@ -553,6 +553,7 @@ class CosetGroup(CosetCoordinates):
         self.n = scheme.n
         self.level = quotient.ring.r
         kernel = FiniteMatrixGroup(scheme, ring, _kernel_matrices(scheme, ring, self.level))
+        _check_kernel_order(kernel, scheme, ring, self.level)
         super().__init__(quotient, kernel, quotient.order * kernel.order)
         self.section = list(
             _lifts(scheme, ring, _sections(ring, quotient.ring, map(quotient.matrix, range(quotient.order))), (ring.zero,))
@@ -786,6 +787,13 @@ def _kernel_matrices(scheme: GroupScheme, ring: QuotientRing, i: int) -> list[tu
     return list(_lifts(scheme, ring, [_identity_matrix(ring, scheme.n)], tail))
 
 
+def _check_kernel_order(kernel: FiniteGroup, scheme: GroupScheme, ring: QuotientRing, i: int) -> None:
+    """|K^i| = q^((r - i) dim G), for K^i as built from _kernel_matrices."""
+    exponent = (ring.r - i) * scheme.dim
+    if kernel.order != ring.q**exponent:
+        raise AssertionError(f"kernel of order {kernel.order}, not q^{exponent}")
+
+
 def clifford_size(scheme: GroupScheme, spec: RingSpec) -> int:
     """The most elements the Clifford engine lists for G(o_r).  At r >= 2 it
     works over N = K^m, m = ceil(r/2), and lists G/N = G(o_m), N, and each
@@ -888,8 +896,6 @@ def congruence_kernel(group: FiniteGroup | CosetGroup, i: int) -> FiniteGroup:
     if not 1 <= i <= ring.r:
         raise ValueError(f"congruence level must be in 1..{ring.r}")
     view = SubgroupView(group, map(group.ordinal, _kernel_matrices(group.scheme, ring, i)))
-    exponent = (ring.r - i) * group.scheme.dim
-    if view.order != ring.q**exponent:
-        raise AssertionError(f"kernel of order {view.order}, not q^{exponent}")
+    _check_kernel_order(view, group.scheme, ring, i)
     return view
 

@@ -19,7 +19,6 @@ from repzoo.characters import (
     _charpoly,
     _class_matrix,
     _poly_roots,
-    _sqrt_mod,
     character_degrees,
     character_table_modp,
     choose_ell,
@@ -136,11 +135,18 @@ def test_degree_multiset_validate_raises_under_optimize():
     assert "AssertionError" in proc.stderr
 
 
-def test_sqrt_mod_of_a_non_residue_raises_under_optimize():
-    # 3 is not a square mod 7
-    proc = _run_optimized("from repzoo.characters import _sqrt_mod; _sqrt_mod(3, 7)")
+def test_a_degree_with_no_divisor_of_the_order_raises_under_optimize():
+    # with the divisor scan capped at 1, the degree 2 of S3 = GL2(F_2) has no
+    # candidate
+    code = (
+        "from repzoo import characters; characters.isqrt = lambda n: 1\n"
+        "from repzoo.groups import GroupScheme, build_group\n"
+        "from repzoo.localring import RingSpec\n"
+        "characters.character_table_modp(build_group(GroupScheme('GL', 2), RingSpec('unramified', 2, 1, 1)))"
+    )
+    proc = _run_optimized(code)
     assert proc.returncode != 0
-    assert "AssertionError" in proc.stderr
+    assert "AssertionError: no divisor of |G| = 6 has square 4 mod 7" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -152,6 +158,18 @@ def test_module_has_no_assert_statement(module):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in Path(repzoo.__file__).parent.glob("*.py"))
+)
+def test_module_imports_only_the_standard_library(module):
+    # the package has no runtime dependency beyond the standard library
+    path = Path(repzoo.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert [name for name in names if name.split(".")[0] not in sys.stdlib_module_names] == []
 
 
 def _is_float_use(node) -> bool:
@@ -186,13 +204,6 @@ def test_unitriangular_degrees_are_q_powers(n, q, p, f):
     degrees = dm.degrees_set()
     powers = {q**k for k in range(20)}
     assert degrees <= powers, (n, q, sorted(degrees - powers))
-
-
-def test_sqrt_mod():
-    for ell in (97, 433, 337):
-        for a in range(1, 30):
-            root = _sqrt_mod(a * a % ell, ell)
-            assert root in (a % ell, (-a) % ell)
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,8 +337,8 @@ def _reference_table(group):
         total = sum(
             row[j] * row[classes.inverse_class[j]] * pow(classes.sizes[j], -1, ell) for j in range(k)
         )
-        d = _sqrt_mod(order * pow(total, -1, ell), ell)
-        degrees.append(min(d, ell - d))
+        d_sq = order * pow(total, -1, ell) % ell
+        degrees.append(next(d for d in range(1, ell) if d * d % ell == d_sq))
     rows = sorted(zip(degrees, omega))
     return ell, tuple(d for d, _ in rows), tuple(w for _, w in rows)
 

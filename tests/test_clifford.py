@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from repzoo.groups import (
     coset_group,
     predicted_order,
 )
+from repzoo.intlinalg import smith_normal_form, unimodular_inverse
 from repzoo.localring import RingSpec
 
 GL2 = GroupScheme("GL", 2)
@@ -320,3 +322,125 @@ def test_coset_path_never_enumerates_the_full_group(monkeypatch, scheme, spec):
     assert report.degrees.sum_of_squares == predicted_order(scheme, spec)
     assert harness.compute_degrees(scheme, spec).entries == report.degrees.entries
     assert built == [(spec.r + 1) // 2]
+
+
+def _union_find_galois_classes(dual, records):
+    """The Galois-power classes by union-find over (orbit i, orbit of rep_i^u),
+    as clifford computed them before the relation was read as an equivalence."""
+    chi_to_orbit = {chi: i for i, r in enumerate(records) for chi in r.orbit}
+    units = [u for u in range(1, dual.exponent + 1) if math.gcd(u, dual.exponent) == 1]
+    parent = list(range(len(records)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, rec in enumerate(records):
+        for u in units:
+            ra, rb = find(i), find(chi_to_orbit[dual.power(rec.representative, u)])
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return [find(i) for i in range(len(records))]
+
+
+def _naive_power(group, x, e):
+    if e < 0:
+        x, e = group.inv(x), -e
+    acc = group.identity
+    for _ in range(e):
+        acc = group.mul(acc, x)
+    return acc
+
+
+def _closure_abelian_basis(n_view):
+    """(basis, orders, dlog) of an abelian group by its own greedy closure, as
+    DualGroup computed them before it read the group's generators; each word
+    is built from powers, with no word list shared with clifford."""
+    gens, rel_orders, closure = [], [], {n_view.identity}
+    for x in range(n_view.order):
+        if x in closure:
+            continue
+        power, rel = x, 1
+        while power not in closure:
+            power = n_view.mul(power, x)
+            rel += 1
+        new, acc = set(), n_view.identity
+        for _ in range(rel):
+            new.update(n_view.mul(h, acc) for h in closure)
+            acc = n_view.mul(acc, x)
+        gens.append(x)
+        rel_orders.append(rel)
+        closure = new
+        if len(closure) == n_view.order:
+            break
+
+    def word(gs, exps):
+        acc = n_view.identity
+        for g, e in zip(gs, exps):
+            acc = n_view.mul(acc, _naive_power(n_view, g, e))
+        return acc
+
+    m = len(gens)
+    dlog_pc = {}
+    for exps in itertools.product(*[range(r) for r in rel_orders]):
+        dlog_pc.setdefault(word(gens, exps), exps)
+    cols = []
+    for i, (g, r) in enumerate(zip(gens, rel_orders)):
+        col = [-x for x in dlog_pc[_naive_power(n_view, g, r)]]
+        col[i] += r
+        cols.append(col)
+    basis, orders = [], []
+    if m:
+        u, d, _v = smith_normal_form([[cols[c][rw] for c in range(m)] for rw in range(m)])
+        uinv = unimodular_inverse(u)
+        for j in range(m):
+            if d[j][j] != 1:
+                basis.append(word(gens, [uinv[i][j] for i in range(m)]))
+                orders.append(d[j][j])
+    dlog = {word(basis, exps): exps for exps in itertools.product(*[range(n) for n in orders])}
+    return tuple(basis), tuple(orders), dlog
+
+
+def _level2_dual(scheme, ring):
+    """The dual of N and the orbit records of the level-2 Clifford run."""
+    group = coset_group(GroupScheme.parse(scheme), RingSpec.parse(ring))
+    n_view = default_normal_subgroup(group)
+    dual = DualGroup(n_view)
+    return dual, orbits_and_stabilizers(group.coset_coordinates(n_view), dual)
+
+
+LEVEL2_DUALS = [("GL2", "unram:3,1,2"), ("B2", "eqchar:2,1,3"), ("T2", "unram:3,1,4")]
+
+
+@pytest.mark.parametrize("scheme,ring", LEVEL2_DUALS)
+def test_galois_classes_equal_the_union_find(scheme, ring):
+    dual, records = _level2_dual(scheme, ring)
+    classes = clifford._galois_classes(dual, records)
+    assert classes == _union_find_galois_classes(dual, records)
+    if scheme == "T2":
+        # N = (1 + 9 Z/81)^2 of exponent 9: T2 is abelian, so every character is
+        # an orbit, and (Z/9)^2 falls into 1 + 8/2 + 72/6 classes under the units
+        assert (dual.exponent, len(records), len(set(classes))) == (9, 81, 17)
+
+
+@pytest.mark.parametrize("scheme,ring", [*LEVEL2_DUALS, ("U3", "unram:3,1,1")])
+def test_dual_basis_equals_the_greedy_closure(scheme, ring):
+    if scheme == "U3":
+        # Z(U3(F_3)), the N of the level-1 Clifford run
+        group = build_group(GroupScheme("U", 3), RingSpec.parse(ring))
+        dual = DualGroup(default_normal_subgroup(group))
+        assert dual.order == 3
+    else:
+        dual, _ = _level2_dual(scheme, ring)
+    assert (dual.basis, dual.orders, dual.dlog) == _closure_abelian_basis(dual.group)
+
+
+def test_coset_group_checks_the_order_of_its_kernel(monkeypatch):
+    kernel_matrices = groups._kernel_matrices
+    monkeypatch.setattr(groups, "_kernel_matrices", lambda *args: kernel_matrices(*args)[:-1])
+    # fresh memos before and after, so no coset group outlives the short kernel
+    monkeypatch.setattr(groups, "_coset_group", functools.cache(groups._coset_group.__wrapped__))
+    with pytest.raises(AssertionError, match="kernel of order 80, not q"):
+        coset_group(GL2, RingSpec.parse("unram:3,1,2"))

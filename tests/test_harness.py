@@ -282,8 +282,10 @@ def test_cli_scheme_without_a_size_is_a_config_error(capsys, scheme):
         ["--samples", "2,3,4", "--holdout", "6"],
         ["--samples", "2,3,4", "--holdout", "x"],
         ["--samples", "2,3,9", "--budget", "200"],
+        # every fit reproduces its samples, so a sample holds nothing out
+        ["--samples", "2,3,4", "--holdout", "3"],
     ],
-    ids=["sample", "holdout", "holdout-not-int", "budget"],
+    ids=["sample", "holdout", "holdout-not-int", "budget", "holdout-among-samples"],
 )
 def test_cli_fit_rejects_a_bad_later_argument_before_any_oracle(args, monkeypatch, capsys):
     # GL2(F_9) has 5 760 elements, and GL2(o_2) at q = 9 lists 17 280 in the
