@@ -11,11 +11,14 @@ columns, and is applied to a subspace basis by summing the columns its
 nonzero coordinates select.  Only one column per orbit of the center Z(G) on
 the classes is counted; the others are that column with its rows permuted.
 The split starts from the central-character blocks, the eigenspaces of the
-class permutation of one central element, which are written down without
-elimination.  The eigenvalues are found by equal-degree splitting of the
-characteristic polynomial (Cantor-Zassenhaus, Math. Comp. 1981).  Everything
-is integer arithmetic; the structural identities (sum of squares, class
-count, divisibility) are checked on every output.
+class permutation P_z of one central element z, and runs in block
+coordinates, one per <z>-orbit of classes: each class matrix is checked to
+commute with P_z, which makes it keep every block, and is condensed onto each
+block from its orbit-leader columns, so vectors have the length of a block,
+not of the class count.  The eigenvalues are found by equal-degree splitting
+of the characteristic polynomial (Cantor-Zassenhaus, Math. Comp. 1981).
+Everything is integer arithmetic; the structural identities (sum of squares,
+class count, divisibility) are checked on every output.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import accumulate
 from math import isqrt
 
 from .groups import ConjugacyClassData, FiniteGroup, conjugacy_classes, uint_buffer
-from .intlinalg import nullspace, rref
+from .intlinalg import identity_matrix, nullspace, rref
 from .localring import fp_gcd, fp_powmod, fp_sub, is_prime
 
 
@@ -241,49 +244,87 @@ def _root_of_unity(m: int, ell: int) -> int:
     raise AssertionError(f"no primitive {m}-th root of unity mod {ell}")
 
 
-def _central_blocks(
-    perms: dict[int, list[int]], id_class: int, ell: int
-) -> list[tuple[list[list[int]], list[int]]]:
-    """The eigenspaces of P_z: v -> (v[perm[t]])_t, as (rref rows, pivot
-    columns), for perm = perms[z] and z a central element of largest order m,
-    least on ties.  perm[id_class] = C_z, so the orbit of the identity class
-    has m classes, and m is the order of perm.
+@dataclass(frozen=True)
+class _CentralBlocks:
+    """The eigenspaces of P_z: v -> (v[perm[t]])_t, in block coordinates.
 
-    Every omega row lies in one of them: omega(zC_t) = mu omega(C_t) with mu
-    = chi(z)/chi(1), and so M_j, which commutes with P_z, keeps each one.  The
-    eigenvalues are mu = zeta^e for a primitive m-th root of unity zeta.  For
-    each <z>-orbit O = (t, perm t, perm^2 t, ...) written from its least class
-    t, the mu-eigenspace has the vector with entry mu^i at perm^i t when
-    mu^|O| = 1; its pivot is t, and distinct orbits share no class, so the
-    rows are already reduced."""
+    perm is the class permutation of a central z of order m, whose eigenvalues
+    are mu = zeta^e for a primitive m-th root of unity zeta.  For each
+    <z>-orbit O = (t, perm t, perm^2 t, ...), written from its least class t,
+    e_O has entry mu^i at perm^i t, and the e_O with mu^|O| = 1 are a basis of
+    the mu-block.  A block vector is kept as its coordinates over them, which
+    are its entries at the leaders t, since distinct orbits share no class.
+    Every omega row lies in one block: omega(zC_t) = mu omega(C_t) with mu =
+    chi(z)/chi(1)."""
+
+    ell: int
+    perm: list[int]
+    orbits: list[list[int]]
+    place: list[tuple[int, int]]  # class s -> (its orbit, the i with s = perm^i t)
+    powers: list[int]  # zeta^x for x < m
+    blocks: list[list[int]]  # blocks[e]: the orbits O with zeta^(e |O|) = 1
+
+    def vector(self, e: int, coords) -> list[int]:
+        """The full-length vector with these coordinates in block e."""
+        vec = [0] * len(self.perm)
+        for o, c in zip(self.blocks[e], coords):
+            for i, u in enumerate(self.orbits[o]):
+                vec[u] = c * self.powers[e * i % len(self.powers)] % self.ell
+        return vec
+
+    def check_commutes(self, columns) -> None:
+        """Raise unless the sparse operator commutes with P_z: column perm t
+        is column t with its rows relabelled by perm, for every class t.  Then
+        it keeps every block, as P_z does."""
+        perm = self.perm
+        for t, column in enumerate(columns):
+            if dict(columns[perm[t]]) != {perm[s]: count for s, count in column}:
+                raise AssertionError("class operator does not commute with the central class permutation")
+
+    def condense(self, e: int, columns) -> list[list[tuple[int, int]]]:
+        """The operator on block e in block coordinates, as sparse columns,
+        read off the leader columns of an operator that commutes with P_z.
+        For mu = zeta^e, its (O', O) entry is the entry of M e_O at the leader
+        of O', which by M[perm^i s][perm^i t] = M[s][t] is (|O| / |O'|) times
+        the sum of M[s][t_O] mu^(-i) over the classes s = perm^i t_O' of O'."""
+        ell, powers, m = self.ell, self.powers, len(self.powers)
+        block = self.blocks[e]
+        local = {o: r for r, o in enumerate(block)}
+        inverse_sizes = [pow(len(self.orbits[o]), -1, ell) for o in block]
+        out = []
+        for o in block:
+            acc: dict[int, int] = {}
+            for s, count in columns[self.orbits[o][0]]:
+                o2, i = self.place[s]
+                r = local.get(o2)
+                if r is not None:
+                    acc[r] = acc.get(r, 0) + count * powers[-e * i % m]
+            size = len(self.orbits[o])
+            out.append([(r, y) for r, x in acc.items() if (y := x * size * inverse_sizes[r] % ell)])
+        return out
+
+
+def _central_blocks(perms: dict[int, list[int]], id_class: int, ell: int) -> _CentralBlocks:
+    """The blocks of P_z for perms[z], z a central element of largest order
+    m, least on ties.  perm[id_class] = C_z, so the orbit of the identity
+    class has m classes, and m is the order of perm."""
     z = max(perms, key=lambda z: (len(_cycle(perms[z], id_class)), -z))
     perm = perms[z]
     m = len(_cycle(perm, id_class))
     k = len(perm)
-    orbits = []
-    seen = set()
+    orbits: list[list[int]] = []
+    place: list = [None] * k
     for t in range(k):
-        if t not in seen:
+        if place[t] is None:
             orbits.append(_cycle(perm, t))
-            seen.update(orbits[-1])
+            for i, u in enumerate(orbits[-1]):
+                place[u] = (len(orbits) - 1, i)
     zeta = _root_of_unity(m, ell)
-    blocks = []
-    for e in range(m):
-        mu = pow(zeta, e, ell)
-        rows, pivots = [], []
-        for orbit in orbits:
-            if pow(mu, len(orbit), ell) == 1:
-                row = [0] * k
-                x = 1
-                for u in orbit:
-                    row[u] = x
-                    x = x * mu % ell
-                rows.append(row)
-                pivots.append(orbit[0])
-        blocks.append((rows, pivots))
-    if sum(len(rows) for rows, _ in blocks) != k:
-        raise AssertionError(f"central blocks of dimensions {[len(r) for r, _ in blocks]} do not sum to {k}")
-    return blocks
+    powers = list(accumulate(range(m - 1), lambda x, _: x * zeta % ell, initial=1))
+    blocks = [[o for o, orbit in enumerate(orbits) if e * len(orbit) % m == 0] for e in range(m)]
+    if sum(map(len, blocks)) != k:
+        raise AssertionError(f"central blocks of dimensions {list(map(len, blocks))} do not sum to {k}")
+    return _CentralBlocks(ell, perm, orbits, place, powers, blocks)
 
 
 def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, inverse_members, moves):
@@ -311,14 +352,18 @@ def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, inverse_membe
 def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     """Full Dixon-Schneider eigen-separation for the class algebra of G.
 
-    The central blocks (_central_blocks) of (Z/ell)^k are split by M_j for
-    j = 0, 1, ... (skipping the identity class) until all are lines.  M_j is
-    kept as sparse columns, and the image of each basis vector v is the sum of
-    v[c] * column c over the nonzero v[c], reduced mod ell once.  A subspace on
-    which M_j is a scalar is kept whole; otherwise the eigenvalues of M_j on it
-    are the roots of its characteristic polynomial, found by equal-degree
-    splitting.  The rows are sorted by (degree, omega) at the end, so the
-    output does not depend on the blocks or the order of the splits.
+    The central blocks (_CentralBlocks) are split by M_j for j = 0, 1, ...
+    (skipping the identity class) until all are lines, each in the
+    coordinates of its block: a vector of length d_mu, not k.  M_j is counted
+    as sparse columns, checked to commute with P_z, so that it keeps every
+    block, and condensed onto each block that still holds a subspace of
+    dimension above 1.  The image of a basis vector v is the sum of v[c] *
+    column c of the condensed operator over the nonzero v[c]; it must lie in
+    the subspace.  A subspace on which M_j is a scalar is kept whole;
+    otherwise the eigenvalues of M_j on it are the roots of its characteristic
+    polynomial, found by equal-degree splitting.  The lines are written out at
+    full length at the end and sorted by (degree, omega), so the output does
+    not depend on the blocks or the order of the splits.
     """
     if group.modp_table is not None:
         return group.modp_table
@@ -337,37 +382,47 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
         fill[c] += 1
     perms = _center_perms(group, classes)
     moves = _center_moves(perms.values())
-    # subspaces of (Z/ell)^k, split until all are lines, each kept as the
-    # (rows, pivot columns) of its rref basis, so coordinates read off the pivots
-    subspaces = _central_blocks(perms, id_class, ell)
+    blocks = _central_blocks(perms, id_class, ell)
+    # subspaces of the blocks, split until all are lines, each kept as (e, rref
+    # rows, pivot columns) in the coordinates of block e, so coordinates read
+    # off the pivots
+    subspaces = [(e, identity_matrix(len(b)), list(range(len(b)))) for e, b in enumerate(blocks.blocks)]
 
     for j in range(k):
-        if all(len(rows) == 1 for rows, _ in subspaces):
+        if all(len(rows) == 1 for _, rows, _ in subspaces):
             break
         if j == id_class:
             continue
         inv_j = classes.inverse_class[j]
         columns = _class_matrix(group, classes, flat[start[inv_j]:start[inv_j + 1]], moves)
+        blocks.check_commutes(columns)
+        condensed = {}
         new_spaces = []
         for space in subspaces:
-            bt_rows, pivots = space
+            e, bt_rows, pivots = space
             d = len(bt_rows)
             if d == 1:
                 new_spaces.append(space)
                 continue
+            if e not in condensed:
+                condensed[e] = blocks.condense(e, columns)
+            op = condensed[e]
+            # the subspace holds w exactly when w is the combination of the
+            # rows given by its pivot coordinates, which agree at the pivots
+            free = [c for c in range(len(op)) if c not in pivots]
+            free_rows = [[row[c] for c in free] for row in bt_rows]
             a = [[0] * d for _ in range(d)]
             for ci, v in enumerate(bt_rows):
-                w = [0] * k
+                w = [0] * len(op)
                 for c, vc in enumerate(v):
                     if vc:
-                        for s, count in columns[c]:
+                        for s, count in op[c]:
                             w[s] += vc * count
-                w = [x % ell for x in w]
-                coords = [w[pc] for pc in pivots]
-                residual = w
-                for r, c in enumerate(coords):
+                coords = [w[pc] % ell for pc in pivots]
+                residual = [w[c] for c in free]
+                for c, row in zip(coords, free_rows):
                     if c:
-                        residual = [x - c * y for x, y in zip(residual, bt_rows[r])]
+                        residual = [x - c * y for x, y in zip(residual, row)]
                 if any(x % ell for x in residual):
                     raise AssertionError("class operator left the subspace")
                 for r in range(d):
@@ -384,7 +439,7 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
                 null = nullspace(shifted, ell)
                 vecs = []
                 for nv in null:
-                    vec = [0] * k
+                    vec = [0] * len(op)
                     for ci, coef in enumerate(nv):
                         if coef:
                             vec = [x + coef * y for x, y in zip(vec, bt_rows[ci])]
@@ -392,18 +447,19 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
                 rows, eigen_pivots = rref(vecs, ell)
                 if len(rows) != len(vecs):
                     raise AssertionError(f"eigenspace basis of {len(vecs)} vectors has rank {len(rows)}")
-                new_spaces.append((rows, eigen_pivots))
+                new_spaces.append((e, rows, eigen_pivots))
         subspaces = new_spaces
 
-    if not all(len(rows) == 1 for rows, _ in subspaces):
+    if not all(len(rows) == 1 for _, rows, _ in subspaces):
         raise AssertionError("eigenspace separation incomplete")
     if len(subspaces) != k:
         raise AssertionError(f"{len(subspaces)} eigenlines for {k} classes")
 
     omega_rows = []
-    for (v,), _ in subspaces:
-        scale = pow(v[id_class], -1, ell)
-        omega_rows.append(tuple(x * scale % ell for x in v))
+    for e, (v,), _ in subspaces:
+        vec = blocks.vector(e, v)
+        scale = pow(vec[id_class], -1, ell)
+        omega_rows.append(tuple(x * scale % ell for x in vec))
 
     degrees = []
     inv_class = classes.inverse_class

@@ -653,11 +653,17 @@ def _mat_vec(ring: QuotientRing, n: int, a, v):
 def _mat_det(ring: QuotientRing, n: int, a) -> int:
     if n == 1:
         return a[0]
+    mt, at = ring.mul_table, ring.add_table
     if n == 2:
-        mt = ring.mul_table
         if mt is not None:
-            return ring.add_table[mt[a[0]][a[3]]][ring.neg(mt[a[1]][a[2]])]
+            return at[mt[a[0]][a[3]]][ring.neg(mt[a[1]][a[2]])]
         return ring.sub(ring.mul(a[0], a[3]), ring.mul(a[1], a[2]))
+    if n == 3 and mt is not None:
+        # the rule of Sarrus, read off the ring's tables
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+        plus = at[at[mt[mt[a0][a4]][a8]][mt[mt[a1][a5]][a6]]][mt[mt[a2][a3]][a7]]
+        minus = at[at[mt[mt[a2][a4]][a6]][mt[mt[a0][a5]][a7]]][mt[mt[a1][a3]][a8]]
+        return at[plus][ring.neg(minus)]
     det = ring.zero
     for j in range(n):
         if a[j] == ring.zero:

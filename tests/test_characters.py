@@ -476,6 +476,27 @@ def _orbit(perm, t):
     return orbit
 
 
+def _apply(columns, v, ell):
+    """The full-length sparse operator applied to v, mod ell."""
+    image = [0] * len(columns)
+    for t, vt in enumerate(v):
+        if vt:
+            for s, count in columns[t]:
+                image[s] += vt * count
+    return [x % ell for x in image]
+
+
+def _block_bases(central):
+    """Each block's basis e_O written out at full length, with its pivots."""
+    return [
+        (
+            [central.vector(e, [int(r == c) for c in range(len(block))]) for r in range(len(block))],
+            [central.orbits[o][0] for o in block],
+        )
+        for e, block in enumerate(central.blocks)
+    ]
+
+
 @pytest.mark.parametrize(
     "make,n_blocks",
     [(_group("GL2", "unram:13,1,1"), 12), (_stabilizer_quotient_of_gl2_z9, 6)],
@@ -489,7 +510,9 @@ def test_central_blocks_are_reduced_and_kept_by_every_class_operator(make, n_blo
     perms = _center_perms(group, classes)
     # the central z of largest order, least on ties
     z = min(perms, key=lambda z: (-group.element_order(z), z))
-    blocks = _central_blocks(perms, classes.class_of[group.identity], ell)
+    central = _central_blocks(perms, classes.class_of[group.identity], ell)
+    assert central.perm == perms[z]
+    blocks = _block_bases(central)
     assert len(blocks) == n_blocks
     assert sum(len(rows) for rows, _ in blocks) == k
     for rows, pivots in blocks:
@@ -509,12 +532,7 @@ def test_central_blocks_are_reduced_and_kept_by_every_class_operator(make, n_blo
         supports = [[c for c, x in enumerate(row) if x] for row in rows]
         for v in rows:
             for columns in operators:
-                image = [0] * k
-                for t, vt in enumerate(v):
-                    if vt:
-                        for s, count in columns[t]:
-                            image[s] += vt * count
-                image = [x % ell for x in image]
+                image = _apply(columns, v, ell)
                 # in the span of rows exactly when it is the combination of
                 # rows given by its pivot coordinates; the supports are disjoint
                 combo = [0] * k
@@ -522,6 +540,91 @@ def test_central_blocks_are_reduced_and_kept_by_every_class_operator(make, n_blo
                     for c in support:
                         combo[c] = image[pivot] * row[c] % ell
                 assert image == combo
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _group("GL2", "unram:5,1,1"),
+        _group("GL2", "unram:2,1,3"),
+        _group("U3", "unram:3,2,1"),
+        _stabilizer_quotient_of_gl2_z9,
+    ],
+    ids=["GL2(F_5)", "GL2(Z/8)", "U3(F_9)", "S/ker psi of GL2(Z/9)"],
+)
+def test_condensed_operator_is_the_class_operator_on_each_block(make):
+    group = make()
+    classes = conjugacy_classes(group)
+    ell = choose_ell(group.order, group.exponent())
+    perms = _center_perms(group, classes)
+    central = _central_blocks(perms, classes.class_of[group.identity], ell)
+    bases = _block_bases(central)
+    moves = _center_moves(perms.values())
+    for j in range(classes.n_classes):
+        columns = _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), moves)
+        central.check_commutes(columns)
+        for e, (rows, pivots) in enumerate(bases):
+            condensed = central.condense(e, columns)
+            assert len(condensed) == len(rows)
+            for basis_vector, column in zip(rows, condensed):
+                image = _apply(columns, basis_vector, ell)
+                # the image lies in the block, and its coordinates are its
+                # entries at the leaders
+                coords = [image[pivot] for pivot in pivots]
+                assert central.vector(e, coords) == image
+                assert dict(column) == {r: x for r, x in enumerate(coords) if x}
+
+
+# python -O runs of GL2(F_5) whose class operators are corrupted after they are
+# counted; perm is the class permutation of the central z of largest order
+_CORRUPT = """
+from repzoo import characters
+from repzoo.groups import GroupScheme, build_group
+from repzoo.localring import RingSpec
+count_columns = characters._class_matrix
+calls = []
+
+def corrupted(group, classes, members, moves):
+    columns = count_columns(group, classes, members, moves)
+    calls.append(columns)
+    perms = characters._center_perms(group, classes)
+    perm = perms[min(perms, key=lambda z: (-group.element_order(z), z))]
+    t, (s, _) = 0, columns[0][0]
+    if moves[0][1] is not None or perm[0] == 0:
+        raise SystemExit('column 0 is not a counted column that z moves')
+    {corrupt}
+    return columns
+
+characters._class_matrix = corrupted
+characters.character_table_modp(build_group(GroupScheme("GL", 2), RingSpec("unramified", 5, 1, 1)))
+"""
+
+
+def test_a_class_operator_that_does_not_commute_with_the_center_raises_under_optimize():
+    # one more count in counted column 0 of the first operator, not in its
+    # relabelled copies
+    corrupt = "columns[t] = [(u, c + (u == s)) for u, c in columns[t]]"
+    proc = _run_optimized(_CORRUPT.format(corrupt=corrupt))
+    assert proc.returncode != 0
+    assert (
+        "AssertionError: class operator does not commute with the central class permutation"
+        in proc.stderr
+    )
+
+
+def test_a_class_operator_that_leaves_a_subspace_raises_under_optimize():
+    # the same count added at every (perm^i s, perm^i t) in the second
+    # operator, so it still commutes with P_z and keeps every block, but not
+    # the subspaces the first operator split them into
+    corrupt = """
+    while len(calls) == 2:
+        columns[t] = [(u, c + (u == s)) for u, c in columns[t]]
+        t, s = perm[t], perm[s]
+        if (t, s) == (0, columns[0][0][0]):
+            break"""
+    proc = _run_optimized(_CORRUPT.format(corrupt=corrupt))
+    assert proc.returncode != 0
+    assert "AssertionError: class operator left the subspace" in proc.stderr
 
 
 def test_scalar_operators_skip_the_characteristic_polynomial(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from repzoo.groups import (
     predicted_order,
     scheme_order_poly,
 )
-from repzoo.localring import RingSpec
+from repzoo.localring import RingSpec, make_ring
 
 GL2 = GroupScheme("GL", 2)
 F2 = RingSpec("unramified", 2, 1, 1)
@@ -383,6 +384,30 @@ def test_sl_lifts_solved_from_det_one_equal_the_det_one_filter(n, spec):
     ring = gl.ring
     expected = [m for m in _matrices(gl) if _mat_det(ring, n, m) == ring.one]
     assert _matrices(build_group(GroupScheme("SL", n), spec)) == expected
+
+
+def _laplace_det(ring, n, a):
+    """det a by cofactor expansion along row 0, with the ring's operations."""
+    if n == 1:
+        return a[0]
+    det = ring.zero
+    for j in range(n):
+        minor = tuple(a[r * n + c] for r in range(1, n) for c in range(n) if c != j)
+        term = ring.mul(a[j], _laplace_det(ring, n - 1, minor))
+        det = ring.add(det, term) if j % 2 == 0 else ring.sub(det, term)
+    return det
+
+
+@pytest.mark.parametrize("spec,sample", [(F2, None), (F3, None), (Z4, 5000)], ids=["F_2", "F_3", "Z/4"])
+def test_three_by_three_determinant_equals_the_laplace_expansion(spec, sample):
+    ring = make_ring(spec)
+    assert ring.mul_table is not None
+    if sample is None:
+        mats = itertools.product(range(ring.size), repeat=9)
+    else:
+        rng = random.Random(0)
+        mats = [tuple(rng.randrange(ring.size) for _ in range(9)) for _ in range(sample)]
+    assert all(_mat_det(ring, 3, m) == _laplace_det(ring, 3, m) for m in mats)
 
 
 def _kernel_by_scan(group, i):
