@@ -45,17 +45,14 @@ class DegreeMultiset:
 
     @classmethod
     def from_degrees(cls, degrees) -> "DegreeMultiset":
-        counts: dict[int, int] = {}
-        for d in degrees:
-            counts[d] = counts.get(d, 0) + 1
-        return cls(tuple(sorted(counts.items())))
+        return cls(tuple(sorted(Counter(degrees).items())))
 
     @classmethod
     def from_pairs(cls, pairs) -> "DegreeMultiset":
-        counts: dict[int, int] = {}
+        counts = Counter()
         for d, m in pairs:
             if m:
-                counts[d] = counts.get(d, 0) + m
+                counts[d] += m
         return cls(tuple(sorted(counts.items())))
 
     @property

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .characters import DegreeMultiset, character_degrees, character_table_modp
@@ -56,7 +57,7 @@ from .groups import (
     congruence_kernel,
     conjugacy_classes,
 )
-from .intlinalg import smith_normal_form, unimodular_inverse
+from .intlinalg import smith_normal_form
 from .localring import prime_power
 
 
@@ -117,8 +118,7 @@ class DualGroup:
             col[i] += r
             cols.append(col)
         relmat = [[cols[c][rw] for c in range(m)] for rw in range(m)]
-        u, d, _v = smith_normal_form(relmat)
-        uinv = unimodular_inverse(u)
+        _u, d, uinv = smith_normal_form(relmat)
         basis, orders = [], []
         for j in range(m):
             dj = d[j][j]
@@ -344,16 +344,10 @@ def _faithful_dims(
             f"faithful rows have sum of squares {ssq}, not {phi_m} * {s_bar.order} / {M}"
         )
 
-    counts: dict[int, int] = {}
-    for t in faithful:
-        d = table.degrees[t]
-        counts[d] = counts.get(d, 0) + 1
-    dims = []
-    for d in sorted(counts):
-        if counts[d] % phi_m:
-            raise AssertionError("faithful rows not balanced across twists")
-        dims.append((d, counts[d] // phi_m))
-    dims = tuple(dims)
+    counts = sorted(Counter(table.degrees[t] for t in faithful).items())
+    if any(c % phi_m for _, c in counts):
+        raise AssertionError("faithful rows not balanced across twists")
+    dims = tuple((d, c // phi_m) for d, c in counts)
 
     # extension observable: does the count match what a cocycle-free
     # extension of psi to the stabilizer would force?

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -131,8 +132,8 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
     """Per-ring degree multisets, cached on disk keyed by (scheme, ring, engine)
     and the cache schema.
 
-    An entry that does not parse, was written for another key, or whose degrees
-    fail the order identity is recomputed and rewritten; entries are written to
+    An entry that does not parse, was written for another key, or fails the
+    checks of _read_entry is recomputed and rewritten; entries are written to
     a temporary file and renamed into place, so a reader never sees half of one.
     """
     cache_dir = config.resolved_cache_dir()
@@ -184,12 +185,25 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
 
 def _read_entry(path: Path, key_obj: dict, order: int) -> dict | None:
     """The cache entry at path, or None if it is missing, unparsable, written
-    for another key, or its degrees fail the checks of DegreeMultiset.validate."""
+    for another key, or inconsistent: its degrees fail the checks of
+    DegreeMultiset.validate, its order is not sum m d^2 or its n_irr not sum m,
+    or, when it has strata, the pairs (sigma d, nu m) do not rebuild its
+    degrees or sum nu sigma is not its dual_order."""
     try:
         payload = json.loads(path.read_text())
         if payload["key"] != key_obj:
             return None
-        DegreeMultiset.from_json(payload["degrees"]).validate(order)
+        dm = DegreeMultiset.from_json(payload["degrees"])
+        dm.validate(order)
+        if (payload["order"], payload["n_irr"]) != (dm.sum_of_squares, dm.total_count):
+            return None
+        if "strata" in payload:
+            strata = payload["strata"]
+            pairs = [(s["sigma"] * d, s["nu"] * m) for s in strata for d, m in s["dims"]]
+            if DegreeMultiset.from_pairs(pairs) != dm:
+                return None
+            if sum(s["nu"] * s["sigma"] for s in strata) != payload["dual_order"]:
+                return None
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, AssertionError):
         return None
     return payload
@@ -583,11 +597,7 @@ def _fit_table(qs, entries_by_q, identity_rhs, cap, den_bound, residual_degrees,
 
 def _stratify(report: CliffordReport):
     """Group orbit records into strata keyed by (orbit size, stabilizer table)."""
-    groups: dict[tuple, int] = {}
-    for o in report.orbits:
-        key = (o.orbit_size, o.dims)
-        groups[key] = groups.get(key, 0) + 1
-    return sorted(groups.items())
+    return sorted(Counter((o.orbit_size, o.dims) for o in report.orbits).items())
 
 
 def _fit_stratum(stratum, order_poly, e_n, cap, den_bound, notes):

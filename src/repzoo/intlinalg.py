@@ -1,10 +1,9 @@
 """Small exact matrix utilities: row reduction over Q or Z/ell, Smith normal form.
 
 Matrices are lists of lists of Python ints (or Fractions over Q).  Row
-reduction serves the mod-ell eigenspace splitting, the fitter's linear solves
-and unimodular inverses; the SNF inputs are tiny (ranks of root lattices,
-generator counts of abelian groups), so the classical elementary-operation
-SNF is plenty.
+reduction serves the mod-ell eigenspace splitting and the fitter's linear
+solves; the SNF inputs are tiny (ranks of root lattices, generator counts of
+abelian groups), so the classical elementary-operation SNF is plenty.
 """
 
 from __future__ import annotations
@@ -37,31 +36,37 @@ def mat_vec(a, v):
 
 
 def smith_normal_form(mat):
-    """Return (U, D, V) with U @ mat @ V = D diagonal, U and V unimodular."""
+    """Return (U, D, U^-1) with U @ mat @ V = D diagonal for some unimodular V.
+
+    U^-1 takes the inverse of each row operation on U as a column operation:
+    swapping rows i, j swaps columns i, j, adding c * row src to row dst
+    subtracts c * column dst from column src, and negating a row negates that
+    column.  V itself is not kept.
+    """
     a = [row[:] for row in mat]
     n = len(a)
     m = len(a[0]) if n else 0
     u = identity_matrix(n)
-    v = identity_matrix(m)
+    u_inv = identity_matrix(n)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
             row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, c):
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        for row in u_inv:
+            row[src] -= c * row[dst]
 
     def add_col(src, dst, c):
         for row in a:
-            row[dst] += c * row[src]
-        for row in v:
             row[dst] += c * row[src]
 
     t = 0
@@ -110,8 +115,10 @@ def smith_normal_form(mat):
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
+            for row in u_inv:
+                row[t] = -row[t]
         t += 1
-    return u, a, v
+    return u, a, u_inv
 
 
 def rref(rows, ell=None):
@@ -172,16 +179,3 @@ def nullspace(rows, ell=None):
         basis.append(v)
     return basis
 
-
-def unimodular_inverse(u):
-    """Exact inverse of a unimodular integer matrix, returned over the ints."""
-    n = len(u)
-    red, pivots = rref([list(row) + e for row, e in zip(u, identity_matrix(n))])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is not unimodular")
-    out = [row[n:] for row in red]
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]

@@ -20,11 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
-from .characters import character_degrees
+from .characters import _cycle, character_degrees
 from .groups import GroupScheme, build_group
-from .intlinalg import mat_mul, mat_vec, smith_normal_form, unimodular_inverse
+from .intlinalg import mat_mul, mat_vec, smith_normal_form
 from .localring import RingSpec
 from .polynomials import RationalPoly
 
@@ -134,11 +135,8 @@ class TwistedWeylGroup:
 
     def length_sum_poly(self) -> RationalPoly:
         """sum of q^l(w) over W^F."""
-        coeffs: dict[int, int] = {}
-        for i in self.fixed:
-            coeffs[self.lengths[i]] = coeffs.get(self.lengths[i], 0) + 1
-        top = max(coeffs)
-        return RationalPoly([coeffs.get(k, 0) for k in range(top + 1)])
+        coeffs = Counter(self.lengths[i] for i in self.fixed)
+        return RationalPoly([coeffs[k] for k in range(max(coeffs) + 1)])
 
 
 def _inversions(perm: tuple[int, ...]) -> int:
@@ -184,29 +182,15 @@ def weyl_group(datum: RootDatum, twist: str = "split") -> TwistedWeylGroup:
 
 def _simple_root_orbits(datum: RootDatum, tau_m) -> tuple[tuple[int, ...], ...]:
     """tau permutes simple roots; return its orbits (split: all singletons)."""
-    k = len(datum.simple_roots)
-    images = []
-    for i in range(k):
-        img = tuple(mat_vec(tau_m, list(datum.simple_roots[i])))
-        # tau sends alpha_i to a simple root
-        j = next(
-            (t for t in range(k) if datum.simple_roots[t] == img), None
-        )
-        if j is None:
-            raise AssertionError("twist does not permute the simple roots")
-        images.append(j)
-    seen, orbits = set(), []
-    for i in range(k):
-        if i in seen:
-            continue
-        orb = [i]
-        seen.add(i)
-        j = images[i]
-        while j not in seen:
-            orb.append(j)
-            seen.add(j)
-            j = images[j]
-        orbits.append(tuple(orb))
+    roots = datum.simple_roots
+    images = [tuple(mat_vec(tau_m, list(root))) for root in roots]
+    if sorted(images) != sorted(roots):
+        raise AssertionError("twist does not permute the simple roots")
+    perm = [roots.index(img) for img in images]
+    orbits = []
+    for i in range(len(perm)):
+        if all(i not in orbit for orbit in orbits):
+            orbits.append(tuple(_cycle(perm, i)))
     return tuple(orbits)
 
 
@@ -252,11 +236,10 @@ def _center_tau_matrix(datum: RootDatum, tau) -> list[list[int]]:
     if not roots:
         return [list(r) for r in tau]
     m = [[roots[c][r] for c in range(len(roots))] for r in range(rank)]
-    u, d, _v = smith_normal_form(m)
+    u, d, uinv = smith_normal_form(m)
     s = sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
     if rank == s:
         return []
-    uinv = unimodular_inverse(u)
     # quotient coordinates: last rank-s coords of U x;  tau_bar = (U tau U^{-1}) block
     ut = mat_mul(mat_mul(u, [list(r) for r in tau]), uinv)
     for i in range(s, rank):
@@ -375,10 +358,7 @@ def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
     """
     w = weyl_group(datum, twist)
     bound = math.isqrt(w.order**3)
-    fs: dict[RationalPoly, int] = {}
-    for wi in range(w.order):
-        f = dl_degree(datum, twist, wi)
-        fs[f] = fs.get(f, 0) + 1
+    fs = Counter(dl_degree(datum, twist, wi) for wi in range(w.order))
     distinct = sorted(fs.items(), key=lambda kv: kv[0].coeffs)
     total = 1
     for _f, mult in distinct:

@@ -15,7 +15,6 @@ cheaply; all arithmetic is exact.  Rings are immutable after construction.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
@@ -30,7 +29,7 @@ class RingConstructionError(ValueError):
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -51,15 +50,17 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
-    """(p, f) with n = p^f and f >= 1, or None when n is not a prime power."""
-    if n < 2:
-        return None
-    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-    f = 0
-    while n % p == 0:
-        n //= p
-        f += 1
-    return (p, f) if n == 1 else None
+    """(p, f) with n = p^f and f >= 1, or None when n is not a prime power:
+    f is the largest k whose integer k-th root r (by bisection) has r^k = n
+    and r prime, so the cost is polynomial in log n, not in sqrt(n)."""
+    for k in range(n.bit_length() - 1, 0, -1):
+        lo, hi = 1, 1 << (n.bit_length() // k + 1)
+        while lo < hi:  # the largest r with r^k <= n
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid**k <= n else (lo, mid - 1)
+        if lo**k == n and is_prime(lo):
+            return lo, k
+    return None
 
 
 # -- polynomials over F_p (dense int tuples, ascending, no trailing zeros) -----

@@ -8,7 +8,6 @@ zero polynomial has an empty coefficient tuple.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -170,19 +169,10 @@ class RationalPoly:
         return all(c.denominator == 1 for c in self.coeffs)
 
     def is_integer_valued(self) -> bool:
-        """Integer values at every integer argument (binomial-basis test)."""
-        # c_k in the basis binom(x, k); integrality of all c_k is equivalent.
-        rem = self
-        k = 0
-        while not rem.is_zero():
-            v = rem(k)
-            if v.denominator != 1:
-                return False
-            rem = rem - v * _binomial_poly(k)
-            k += 1
-            if k > self.degree + 1:
-                break
-        return rem.is_zero()
+        """Integer values at every integer argument.  p(0), .., p(d) decide it
+        for d = deg p (Polya, 1915): they are integers exactly when p's
+        coefficients in the basis binom(x, k) are."""
+        return all(self(k).denominator == 1 for k in range(self.degree + 1))
 
     # -- serialization & display -----------------------------------------
 
@@ -219,14 +209,6 @@ def _coerce(v) -> RationalPoly:
     if isinstance(v, (int, Fraction)):
         return RationalPoly((v,))
     raise TypeError(f"cannot coerce {type(v)!r} to RationalPoly")
-
-
-def _binomial_poly(k: int) -> RationalPoly:
-    """binom(x, k) as an exact polynomial."""
-    out = RationalPoly.one()
-    for j in range(k):
-        out = out * RationalPoly((-j, 1))
-    return out * Fraction(1, math.factorial(k))
 
 
 def interpolate(samples: Iterable[tuple[Rat, Rat]]) -> RationalPoly:

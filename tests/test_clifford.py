@@ -31,7 +31,7 @@ from repzoo.groups import (
     coset_group,
     predicted_order,
 )
-from repzoo.intlinalg import smith_normal_form, unimodular_inverse
+from repzoo.intlinalg import smith_normal_form
 from repzoo.localring import RingSpec
 
 GL2 = GroupScheme("GL", 2)
@@ -393,8 +393,7 @@ def _closure_abelian_basis(n_view):
         cols.append(col)
     basis, orders = [], []
     if m:
-        u, d, _v = smith_normal_form([[cols[c][rw] for c in range(m)] for rw in range(m)])
-        uinv = unimodular_inverse(u)
+        _u, d, uinv = smith_normal_form([[cols[c][rw] for c in range(m)] for rw in range(m)])
         for j in range(m):
             if d[j][j] != 1:
                 basis.append(word(gens, [uinv[i][j] for i in range(m)]))

@@ -107,25 +107,33 @@ def test_clifford_report_budget_is_checked_after_the_report_is_built():
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "engine, level, corrupt",
     [
-        lambda text: text[: len(text) // 2],
-        lambda text: text.replace('"degrees":[[1,2],[2,1]]', '"degrees":[[1,2],[2,2]]'),
-        lambda text: text.replace('"engine":"chardeg"', '"engine":"both"'),
+        ("chardeg", 1, lambda text: text[: len(text) // 2]),
+        (
+            "chardeg",
+            1,
+            lambda text: text.replace('"degrees":[[1,2],[2,1]]', '"degrees":[[1,2],[2,2]]'),
+        ),
+        ("chardeg", 1, lambda text: text.replace('"engine":"chardeg"', '"engine":"both"')),
+        # each of these leaves the degrees valid, so only the cross-checks catch it
+        ("both", 2, lambda text: text.replace('"order":96', '"order":97')),
+        ("both", 2, lambda text: text.replace('"n_irr":14', '"n_irr":15')),
+        ("both", 2, lambda text: text.replace('"dual_order":16', '"dual_order":17')),
+        ("both", 2, lambda text: text.replace('"nu":1,"sigma":6', '"nu":2,"sigma":6')),
     ],
-    ids=["truncated", "wrong_degrees", "foreign_key"],
+    ids=["truncated", "wrong_degrees", "foreign_key", "order", "n_irr", "dual_order", "nu"],
 )
-def test_run_dimirr_recomputes_a_bad_cache_entry(tmp_path, corrupt):
-    config = ExperimentConfig(
-        GL2, (RingSpec("unramified", 2, 1, 1),), engine="chardeg", cache_dir=str(tmp_path)
-    )
-    good = run_dimirr(config)["unram:2,1,1"]
+def test_run_dimirr_recomputes_a_bad_cache_entry(tmp_path, engine, level, corrupt):
+    spec = RingSpec("unramified", 2, 1, level)
+    config = ExperimentConfig(GL2, (spec,), engine=engine, cache_dir=str(tmp_path))
+    good = run_dimirr(config)[spec.label()]
     (path,) = tmp_path.iterdir()
     text = path.read_text()
     bad = corrupt(text)
     assert bad != text
     path.write_text(bad)
-    assert run_dimirr(config)["unram:2,1,1"] == good
+    assert run_dimirr(config)[spec.label()] == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     assert path.read_text() == text
 
@@ -353,6 +361,17 @@ def test_run_dimirr_cache_file_name_is_pinned(tmp_path):
 def test_cli_fit_rejects_non_prime_power_samples(capsys):
     assert cli_main(["fit", "--scheme", "GL2", "--level", "1", "--samples", "1,2,3"]) == 2
     assert "1 is not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["100000000000000000039", "1000000016000000063"])
+def test_cli_fit_rejects_a_huge_sample_quickly(q):
+    # a prime near 10^20 is over budget, a semiprime near 10^18 is no prime
+    # power; neither answer may wait on trial division up to sqrt(q)
+    argv = [sys.executable, "-m", "repzoo.cli", "fit", "--scheme", "GL2", "--level", "1", "--samples", f"2,3,{q}"]
+    env = {**os.environ, "PYTHONPATH": str(Path(repzoo.__file__).parents[1])}
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert ("exceeds budget" if q.endswith("39") else "not a prime power") in proc.stderr
 
 
 @pytest.mark.parametrize("samples", ["2,3", "2,2,3"])

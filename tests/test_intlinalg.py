@@ -1,19 +1,12 @@
+import itertools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repzoo.intlinalg import nullspace, rref, unimodular_inverse
-
-
-def test_unimodular_inverse():
-    u = [[2, 1], [1, 1]]
-    assert unimodular_inverse(u) == [[1, -1], [-1, 2]]
-
-
-@pytest.mark.parametrize("u", [[[1, 2], [2, 4]], [[2, 0], [0, 1]]])
-def test_unimodular_inverse_rejects_singular_and_non_integral(u):
-    with pytest.raises(ValueError, match="not unimodular"):
-        unimodular_inverse(u)
+from repzoo.intlinalg import identity_matrix, mat_mul, nullspace, rref, smith_normal_form
 
 
 @pytest.mark.parametrize(
@@ -45,3 +38,56 @@ def test_rref_and_nullspace(rows, ell, reduced, pivots, kernel):
     if ell is None:
         assert all(isinstance(x, Fraction) for v in basis for x in v)
 
+
+
+def _det(mat):
+    if not mat:
+        return 1
+    return sum(
+        (-1) ** j * c * _det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j, c in enumerate(mat[0])
+        if c
+    )
+
+
+def _determinantal_divisors(mat):
+    """D_k = gcd of the k x k minors of mat, for k = 1 .. min(n, m)."""
+    n, m = len(mat), len(mat[0])
+    return [
+        math.gcd(
+            *(
+                _det([[mat[i][j] for j in cols] for i in rows])
+                for rows in itertools.combinations(range(n), k)
+                for cols in itertools.combinations(range(m), k)
+            )
+        )
+        for k in range(1, min(n, m) + 1)
+    ]
+
+
+small_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-6, 6), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(small_matrices)
+def test_smith_normal_form_against_determinantal_divisors(mat):
+    u, d, u_inv = smith_normal_form(mat)
+    n, m = len(mat), len(mat[0])
+    assert mat_mul(u, u_inv) == identity_matrix(n) == mat_mul(u_inv, u)
+    assert all(d[i][j] == 0 for i in range(n) for j in range(m) if i != j)
+    diag = [d[i][i] for i in range(min(n, m))]
+    assert all(x >= 0 for x in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    # d_1 d_2 ... d_k is the gcd of the k x k minors
+    assert list(itertools.accumulate(diag, operator.mul)) == _determinantal_divisors(mat)
+    # U mat = D V^-1, so row i of U mat is d_i times an integer row, and zero
+    # past the diagonal
+    for i, row in enumerate(mat_mul(u, mat)):
+        di = diag[i] if i < len(diag) else 0
+        assert all(x % di == 0 if di else x == 0 for x in row)

@@ -14,6 +14,7 @@ import repzoo
 import repzoo.cli
 import repzoo.lietype
 from repzoo.groups import GroupScheme
+from repzoo.intlinalg import mat_vec
 from repzoo.lietype import (
     UnsupportedTwistError,
     candidate_set,
@@ -80,6 +81,35 @@ def test_unitary_twist_fixed_subgroup():
     assert len(w3.fixed) == 2
     fixed_lengths = sorted(w3.lengths[i] for i in w3.fixed)
     assert fixed_lengths == [0, 3]  # identity and the longest element
+
+
+def _walked_orbits(datum, tau_m):
+    """tau's orbits on the simple roots by the walk that preceded characters._cycle."""
+    k = len(datum.simple_roots)
+    images = [datum.simple_roots.index(tuple(mat_vec(tau_m, list(r)))) for r in datum.simple_roots]
+    seen, orbits = set(), []
+    for i in range(k):
+        if i in seen:
+            continue
+        orb = [i]
+        seen.add(i)
+        j = images[i]
+        while j not in seen:
+            orb.append(j)
+            seen.add(j)
+            j = images[j]
+        orbits.append(tuple(orb))
+    return tuple(orbits)
+
+
+@pytest.mark.parametrize("twist", ["split", "unitary"])
+@pytest.mark.parametrize("family,n", [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3)])
+def test_root_orbits_match_the_orbit_walk(family, n, twist):
+    w = weyl_group(root_datum(family, n), twist)
+    assert w.root_orbits == _walked_orbits(w.datum, [list(r) for r in w.tau])
+    if n == 3:
+        # the unitary twist swaps alpha_1 and alpha_2
+        assert w.root_orbits == (((0,), (1,)) if twist == "split" else ((0, 1),))
 
 
 def test_unsupported_twist():
@@ -392,8 +422,11 @@ def test_cli_lietype_rejects_bad_verify_before_the_candidate_set(argv, message, 
         # this shear sends the root (1, -1) to (0, -1), off the root sublattice
         "from repzoo.lietype import _center_tau_matrix, root_datum; "
         "_center_tau_matrix(root_datum('GL', 2), ((1, 1), (0, 1)))",
+        # and this one sends alpha_2 = (0, 1, -1) to (0, 0, -1), which is not simple
+        "from repzoo.lietype import _simple_root_orbits, root_datum; "
+        "_simple_root_orbits(root_datum('GL', 3), [[1, 0, 0], [0, 1, 1], [0, 0, 1]])",
     ],
-    ids=["center_tau"],
+    ids=["center_tau", "root_orbits"],
 )
 def test_lietype_checks_survive_python_O(code):
     # python -O strips assert statements; the check must still raise

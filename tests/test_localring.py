@@ -1,11 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repzoo
 from repzoo.localring import (
     RingConstructionError,
     RingSpec,
+    is_prime,
     iso_check_truncated,
     make_ring,
     prime_power,
@@ -24,6 +30,36 @@ def test_prime_power_and_for_q(q, split):
             RingSpec.for_q(q, 2)
     else:
         assert RingSpec.for_q(q, 2) == RingSpec("unramified", *split, 2)
+
+
+def test_is_prime_and_prime_power_against_trial_division():
+    for n in range(-2, 3000):
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        assert is_prime(n) == (divisors[:1] == [n])
+        powers = [(d, f) for d in divisors[:1] for f in range(1, n.bit_length()) if d**f == n]
+        assert prime_power(n) == (powers[0] if powers else None)
+    assert RingSpec.for_q(37, 1) == RingSpec("unramified", 37, 1, 1)
+
+
+def test_prime_power_of_large_numbers():
+    # in a subprocess with a timeout, as trial division up to sqrt(n) would
+    # take hours on the prime 10^20 + 39 and minutes on the semiprime
+    # (10^9 + 7)(10^9 + 9)
+    cases = {
+        100000000000000000039: (100000000000000000039, 1),
+        1000000016000000063: None,
+        3**40: (3, 40),
+        2**89 - 1: (2**89 - 1, 1),
+        (2**61 - 1) ** 2: (2**61 - 1, 2),
+        (2**31 - 1) ** 3 * 2: None,
+        1: None,
+        10**18: None,
+    }
+    code = f"from repzoo.localring import prime_power; print([prime_power(n) for n in {list(cases)}])"
+    env = {**os.environ, "PYTHONPATH": str(Path(repzoo.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(list(cases.values()))
 
 
 def test_z9_basics():
