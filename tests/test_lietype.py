@@ -84,7 +84,8 @@ def test_unitary_twist_fixed_subgroup():
 
 
 def _walked_orbits(datum, tau_m):
-    """tau's orbits on the simple roots by the walk that preceded characters._cycle."""
+    """tau's orbits on the simple roots by an explicit walk over the images,
+    the reference for _simple_root_orbits."""
     k = len(datum.simple_roots)
     images = [datum.simple_roots.index(tuple(mat_vec(tau_m, list(r)))) for r in datum.simple_roots]
     seen, orbits = set(), []
