@@ -229,15 +229,27 @@ def _cycle(perm: list[int], t: int) -> list[int]:
     return orbit
 
 
-def _root_of_unity(m: int, ell: int) -> int:
-    """The first a^((ell-1)/m), a = 2, 3, ..., of order exactly m mod ell."""
+def _cycles(perm) -> list[list[int]]:
+    """The cycles of perm, in the order of their least points."""
+    cycles: list[list[int]] = []
+    seen: set[int] = set()
+    for t in range(len(perm)):
+        if t not in seen:
+            cycles.append(_cycle(perm, t))
+            seen.update(cycles[-1])
+    return cycles
+
+
+def _root_of_unity(m: int, ell: int) -> list[int]:
+    """The powers zeta^0, .., zeta^(m-1) of the first zeta = a^((ell-1)/m),
+    a = 2, 3, ..., of order exactly m mod ell: 1 is not among zeta^1, .., zeta^(m-1)."""
     if (ell - 1) % m:
         raise AssertionError(f"no {m}-th root of unity mod {ell}")
-    primes = [p for p in range(2, m + 1) if m % p == 0 and is_prime(p)]
     for a in range(2, ell):
         zeta = pow(a, (ell - 1) // m, ell)
-        if all(pow(zeta, m // p, ell) != 1 for p in primes):
-            return zeta
+        powers = list(accumulate(range(m - 1), lambda x, _: x * zeta % ell, initial=1))
+        if 1 not in powers[1:]:
+            return powers
     raise AssertionError(f"no primitive {m}-th root of unity mod {ell}")
 
 
@@ -309,15 +321,12 @@ def _central_blocks(perms: dict[int, list[int]], id_class: int, ell: int) -> _Ce
     perm = perms[z]
     m = len(_cycle(perm, id_class))
     k = len(perm)
-    orbits: list[list[int]] = []
+    orbits = _cycles(perm)
     place: list = [None] * k
-    for t in range(k):
-        if place[t] is None:
-            orbits.append(_cycle(perm, t))
-            for i, u in enumerate(orbits[-1]):
-                place[u] = (len(orbits) - 1, i)
-    zeta = _root_of_unity(m, ell)
-    powers = list(accumulate(range(m - 1), lambda x, _: x * zeta % ell, initial=1))
+    for o, orbit in enumerate(orbits):
+        for i, u in enumerate(orbit):
+            place[u] = (o, i)
+    powers = _root_of_unity(m, ell)
     blocks = [[o for o, orbit in enumerate(orbits) if e * len(orbit) % m == 0] for e in range(m)]
     if sum(map(len, blocks)) != k:
         raise AssertionError(f"central blocks of dimensions {list(map(len, blocks))} do not sum to {k}")

@@ -2,8 +2,9 @@
 
 Matrices are lists of lists of Python ints (or Fractions over Q).  Row
 reduction serves the mod-ell eigenspace splitting and the fitter's linear
-solves; the SNF inputs are tiny (ranks of root lattices, generator counts of
-abelian groups), so the classical elementary-operation SNF is plenty.
+solves; the one SNF input, the relation matrix of the abelian group N in
+clifford.DualGroup, is tiny (one row per generator), so the classical
+elementary-operation SNF is plenty.
 """
 
 from __future__ import annotations
@@ -13,22 +14,6 @@ from fractions import Fraction
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            c = ai[t]
-            if c == 0:
-                continue
-            bt = b[t]
-            row = out[i]
-            for j in range(m):
-                row[j] += c * bt[j]
-    return out
 
 
 def mat_vec(a, v):

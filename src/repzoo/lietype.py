@@ -5,14 +5,18 @@ assembled from the standard factorization
 
     |G^F| = |center^F| * q^N * prod_J (q^|J| - 1) * sum_{w in W^F} q^l(w),
 
-with J running over the twist's orbits on simple roots.  Twisted torus orders
-are lattice determinants |det(q * w tau - 1)|, and the generic degree f_w is
-the exact quotient of the q'-part of the order by the torus order.  The
-candidate set collects (1/|W|) sum a_w f_w over the integer box |a_w| <=
-floor(|W|^(3/2)), deduplicated and pruned to polynomials positive at
-q = 2^20.  The box is enumerated on integer coefficient vectors (the f_w
-scaled by the lcm of their denominators), and the candidates stay integer
-vectors over one common denominator through verification and rendering.
+with J running over the twist's orbits on simple roots.  The twisted torus
+order |T_w^F| is the lattice determinant |det(q * w tau - 1)|.  On X = Z^n,
+w tau is eps times the permutation matrix of some sigma (eps = 1 split,
+-1 unitary), so the determinant is the cycle product prod_c (q^|c| - eps^|c|)
+over the cycles c of sigma, divided once by q - eps for SL (Carter, Finite
+Groups of Lie Type, ch. 3).  The generic degree f_w is the exact quotient of
+the q'-part of the order by the torus order.  The candidate set collects
+(1/|W|) sum a_w f_w over the integer box |a_w| <= floor(|W|^(3/2)),
+deduplicated and pruned to polynomials positive at q = 2^20.  The box is
+enumerated on integer coefficient vectors (the f_w scaled by the lcm of their
+denominators), and the candidates stay integer vectors over one common
+denominator through verification and rendering.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-from .characters import _cycle, character_degrees
+from .characters import _cycles, character_degrees
 from .groups import GroupScheme, build_group
-from .intlinalg import mat_mul, mat_vec, smith_normal_form
+from .intlinalg import identity_matrix, mat_vec
 from .localring import RingSpec
 from .polynomials import RationalPoly
 
@@ -89,14 +93,6 @@ def _project_sl(vec: list[int], n: int) -> tuple[int, ...]:
     return tuple(vec[i] - vec[n - 1] for i in range(n - 1))
 
 
-def _perm_matrix_gl(perm: tuple[int, ...]) -> list[list[int]]:
-    n = len(perm)
-    m = [[0] * n for _ in range(n)]
-    for j in range(n):
-        m[perm[j]][j] = 1
-    return m
-
-
 def _tau_matrix_gl(n: int) -> list[list[int]]:
     """Unitary twist on X(T) = Z^n: e_j -> -e_{n+1-j}."""
     m = [[0] * n for _ in range(n)]
@@ -122,8 +118,7 @@ class TwistedWeylGroup:
 
     datum: RootDatum
     twist: str
-    perms: tuple[tuple[int, ...], ...]          # all of W as permutations of 1..n
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]  # action on X
+    perms: tuple[tuple[int, ...], ...]          # all of W as permutations of 0..n-1
     lengths: tuple[int, ...]
     tau: tuple[tuple[int, ...], ...]            # lattice automorphism
     fixed: tuple[int, ...]                      # indices of W^F = {w : w tau = tau w}
@@ -144,40 +139,33 @@ def _inversions(perm: tuple[int, ...]) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
 
 
-def weyl_group(datum: RootDatum, twist: str = "split") -> TwistedWeylGroup:
-    """Full Weyl group S_n with exact lengths and the twist's tau-action."""
+def _sign(twist: str) -> int:
+    """eps with tau = eps * (the permutation matrix of 1 or w0) on Z^n."""
     if twist not in _TWISTS:
         raise UnsupportedTwistError(f"twist must be one of {_TWISTS}, got {twist!r}")
+    return 1 if twist == "split" else -1
+
+
+def weyl_group(datum: RootDatum, twist: str = "split") -> TwistedWeylGroup:
+    """Full Weyl group S_n with exact lengths and the twist's tau-action.
+
+    The unitary tau is -w0 with w0(j) = n-1-j, and S_n acts faithfully on X,
+    so w tau = tau w exactly when w commutes with w0."""
+    eps = _sign(twist)
     n = datum.n
     perms = tuple(itertools.permutations(range(n)))
-    if datum.family == "GL":
-        mats = tuple(
-            tuple(tuple(row) for row in _perm_matrix_gl(p)) for p in perms
-        )
-        tau_m = (
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            if twist == "split"
-            else _tau_matrix_gl(n)
-        )
-    else:
-        mats = tuple(
-            tuple(tuple(row) for row in _push_to_sl(_perm_matrix_gl(p), n))
-            for p in perms
-        )
-        tau_m = (
-            [[1 if i == j else 0 for j in range(n - 1)] for i in range(n - 1)]
-            if twist == "split"
-            else _push_to_sl(_tau_matrix_gl(n), n)
-        )
+    tau_m = identity_matrix(n) if eps == 1 else _tau_matrix_gl(n)
+    if datum.family == "SL":
+        tau_m = _push_to_sl(tau_m, n)
     tau = tuple(tuple(row) for row in tau_m)
     lengths = tuple(_inversions(p) for p in perms)
     fixed = tuple(
         i
-        for i, m in enumerate(mats)
-        if mat_mul([list(r) for r in m], tau_m) == mat_mul(tau_m, [list(r) for r in m])
+        for i, p in enumerate(perms)
+        if eps == 1 or all(p[n - 1 - j] == n - 1 - p[j] for j in range(n))
     )
     orbits = _simple_root_orbits(datum, tau_m)
-    return TwistedWeylGroup(datum, twist, perms, mats, lengths, tau, fixed, orbits)
+    return TwistedWeylGroup(datum, twist, perms, lengths, tau, fixed, orbits)
 
 
 def _simple_root_orbits(datum: RootDatum, tau_m) -> tuple[tuple[int, ...], ...]:
@@ -186,76 +174,17 @@ def _simple_root_orbits(datum: RootDatum, tau_m) -> tuple[tuple[int, ...], ...]:
     images = [tuple(mat_vec(tau_m, list(root))) for root in roots]
     if sorted(images) != sorted(roots):
         raise AssertionError("twist does not permute the simple roots")
-    perm = [roots.index(img) for img in images]
-    orbits = []
-    for i in range(len(perm)):
-        if all(i not in orbit for orbit in orbits):
-            orbits.append(tuple(_cycle(perm, i)))
-    return tuple(orbits)
+    return tuple(map(tuple, _cycles([roots.index(img) for img in images])))
 
 
 # -- polynomial ingredients -------------------------------------------------------
 
 
-def _det_q_matrix(mat) -> RationalPoly:
-    """det over RationalPoly entries of (q*mat - I); cofactor expansion."""
-    n = len(mat)
-    x = RationalPoly.x()
-    entries = [[x * mat[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return _poly_det(entries)
-
-
-def _poly_det(entries: list[list[RationalPoly]]) -> RationalPoly:
-    n = len(entries)
-    if n == 0:
-        return RationalPoly.one()
-    if n == 1:
-        return entries[0][0]
-    det = RationalPoly.zero()
-    for j in range(n):
-        if entries[0][j].is_zero():
-            continue
-        minor = [
-            [entries[r][c] for c in range(n) if c != j] for r in range(1, n)
-        ]
-        term = entries[0][j] * _poly_det(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
-
-
-def _positive_normalize(p: RationalPoly) -> RationalPoly:
-    if p.leading < 0:
-        return -p
-    return p
-
-
-def _center_tau_matrix(datum: RootDatum, tau) -> list[list[int]]:
-    """tau acting on X / (saturated root sublattice) = X(Z^o)."""
-    rank = datum.rank
-    roots = datum.simple_roots
-    if not roots:
-        return [list(r) for r in tau]
-    m = [[roots[c][r] for c in range(len(roots))] for r in range(rank)]
-    u, d, uinv = smith_normal_form(m)
-    s = sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
-    if rank == s:
-        return []
-    # quotient coordinates: last rank-s coords of U x;  tau_bar = (U tau U^{-1}) block
-    ut = mat_mul(mat_mul(u, [list(r) for r in tau]), uinv)
-    for i in range(s, rank):
-        for j in range(s):
-            if ut[i][j]:
-                raise AssertionError("twist does not preserve the root sublattice")
-    return [[ut[i][j] for j in range(s, rank)] for i in range(s, rank)]
-
-
 def center_order_poly(datum: RootDatum, twist: str = "split") -> RationalPoly:
-    """|(Z^o)^F| as a polynomial in q."""
-    w = weyl_group(datum, twist)
-    tbar = _center_tau_matrix(datum, w.tau)
-    if not tbar:
-        return RationalPoly.one()
-    return _positive_normalize(_det_q_matrix(tbar))
+    """|(Z^o)^F| as a polynomial in q: tau acts by eps on X / (saturated root
+    sublattice), of rank rank - #simple roots (for GL, the coordinate sum)."""
+    x = RationalPoly.x()
+    return (x - _sign(twist)) ** (datum.rank - len(datum.simple_roots))
 
 
 def order_polynomial_parts(
@@ -278,19 +207,28 @@ def order_polynomial(datum: RootDatum, twist: str = "split") -> RationalPoly:
 
 
 def torus_order(datum: RootDatum, twist: str, w_index: int) -> RationalPoly:
-    """|T_0[w]| = |det(q * (w tau) - 1)| on the character lattice."""
-    w = weyl_group(datum, twist)
-    m = mat_mul([list(r) for r in w.matrices[w_index]], [list(r) for r in w.tau])
-    if not m:
-        return RationalPoly.one()
-    return _positive_normalize(_det_q_matrix(m))
+    """|T_0[w]| = |det(q * (w tau) - 1)| on the character lattice.
+
+    On Z^n, w tau e_j = eps e_sigma(j) with sigma = w for split and
+    sigma(j) = w(n-1-j) for unitary, so the determinant is the product of
+    q^|c| - eps^|c| over the cycles c of sigma.  For SL, X = Z^n / Z(1, .., 1),
+    and w tau acts on the line Z(1, .., 1) by eps, which takes out q - eps."""
+    eps = _sign(twist)
+    n = datum.n
+    w = weyl_group(datum, twist).perms[w_index]
+    sigma = w if eps == 1 else [w[n - 1 - j] for j in range(n)]
+    x = RationalPoly.x()
+    order = RationalPoly.one()
+    for c in _cycles(sigma):
+        order = order * (x ** len(c) - eps ** len(c))
+    return order.exact_div((x - eps) ** (n - datum.rank))
 
 
 def dl_degree(datum: RootDatum, twist: str, w_index: int) -> RationalPoly:
-    """Generic degree f_w: the q'-part of [G^F : T_0[w]], positive normalization."""
+    """Generic degree f_w: the q'-part of [G^F : T_0[w]].  Both are products
+    of factors with a positive leading coefficient, so f_w has one too."""
     part, _ = order_polynomial_parts(datum, twist)
-    t = torus_order(datum, twist, w_index)
-    return _positive_normalize(part.exact_div(t))
+    return part.exact_div(torus_order(datum, twist, w_index))
 
 
 # -- candidate set ----------------------------------------------------------------

@@ -18,6 +18,7 @@ from repzoo.groups import (
     GroupScheme,
     build_group,
     conjugacy_classes,
+    scheme_order_poly,
 )
 from repzoo.harness import compare_rings, compute_clifford_report, compute_degrees, fit_polynomials
 from repzoo.lietype import (
@@ -161,6 +162,9 @@ def test_criterion_6_lie_type_polynomials():
         assert torus_order(datum, "split", id_idx)(q) == units * units
         ext = make_ring(RingSpec("unramified", field.p, 2 * field.f, 1))
         assert torus_order(datum, "split", s_idx)(q) == sum(1 for _ in ext.units())
+    # the root-datum order polynomial against the entry-pattern one of groups
+    for family, n in [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3)]:
+        assert order_polynomial(root_datum(family, n)) == scheme_order_poly(GroupScheme(family, n), 1)
     _report(6, "order, torus, and generic-degree polynomials match brute-force counts", started)
 
 

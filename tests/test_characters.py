@@ -19,6 +19,7 @@ from repzoo.characters import (
     _charpoly,
     _class_matrix,
     _poly_roots,
+    _root_of_unity,
     character_degrees,
     character_table_modp,
     choose_ell,
@@ -540,6 +541,24 @@ def test_central_blocks_are_reduced_and_kept_by_every_class_operator(make, n_blo
                     for c in support:
                         combo[c] = image[pivot] * row[c] % ell
                 assert image == combo
+
+
+def _prime_divisor_root(m, ell):
+    """The first zeta = a^((ell-1)/m), a = 2, 3, ..., with zeta^(m/p) != 1 for
+    every prime p | m: the rule _root_of_unity used before it returned powers."""
+    primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p))]
+    for a in range(2, ell):
+        zeta = pow(a, (ell - 1) // m, ell)
+        if all(pow(zeta, m // p, ell) != 1 for p in primes):
+            return zeta
+    raise AssertionError(f"no primitive {m}-th root of unity mod {ell}")
+
+
+@pytest.mark.parametrize("ell", [13, 37, 61, 97])
+def test_root_of_unity_powers_follow_the_prime_divisor_rule(ell):
+    for m in (m for m in range(1, ell) if (ell - 1) % m == 0):
+        zeta = _prime_divisor_root(m, ell)
+        assert _root_of_unity(m, ell) == [pow(zeta, i, ell) for i in range(m)]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repzoo.intlinalg import identity_matrix, mat_mul, nullspace, rref, smith_normal_form
+from repzoo.intlinalg import identity_matrix, nullspace, rref, smith_normal_form
 
 
 @pytest.mark.parametrize(
@@ -38,6 +38,9 @@ def test_rref_and_nullspace(rows, ell, reduced, pivots, kernel):
     if ell is None:
         assert all(isinstance(x, Fraction) for v in basis for x in v)
 
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _det(mat):
@@ -79,7 +82,7 @@ small_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
 def test_smith_normal_form_against_determinantal_divisors(mat):
     u, d, u_inv = smith_normal_form(mat)
     n, m = len(mat), len(mat[0])
-    assert mat_mul(u, u_inv) == identity_matrix(n) == mat_mul(u_inv, u)
+    assert _mat_mul(u, u_inv) == identity_matrix(n) == _mat_mul(u_inv, u)
     assert all(d[i][j] == 0 for i in range(n) for j in range(m) if i != j)
     diag = [d[i][i] for i in range(min(n, m))]
     assert all(x >= 0 for x in diag)
@@ -88,6 +91,6 @@ def test_smith_normal_form_against_determinantal_divisors(mat):
     assert list(itertools.accumulate(diag, operator.mul)) == _determinantal_divisors(mat)
     # U mat = D V^-1, so row i of U mat is d_i times an integer row, and zero
     # past the diagonal
-    for i, row in enumerate(mat_mul(u, mat)):
+    for i, row in enumerate(_mat_mul(u, mat)):
         di = diag[i] if i < len(diag) else 0
         assert all(x % di == 0 if di else x == 0 for x in row)

@@ -14,9 +14,11 @@ import repzoo
 import repzoo.cli
 import repzoo.lietype
 from repzoo.groups import GroupScheme
-from repzoo.intlinalg import mat_vec
+from repzoo.intlinalg import identity_matrix, mat_vec, smith_normal_form
 from repzoo.lietype import (
     UnsupportedTwistError,
+    _push_to_sl,
+    _tau_matrix_gl,
     candidate_set,
     center_order_poly,
     dl_degree,
@@ -200,20 +202,18 @@ def test_split_torus_count_matches_diagonal_enumeration():
 
 def test_torus_order_constant_on_twisted_conjugacy_classes():
     # sigma (w tau) sigma^{-1} realizes the tau-twisted conjugate of w
-    from repzoo.intlinalg import mat_mul
-
     for n in (2, 3):
         datum = root_datum("GL", n)
         for twist in ("split", "unitary"):
             w = weyl_group(datum, twist)
-            mats = [[list(r) for r in m] for m in w.matrices]
+            mats = [_perm_matrix(p) for p in w.perms]
             tau = [list(r) for r in w.tau]
-            wtau = [mat_mul(m, tau) for m in mats]
+            wtau = [_mat_mul(m, tau) for m in mats]
             orders = [torus_order(datum, twist, i) for i in range(w.order)]
             for i in range(w.order):
                 for s in range(w.order):
                     sinv = w.perms.index(_inv(w.perms[s]))
-                    conj = mat_mul(mat_mul(mats[s], wtau[i]), mats[sinv])
+                    conj = _mat_mul(_mat_mul(mats[s], wtau[i]), mats[sinv])
                     j = wtau.index(conj)
                     assert orders[i] == orders[j]
 
@@ -223,6 +223,67 @@ def _inv(perm):
     for i, v in enumerate(perm):
         out[v] = i
     return tuple(out)
+
+
+def _perm_matrix(perm):
+    """The matrix of e_j -> e_perm(j) on Z^n."""
+    n = len(perm)
+    return [[1 if perm[j] == i else 0 for j in range(n)] for i in range(n)]
+
+
+def _mat_mul(a, b):
+    return [[sum(s * t for s, t in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _laplace_det(entries):
+    """det of a square matrix of RationalPolys by expansion along the first row."""
+    if not entries:
+        return RationalPoly.one()
+    det = RationalPoly.zero()
+    for j, c in enumerate(entries[0]):
+        if c:
+            det = det + c * _laplace_det([row[:j] + row[j + 1 :] for row in entries[1:]]) * (-1) ** j
+    return det
+
+
+def _lattice_det(mat):
+    """|det(q * mat - 1)| over Q[q], with a positive leading coefficient."""
+    n = len(mat)
+    det = _laplace_det([[x * mat[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)])
+    return -det if det.leading < 0 else det
+
+
+def _lattice_center_order(datum, tau):
+    """|det(q * tau - 1)| for tau on X / (saturated root sublattice), whose
+    coordinates are the last rank - s of U x, for U from a Smith form of the
+    simple roots (s of them nonzero)."""
+    roots = datum.simple_roots
+    if not roots:
+        return _lattice_det(tau)
+    u, d, u_inv = smith_normal_form([[root[r] for root in roots] for r in range(datum.rank)])
+    s = sum(1 for i in range(len(roots)) if d[i][i])
+    ut = _mat_mul(_mat_mul(u, tau), u_inv)
+    # tau keeps the root sublattice
+    assert all(ut[i][j] == 0 for i in range(s, datum.rank) for j in range(s))
+    return _lattice_det([row[s:] for row in ut[s:]])
+
+
+@pytest.mark.parametrize("twist", ["split", "unitary"])
+@pytest.mark.parametrize(
+    "family,n", [("GL", n) for n in range(1, 6)] + [("SL", n) for n in range(2, 6)]
+)
+def test_cycle_products_match_the_lattice_route(family, n, twist):
+    # w tau on X from permutation matrices on Z^n, pushed to Z^n / (1, .., 1) for SL
+    datum = root_datum(family, n)
+    on_x = (lambda m: m) if family == "GL" else (lambda m: _push_to_sl(m, n))
+    tau = on_x(identity_matrix(n) if twist == "split" else _tau_matrix_gl(n))
+    w = weyl_group(datum, twist)
+    assert [list(r) for r in w.tau] == tau
+    mats = [on_x(_perm_matrix(p)) for p in w.perms]
+    for i, m in enumerate(mats):
+        assert torus_order(datum, twist, i) == _lattice_det(_mat_mul(m, tau))
+    assert w.fixed == tuple(i for i, m in enumerate(mats) if _mat_mul(m, tau) == _mat_mul(tau, m))
+    assert center_order_poly(datum, twist) == _lattice_center_order(datum, tau)
 
 
 def test_dl_degrees_gl2():
@@ -420,14 +481,11 @@ def test_cli_lietype_rejects_bad_verify_before_the_candidate_set(argv, message, 
 @pytest.mark.parametrize(
     "code",
     [
-        # this shear sends the root (1, -1) to (0, -1), off the root sublattice
-        "from repzoo.lietype import _center_tau_matrix, root_datum; "
-        "_center_tau_matrix(root_datum('GL', 2), ((1, 1), (0, 1)))",
-        # and this one sends alpha_2 = (0, 1, -1) to (0, 0, -1), which is not simple
+        # this shear sends alpha_2 = (0, 1, -1) to (0, 0, -1), which is not simple
         "from repzoo.lietype import _simple_root_orbits, root_datum; "
         "_simple_root_orbits(root_datum('GL', 3), [[1, 0, 0], [0, 1, 1], [0, 0, 1]])",
     ],
-    ids=["center_tau", "root_orbits"],
+    ids=["root_orbits"],
 )
 def test_lietype_checks_survive_python_O(code):
     # python -O strips assert statements; the check must still raise
