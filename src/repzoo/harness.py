@@ -140,22 +140,22 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
     cache_dir.mkdir(parents=True, exist_ok=True)
     results: dict[str, dict] = {}
     for spec in config.ring_specs:
+        engine = _resolve_engine(config.engine, spec)
+        try:
+            order = check_budget(config.scheme, spec, config.budget, clifford=engine == "clifford")
+        except BudgetExceededError as exc:
+            # checked before the key is built, since spec.to_json finds the
+            # default modulus slowly for a large f; the key leaves out the
+            # budget, so the error is not cached
+            results[spec.label()] = {"error": str(exc), "predicted": exc.predicted}
+            continue
         key_obj = {
             "scheme": config.scheme.label(),
             "ring": spec.to_json(),
             "engine": config.engine,
         }
         hashed = _canonical_json({"schema": CACHE_SCHEMA, **key_obj})
-        key = hashlib.sha256(hashed.encode()).hexdigest()
-        engine = _resolve_engine(config.engine, spec)
-        try:
-            order = check_budget(config.scheme, spec, config.budget, clifford=engine == "clifford")
-        except BudgetExceededError as exc:
-            # the key leaves out the budget, so the budget is checked before the
-            # cache is read, and the error is not cached
-            results[spec.label()] = {"key": key_obj, "error": str(exc), "predicted": exc.predicted}
-            continue
-        path = cache_dir / f"{key}.json"
+        path = cache_dir / f"{hashlib.sha256(hashed.encode()).hexdigest()}.json"
         cached = _read_entry(path, key_obj, order)
         if cached is not None:
             results[spec.label()] = cached

@@ -16,10 +16,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
-
-
 def smith_normal_form(mat):
     """Return (U, D, U^-1) with U @ mat @ V = D diagonal for some unimodular V.
 

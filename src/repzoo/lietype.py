@@ -1,18 +1,22 @@
-"""Type-A root data, twisted Weyl groups, and generic degree polynomials.
+"""Type-A group orders, maximal-torus orders, and generic degree polynomials.
 
-The finite-group order of GL_n / SL_n over F_q (split or unitary-twisted) is
-assembled from the standard factorization
+For GL_n (rank n) and SL_n (rank n - 1) over F_q, split (eps = 1) or
+unitary-twisted (eps = -1), the group order is the textbook product
 
-    |G^F| = |center^F| * q^N * prod_J (q^|J| - 1) * sum_{w in W^F} q^l(w),
+    |GL_n^eps(q)| = q^N * prod_{i=1..n} (q^i - eps^i),    N = n(n - 1)/2,
 
-with J running over the twist's orbits on simple roots.  The twisted torus
-order |T_w^F| is the lattice determinant |det(q * w tau - 1)|.  On X = Z^n,
-w tau is eps times the permutation matrix of some sigma (eps = 1 split,
--1 unitary), so the determinant is the cycle product prod_c (q^|c| - eps^|c|)
-over the cycles c of sigma, divided once by q - eps for SL (Carter, Finite
-Groups of Lie Type, ch. 3).  The generic degree f_w is the exact quotient of
-the q'-part of the order by the torus order.  The candidate set collects
-(1/|W|) sum a_w f_w over the integer box |a_w| <= floor(|W|^(3/2)),
+divided once by q - eps for SL (Carter, Finite Groups of Lie Type, 1985,
+sec. 2.9).  The Weyl group W = S_n is walked as the permutations of 0..n-1.
+The maximal torus T_w has order prod_c (q^|c| - eps^|c|) over the cycles c of
+sigma, with sigma = w for split and sigma(j) = w(n-1-j) for unitary, again
+divided once by q - eps for SL (ch. 3).  The generic degree f_w is the exact
+quotient of the q'-part of the order by the torus order:
+
+    f_w = prod_{i=1..n} (q^i - eps^i) / prod_c (q^|c| - eps^|c|).
+
+The SL factor q - eps cancels, so f_w is the same for GL_n and SL_n, and so
+are their candidate sets and `repzoo lietype` stdout.  The candidate set
+collects (1/|W|) sum a_w f_w over the integer box |a_w| <= floor(|W|^(3/2)),
 deduplicated and pruned to polynomials positive at q = 2^20.  The box is
 enumerated on integer coefficient vectors (the f_w scaled by the lcm of their
 denominators), and the candidates stay integer vectors over one common
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 
 from .characters import _cycles, character_degrees
 from .groups import GroupScheme, build_group
-from .intlinalg import identity_matrix, mat_vec
 from .localring import RingSpec
 from .polynomials import RationalPoly
 
@@ -51,8 +54,6 @@ class RootDatum:
     family: str
     n: int
     rank: int
-    simple_roots: tuple[tuple[int, ...], ...]
-    simple_coroots: tuple[tuple[int, ...], ...]
 
     @property
     def n_positive(self) -> int:
@@ -60,144 +61,32 @@ class RootDatum:
 
 
 def root_datum(family: str, n: int) -> RootDatum:
-    if family == "GL":
-        roots = []
-        coroots = []
-        for i in range(n - 1):
-            v = [0] * n
-            v[i], v[i + 1] = 1, -1
-            roots.append(tuple(v))
-            coroots.append(tuple(v))
-        return RootDatum("GL", n, n, tuple(roots), tuple(coroots))
-    if family == "SL":
-        # X = Z^n / Z(1,..,1) with basis the images of e_1..e_{n-1}
-        roots = []
-        coroots = []
-        for i in range(n - 1):
-            lift = [0] * n
-            lift[i], lift[i + 1] = 1, -1
-            roots.append(_project_sl(lift, n))
-            # coroot e_i - e_{i+1} acts as a functional on the quotient
-            func = [0] * (n - 1)
-            if i < n - 1:
-                func[i] = 1
-            if i + 1 < n - 1:
-                func[i + 1] = -1
-            coroots.append(tuple(func))
-        return RootDatum("SL", n, n - 1, tuple(roots), tuple(coroots))
-    raise ValueError(f"root datum only for GL/SL, got {family!r}")
-
-
-def _project_sl(vec: list[int], n: int) -> tuple[int, ...]:
-    """Coordinates of vec mod (1,..,1) in the basis of images of e_1..e_{n-1}."""
-    return tuple(vec[i] - vec[n - 1] for i in range(n - 1))
-
-
-def _tau_matrix_gl(n: int) -> list[list[int]]:
-    """Unitary twist on X(T) = Z^n: e_j -> -e_{n+1-j}."""
-    m = [[0] * n for _ in range(n)]
-    for j in range(n):
-        m[n - 1 - j][j] = -1
-    return m
-
-
-def _push_to_sl(mat_gl: list[list[int]], n: int) -> list[list[int]]:
-    """Induced matrix on Z^n/(1,..,1) in the e_1..e_{n-1} image basis."""
-    cols = []
-    for j in range(n - 1):
-        lift = [0] * n
-        lift[j] = 1
-        img = mat_vec(mat_gl, lift)
-        cols.append(_project_sl(img, n))
-    return [[cols[c][r] for c in range(n - 1)] for r in range(n - 1)]
-
-
-@dataclass
-class TwistedWeylGroup:
-    """Weyl group of a type-A datum with an optional graph twist."""
-
-    datum: RootDatum
-    twist: str
-    perms: tuple[tuple[int, ...], ...]          # all of W as permutations of 0..n-1
-    lengths: tuple[int, ...]
-    tau: tuple[tuple[int, ...], ...]            # lattice automorphism
-    fixed: tuple[int, ...]                      # indices of W^F = {w : w tau = tau w}
-    root_orbits: tuple[tuple[int, ...], ...]    # tau-orbits of simple roots
-
-    @property
-    def order(self) -> int:
-        return len(self.perms)
-
-    def length_sum_poly(self) -> RationalPoly:
-        """sum of q^l(w) over W^F."""
-        coeffs = Counter(self.lengths[i] for i in self.fixed)
-        return RationalPoly([coeffs[k] for k in range(max(coeffs) + 1)])
-
-
-def _inversions(perm: tuple[int, ...]) -> int:
-    n = len(perm)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+    if family not in ("GL", "SL"):
+        raise ValueError(f"root datum only for GL/SL, got {family!r}")
+    return RootDatum(family, n, n if family == "GL" else n - 1)
 
 
 def _sign(twist: str) -> int:
-    """eps with tau = eps * (the permutation matrix of 1 or w0) on Z^n."""
+    """eps = 1 for the split form, -1 for the unitary one."""
     if twist not in _TWISTS:
         raise UnsupportedTwistError(f"twist must be one of {_TWISTS}, got {twist!r}")
     return 1 if twist == "split" else -1
 
 
-def weyl_group(datum: RootDatum, twist: str = "split") -> TwistedWeylGroup:
-    """Full Weyl group S_n with exact lengths and the twist's tau-action.
-
-    The unitary tau is -w0 with w0(j) = n-1-j, and S_n acts faithfully on X,
-    so w tau = tau w exactly when w commutes with w0."""
-    eps = _sign(twist)
-    n = datum.n
-    perms = tuple(itertools.permutations(range(n)))
-    tau_m = identity_matrix(n) if eps == 1 else _tau_matrix_gl(n)
-    if datum.family == "SL":
-        tau_m = _push_to_sl(tau_m, n)
-    tau = tuple(tuple(row) for row in tau_m)
-    lengths = tuple(_inversions(p) for p in perms)
-    fixed = tuple(
-        i
-        for i, p in enumerate(perms)
-        if eps == 1 or all(p[n - 1 - j] == n - 1 - p[j] for j in range(n))
-    )
-    orbits = _simple_root_orbits(datum, tau_m)
-    return TwistedWeylGroup(datum, twist, perms, lengths, tau, fixed, orbits)
-
-
-def _simple_root_orbits(datum: RootDatum, tau_m) -> tuple[tuple[int, ...], ...]:
-    """tau permutes simple roots; return its orbits (split: all singletons)."""
-    roots = datum.simple_roots
-    images = [tuple(mat_vec(tau_m, list(root))) for root in roots]
-    if sorted(images) != sorted(roots):
-        raise AssertionError("twist does not permute the simple roots")
-    return tuple(map(tuple, _cycles([roots.index(img) for img in images])))
-
-
 # -- polynomial ingredients -------------------------------------------------------
-
-
-def center_order_poly(datum: RootDatum, twist: str = "split") -> RationalPoly:
-    """|(Z^o)^F| as a polynomial in q: tau acts by eps on X / (saturated root
-    sublattice), of rank rank - #simple roots (for GL, the coordinate sum)."""
-    x = RationalPoly.x()
-    return (x - _sign(twist)) ** (datum.rank - len(datum.simple_roots))
 
 
 def order_polynomial_parts(
     datum: RootDatum, twist: str = "split"
 ) -> tuple[RationalPoly, int]:
-    """(p'-part polynomial, N) with |G^F| = p'-part * q^N."""
-    w = weyl_group(datum, twist)
-    zc = center_order_poly(datum, twist)
+    """(p'-part polynomial, N) with |G^F| = p'-part * q^N: the p'-part is
+    prod_{i<=n} (q^i - eps^i), divided once by q - eps for SL."""
+    eps = _sign(twist)
     x = RationalPoly.x()
-    orbit_factor = RationalPoly.one()
-    for orb in w.root_orbits:
-        orbit_factor = orbit_factor * (x ** len(orb) - 1)
-    return zc * orbit_factor * w.length_sum_poly(), datum.n_positive
+    part = RationalPoly.one()
+    for i in range(1, datum.n + 1):
+        part = part * (x**i - eps**i)
+    return part.exact_div((x - eps) ** (datum.n - datum.rank)), datum.n_positive
 
 
 def order_polynomial(datum: RootDatum, twist: str = "split") -> RationalPoly:
@@ -206,8 +95,9 @@ def order_polynomial(datum: RootDatum, twist: str = "split") -> RationalPoly:
     return part * RationalPoly.monomial(n_pos)
 
 
-def torus_order(datum: RootDatum, twist: str, w_index: int) -> RationalPoly:
-    """|T_0[w]| = |det(q * (w tau) - 1)| on the character lattice.
+def torus_order(datum: RootDatum, twist: str, w: tuple[int, ...]) -> RationalPoly:
+    """|T_0[w]| = |det(q * (w tau) - 1)| on the character lattice, for w a
+    permutation of 0..n-1.
 
     On Z^n, w tau e_j = eps e_sigma(j) with sigma = w for split and
     sigma(j) = w(n-1-j) for unitary, so the determinant is the product of
@@ -215,7 +105,6 @@ def torus_order(datum: RootDatum, twist: str, w_index: int) -> RationalPoly:
     and w tau acts on the line Z(1, .., 1) by eps, which takes out q - eps."""
     eps = _sign(twist)
     n = datum.n
-    w = weyl_group(datum, twist).perms[w_index]
     sigma = w if eps == 1 else [w[n - 1 - j] for j in range(n)]
     x = RationalPoly.x()
     order = RationalPoly.one()
@@ -224,11 +113,15 @@ def torus_order(datum: RootDatum, twist: str, w_index: int) -> RationalPoly:
     return order.exact_div((x - eps) ** (n - datum.rank))
 
 
-def dl_degree(datum: RootDatum, twist: str, w_index: int) -> RationalPoly:
-    """Generic degree f_w: the q'-part of [G^F : T_0[w]].  Both are products
-    of factors with a positive leading coefficient, so f_w has one too."""
+def generic_degrees(datum: RootDatum, twist: str = "split") -> Counter[RationalPoly]:
+    """{f_w: #w} over all w in W = S_n, with f_w the q'-part of [G^F : T_0[w]].
+    Both are products of factors with a positive leading coefficient, so
+    f_w has one too."""
     part, _ = order_polynomial_parts(datum, twist)
-    return part.exact_div(torus_order(datum, twist, w_index))
+    return Counter(
+        part.exact_div(torus_order(datum, twist, w))
+        for w in itertools.permutations(range(datum.n))
+    )
 
 
 # -- candidate set ----------------------------------------------------------------
@@ -294,10 +187,9 @@ def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
     a_i L f_i(probe) beside its vector and the test is one sum.  The candidates
     stay integer vectors over the denominator L |W|.
     """
-    w = weyl_group(datum, twist)
-    bound = math.isqrt(w.order**3)
-    fs = Counter(dl_degree(datum, twist, wi) for wi in range(w.order))
-    distinct = sorted(fs.items(), key=lambda kv: kv[0].coeffs)
+    weyl_order = math.factorial(datum.n)
+    bound = math.isqrt(weyl_order**3)
+    distinct = sorted(generic_degrees(datum, twist).items(), key=lambda kv: kv[0].coeffs)
     total = 1
     for _f, mult in distinct:
         total *= 2 * mult * bound + 1
@@ -337,7 +229,7 @@ def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
         keys.append(padded[:top])
     # ascending int keys give ascending Fraction coefficients: the scale is positive
     keys.sort()
-    return CandidateSet(tuple(keys), scale * w.order, bound, w.order)
+    return CandidateSet(tuple(keys), scale * weyl_order, bound, weyl_order)
 
 
 @dataclass

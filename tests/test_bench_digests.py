@@ -1,5 +1,5 @@
-"""The benchmark's level2_fit and chardeg_direct commands, run in-process: a
-change to their stdout must fail here, not only in the slow benchmark."""
+"""Every benchmark workload's commands, run in-process: a change to their
+stdout must fail here, not only in the slow benchmark."""
 
 import contextlib
 import hashlib
@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spec  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", ["level2_fit", "chardeg_direct"])
+@pytest.mark.parametrize("workload", spec.WORKLOADS)
 def test_benchmark_commands_match_their_digests(workload, tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "default-cache"))
     # chardeg_direct runs a cold pass that writes the cache and a warm replay that reads it

@@ -99,6 +99,20 @@ def test_run_dimirr_budget_error_is_not_cached(tmp_path):
     assert "error" in run(1)
 
 
+def test_run_dimirr_refuses_over_budget_before_building_the_key(tmp_path, monkeypatch):
+    # the key's ring json finds the default modulus, which is slow for a large f
+    def refuse(p, f):
+        raise AssertionError("default_modulus called for an over-budget ring")
+
+    monkeypatch.setattr(repzoo.localring, "default_modulus", refuse)
+    config = ExperimentConfig(
+        GL2, (RingSpec("unramified", 2, 120, 1),), engine="chardeg", cache_dir=str(tmp_path)
+    )
+    payload = run_dimirr(config)["unram:2,120,1"]
+    assert set(payload) == {"error", "predicted"} and "exceeds budget" in payload["error"]
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_clifford_report_budget_is_checked_after_the_report_is_built():
     spec = RingSpec("unramified", 2, 1, 2)
     assert compute_clifford_report(GL2, spec).degrees.sum_of_squares == 96
