@@ -395,13 +395,6 @@ class _CentralExtension(FiniteGroup):
         """The ordinal in N of n(c, d)."""
         return self.cosets.product(c, d) % self.cosets.kernel.order
 
-    def _shifted(self, xs, products, shift: int) -> list[int]:
-        """For each x = (c, a) and the coordinates cd |N| + j of s(c) s(d) (or
-        of s(d) s(c)) in products: (cd, a + shift + psi(k_j))."""
-        M, pos, psi, size = self.M, self.pos, self.psi, self.cosets.kernel.order
-        # x + shift + psi = a + shift + psi mod M
-        return [pos[p // size] * M + (x + shift + psi[p % size]) % M for x, p in zip(xs, products)]
-
     def mul(self, x: int, y: int) -> int:
         return self.mul_right([x], y)[0]
 
@@ -415,16 +408,14 @@ class _CentralExtension(FiniteGroup):
         return self.pos[ci] * M + (z - a - self.psi[self._cocycle(c, ci)]) % M
 
     def mul_right(self, xs, y: int) -> list[int]:
-        M, stab, size = self.M, self.stab, self.cosets.quotient.order
+        """For each x = (c, a) and the coordinates cd |N| + j of s(c) s(d),
+        y = (d, b): (cd, a + b + psi(k_j))."""
+        M, stab, pos, psi, size = self.M, self.stab, self.pos, self.psi, self.cosets.kernel.order
         j, b = divmod(y, M)
         d = stab[j]
-        return self._shifted(xs, self.cosets.products([stab[x // M] * size + d for x in xs]), b)
-
-    def mul_left(self, y: int, xs) -> list[int]:
-        M, stab, size = self.M, self.stab, self.cosets.quotient.order
-        i, a = divmod(y, M)
-        row = stab[i] * size
-        return self._shifted(xs, self.cosets.products([row + stab[x // M] for x in xs]), a)
+        products = self.cosets.products([stab[x // M] * self.cosets.quotient.order + d for x in xs])
+        # x + b + psi = a + b + psi mod M
+        return [pos[p // size] * M + (x + b + psi[p % size]) % M for x, p in zip(xs, products)]
 
 
 def _dims_above(cosets: CosetCoordinates, dual: DualGroup, rec: OrbitRecord):

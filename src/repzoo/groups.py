@@ -3,7 +3,7 @@
 A matrix is written by its n*n ring-element ordinals, and an enumerated group
 stores each element as one int key made of them (FiniteMatrixGroup).  Groups
 expose a small uniform protocol (order,
-mul, inv, generators, and the batched mul_right/mul_left by one fixed factor)
+mul, inv, generators, and the batched mul_right by one fixed factor)
 that the character-theory code runs against; subgroups and quotients
 implement the same protocol, which keeps Dixon-Schneider and the Clifford
 pipeline oblivious to where a group came from.
@@ -175,8 +175,10 @@ class FiniteGroup:
     # derived data, filled in on first use by generators(), conjugacy_classes()
     # and character_table_modp()
     gens: list[int] | None = None
-    # right_products[t][x] = x gens[t], from generators() until conjugacy_classes
+    # right_products[t][x] = x gens[t], and tree = (parent, via, reach): each
+    # y != identity was first reached as parent[y] gens[via[y]], in reach order
     right_products: list[memoryview] | None = None
+    tree: tuple[memoryview, bytearray, memoryview] | None = None
     classes: ConjugacyClassData | None = None
     modp_table: CharacterTableModP | None = None
 
@@ -191,13 +193,8 @@ class FiniteGroup:
         mul = self.mul
         return [mul(x, b) for x in xs]
 
-    def mul_left(self, a: int, xs) -> list[int]:
-        """[a*x for x in xs]; xs is a sequence of ordinals."""
-        mul = self.mul
-        return [mul(a, x) for x in xs]
-
     def drop_tables(self) -> None:
-        """Free whatever mul_right and mul_left keep for their batches."""
+        """Free whatever mul_right keeps for its batches."""
 
     def element_order(self, i: int) -> int:
         n, x = 1, i
@@ -214,9 +211,10 @@ class FiniteGroup:
         member times g, then every new member times every generator, until
         nothing new appears.  That closure is <gens>, as a two-sided one is, so
         the list is the same, and x g is made exactly once for each element x
-        and generator g.  The products are kept in right_products, one buffer
-        per generator, for conjugacy_classes, and the tables they were made
-        with are dropped."""
+        and generator g.  The products, one buffer per generator, and the
+        closure's Schreier tree are kept for conjugacy_classes (a generator at
+        least doubles the closure, so via fits in a byte), and the tables they
+        were made with are dropped."""
         if self.gens is not None:
             return self.gens
         gens: list[int] = []
@@ -224,6 +222,7 @@ class FiniteGroup:
         closure = bytearray(self.order)  # membership flags
         closure[self.identity] = 1
         members = [self.identity]
+        parent, via = uint_buffer(self.order, self.order), bytearray(self.order)
         for i in range(self.order):
             if closure[i]:
                 continue
@@ -239,6 +238,7 @@ class FiniteGroup:
                         row[x] = y
                         if not closure[y]:
                             closure[y] = 1
+                            parent[y], via[y] = x, t
                             nxt.append(y)
                 members.extend(nxt)
                 frontier, steps = nxt, range(len(gens))
@@ -246,6 +246,7 @@ class FiniteGroup:
                 break
         self.gens = gens
         self.right_products = products
+        self.tree = parent, via, uint_buffer(self.order, self.order, members)
         self.drop_tables()
         return gens
 
@@ -278,19 +279,18 @@ class FiniteMatrixGroup(FiniteGroup):
     reads the ring's tables directly (_mat_mul), which offsets most of what
     the codec costs a single product.
 
-    mul_right and mul_left multiply a batch by one fixed factor through a
-    table of that factor over the |R|^n vectors: row i of x*b is (row i of
-    x)*b = b^T (row i of x), as the ring is commutative, and column j of a*x
-    is a (column j of x).  Every element carries the code of each of its rows
-    (for mul_right) and columns (for mul_left), its place in the product order
-    of R^n, and the table gives, for each row or column and each code, the
-    image vector's share of the product's key.  A product is then n code
-    reads, n table reads, one integer sum and one int-keyed index lookup, with
-    no tuple built.  A table has n|R|^n entries and at most 2|G| are held,
-    so at most floor(2|G| / (n|R|^n)) tables, and none when an entry needs
-    more than one byte; past that the plain loop runs.  generators,
-    conjugacy_classes and character_table_modp drop the tables when they store
-    their result, and the codes stay for the life of the group.
+    mul_right multiplies a batch by one fixed factor through a table of that
+    factor over the |R|^n vectors: row i of x*b is (row i of x)*b =
+    b^T (row i of x), as the ring is commutative.  Every element carries the
+    code of each of its rows, its place in the product order of R^n, and the
+    table gives, for each row and each code, the image vector's share of the
+    product's key.  A product is then n code reads, n table reads, one
+    integer sum and one int-keyed index lookup, with no tuple built.  A table
+    has n|R|^n entries and at most 2|G| are held, so at most
+    floor(2|G| / (n|R|^n)) tables, and none when an entry needs more than one
+    byte; past that the plain loop runs.  generators and character_table_modp
+    drop the tables when they store their result, and the codes stay for the
+    life of the group.
     """
 
     def __init__(self, scheme: GroupScheme, ring: QuotientRing, matrices):
@@ -304,13 +304,13 @@ class FiniteMatrixGroup(FiniteGroup):
         self.index = dict(zip(self.keys, range(self.order)))
         self.identity = self.ordinal(_identity_matrix(ring, n))
         self._inv_cache: dict[int, int] = {}
-        # fixed-factor tables, keyed by (left, factor): table[j][c] is the share
-        # of the key of the product from row (right) or column (left) j of code c;
-        # n |R|^n entries each and at most 2|G| in all
-        self._tables: dict[tuple[bool, int], list[list[int]]] = {}
+        # fixed-factor tables, keyed by factor: table[j][c] is the share of the
+        # key of the product from row j of code c; n |R|^n entries each and at
+        # most 2|G| in all
+        self._tables: dict[int, list[list[int]]] = {}
         self._table_room = 2 * self.order // (n * ring.size**n) if self._entry_bytes == 1 else 0
-        # left -> for each j, the code of column (left) or row j of every element
-        self._codes: dict[bool, list[memoryview]] = {}
+        # for each j, the code of row j of every element
+        self._codes: list[memoryview] = []
 
     def key(self, mat) -> int:
         """The key of a matrix given by its n*n entry ordinals."""
@@ -348,63 +348,48 @@ class FiniteMatrixGroup(FiniteGroup):
         return v
 
     def mul_right(self, xs, b: int) -> list[int]:
-        out = self._by_table(xs, b, False)
-        return super().mul_right(xs, b) if out is None else out
-
-    def mul_left(self, a: int, xs) -> list[int]:
-        out = self._by_table(xs, a, True)
-        return super().mul_left(a, xs) if out is None else out
-
-    def drop_tables(self) -> None:
-        # the codes stay: the next batch on either side reads the same ones
-        self._tables.clear()
-
-    def _by_table(self, xs, factor: int, left: bool) -> list[int] | None:
-        """The products of xs by factor on the given side, or None when the
-        memo has no room for its table."""
-        table = self._table(factor, left)
+        table = self._table(b)
         if table is None:
-            return None
+            return super().mul_right(xs, b)
         parts = (
             map(shares.__getitem__, map(codes.__getitem__, xs))
-            for shares, codes in zip(table, self._codes[left])
+            for shares, codes in zip(table, self._codes)
         )
         return list(map(self.index.__getitem__, reduce(partial(map, add), parts)))
 
-    def _table(self, factor: int, left: bool) -> list[list[int]] | None:
-        """For each j, code of v -> the share of the key of factor v (left) or
-        factor^T v (right) placed as column or row j; None when the memo is
-        full."""
-        key = (left, factor)
-        table = self._tables.get(key)
+    def drop_tables(self) -> None:
+        # the codes stay: the next batch reads the same ones
+        self._tables.clear()
+
+    def _table(self, factor: int) -> list[list[int]] | None:
+        """For each j, code of v -> the share of the key of factor^T v placed
+        as row j; None when the memo is full."""
+        table = self._tables.get(factor)
         if table is not None or len(self._tables) >= self._table_room:
             return table
         ring, n = self.ring, self.n
-        # the pattern of a vector v puts entry t at bit stride (n - 1 - t);
-        # shifted by shifts[j], it is v's share of a key as its row (right) or
-        # column (left) j
-        stride = 8 * n if left else 8
-        shifts = [8 * (n - 1 - j) * (1 if left else n) for j in range(n)]
-        weights = [stride * (n - 1 - t) for t in range(n)]
+        # the pattern of a vector v puts entry t at bit 8 (n - 1 - t); shifted
+        # by shifts[j], it is v's share of a key as its row j
+        shifts = [8 * n * (n - 1 - j) for j in range(n)]
+        weights = [8 * (n - 1 - t) for t in range(n)]
         vectors = list(itertools.product(range(ring.size), repeat=n))
-        if left not in self._codes:
-            # the code of row or column j of x: its vector's place in vectors,
-            # from x's key shifted by shifts[j] and masked to that vector
+        if not self._codes:
+            # the code of row j of x: its vector's place in vectors, from x's
+            # key shifted by shifts[j] and masked to that vector
             code = {sum(map(lshift, v, weights)): c for c, v in enumerate(vectors)}
             mask = sum(map(lshift, [255] * n, weights))
-            self._codes[left] = [
+            self._codes = [
                 uint_buffer(self.order, len(vectors), map(
                     code.__getitem__, map(and_, map(rshift, self.keys, itertools.repeat(s)), itertools.repeat(mask))
                 ))
                 for s in shifts
             ]
+        # the rows of b^T are the columns of b
         a = self._entries(self.keys[factor])
-        if not left:
-            # the rows of b^T are the columns of b
-            a = b"".join(a[j::n] for j in range(n))
+        a = b"".join(a[j::n] for j in range(n))
         images = [sum(map(lshift, _mat_vec(ring, n, a, v), weights)) for v in vectors]
         table = [[image << s for image in images] for s in shifts]
-        self._tables[key] = table
+        self._tables[factor] = table
         return table
 
 
@@ -852,15 +837,33 @@ class ConjugacyClassData:
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
     """The orbits of conjugation by the generators, each seeded from its least
-    ordinal.  x -> g^-1 x g is read off the generators' right products x g
-    with one batch of left products by g^-1 per generator, and the right
-    products and the tables of the left ones are dropped."""
+    ordinal, read off the right products and closure tree of generators(),
+    which are then dropped, with no group operation: y = parent[y] s for
+    s = gens[via[y]], so a y = (a parent[y]) s is one lookup, in reach order
+    from a e = a.  For a = g^-1, the last power of g before e, that gives
+    g^-1 y g, and y^-1 = s^-1 parent[y]^-1 gives the inverse classes."""
     if group.classes is not None:
         return group.classes
-    gens = group.generators()
-    conjugates = [group.mul_left(group.inv(g), xg) for g, xg in zip(gens, group.right_products)]
-    group.right_products = None
-    group.drop_tables()
+    group.generators()
+    products, (parent, via, reach) = group.right_products, group.tree
+    group.right_products = group.tree = None
+    order, e = group.order, group.identity
+    conjugates = []  # g^-1 y, then g^-1 y g, filled in place
+    for xg in products:
+        images = uint_buffer(order, order)
+        images[e] = e  # walked up to g^-1, the last power of g before e
+        while xg[images[e]] != e:
+            images[e] = xg[images[e]]
+        for y in reach[1:]:
+            images[y] = products[via[y]][images[parent[y]]]
+        conjugates.append(images)
+    inverse = uint_buffer(order, order)
+    inverse[e] = e
+    for y in reach[1:]:
+        inverse[y] = conjugates[via[y]][inverse[parent[y]]]
+    for images, xg in zip(conjugates, products):
+        for y, ay in enumerate(images):
+            images[y] = xg[ay]
     class_of = [-1] * group.order
     reps: list[int] = []
     sizes: list[int] = []
@@ -882,7 +885,7 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClassData:
             size += len(nxt)
             frontier = nxt
         sizes.append(size)
-    inverse_class = tuple(class_of[group.inv(r)] for r in reps)
+    inverse_class = tuple(class_of[inverse[r]] for r in reps)
     data = ConjugacyClassData(tuple(class_of), tuple(reps), tuple(sizes), inverse_class)
     if sum(sizes) != group.order:
         raise AssertionError(f"class sizes sum to {sum(sizes)}, not |G|={group.order}")

@@ -105,7 +105,7 @@ def torus_order(datum: RootDatum, twist: str, w: tuple[int, ...]) -> RationalPol
     and w tau acts on the line Z(1, .., 1) by eps, which takes out q - eps."""
     eps = _sign(twist)
     n = datum.n
-    sigma = w if eps == 1 else [w[n - 1 - j] for j in range(n)]
+    sigma = w[::eps]  # j -> w(n - 1 - j) for unitary
     x = RationalPoly.x()
     order = RationalPoly.one()
     for c in _cycles(sigma):
@@ -116,12 +116,17 @@ def torus_order(datum: RootDatum, twist: str, w: tuple[int, ...]) -> RationalPol
 def generic_degrees(datum: RootDatum, twist: str = "split") -> Counter[RationalPoly]:
     """{f_w: #w} over all w in W = S_n, with f_w the q'-part of [G^F : T_0[w]].
     Both are products of factors with a positive leading coefficient, so
-    f_w has one too."""
+    f_w has one too.  f_w depends only on the cycle type of sigma = w[::eps],
+    so it is divided out once per type, from the first w of that type."""
     part, _ = order_polynomial_parts(datum, twist)
-    return Counter(
-        part.exact_div(torus_order(datum, twist, w))
-        for w in itertools.permutations(range(datum.n))
-    )
+    eps = _sign(twist)
+    types: dict[tuple[int, ...], list] = {}  # cycle type -> [first w, #w]
+    for w in itertools.permutations(range(datum.n)):
+        types.setdefault(tuple(sorted(map(len, _cycles(w[::eps])))), [w, 0])[1] += 1
+    degrees: Counter[RationalPoly] = Counter()
+    for w, count in types.values():
+        degrees[part.exact_div(torus_order(datum, twist, w))] += count
+    return degrees
 
 
 # -- candidate set ----------------------------------------------------------------

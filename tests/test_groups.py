@@ -9,6 +9,7 @@ from repzoo.clifford import clifford_dimirr, default_normal_subgroup
 from repzoo.groups import (
     _PATTERNS,
     BudgetExceededError,
+    CosetCoordinates,
     FiniteGroup,
     FiniteMatrixGroup,
     GroupScheme,
@@ -236,7 +237,6 @@ def _assert_batched_products_match(group, rng):
     xs = rng.sample(range(group.order), min(group.order, 64))
     for b in rng.sample(range(group.order), min(group.order, 4)):
         assert group.mul_right(xs, b) == [group.mul(x, b) for x in xs]
-        assert group.mul_left(b, xs) == [group.mul(b, x) for x in xs]
 
 
 @pytest.mark.parametrize(
@@ -256,9 +256,9 @@ def test_batched_products_equal_the_plain_loop(scheme, spec):
     _assert_batched_products_match(group, random.Random(f"{scheme.label()} {spec.label()}"))
     # a table of n |R|^n entries exists exactly when it fits in 2|G|
     assert bool(group._tables) == (scheme.n * spec.size**scheme.n <= 2 * group.order)
-    for (left, _), table in group._tables.items():
+    for table in group._tables.values():
         assert len(table) == scheme.n and all(len(shares) == spec.size**scheme.n for shares in table)
-        assert len(group._codes[left]) == scheme.n
+        assert len(group._codes) == scheme.n
 
 
 def test_batched_products_on_subgroups_and_quotients():
@@ -271,14 +271,13 @@ def test_batched_products_on_subgroups_and_quotients():
 
 def test_batched_products_past_the_memo_budget():
     # GL2(F_5): 480 elements and 2 * 25 entries a table, so 19 tables fit; a
-    # factor past them takes the plain loop on either side
+    # factor past them takes the plain loop
     group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
     xs = list(range(group.order))
-    for b in range(12):
+    for b in range(24):
         assert group.mul_right(xs, b) == [group.mul(x, b) for x in xs]
-        assert group.mul_left(b, xs) == [group.mul(b, x) for x in xs]
     assert len(group._tables) == group._table_room == 19 and 19 * 50 <= 2 * group.order
-    assert {left for left, _ in group._tables} == {False, True}
+    assert set(group._tables) == set(range(19))
 
 
 def test_no_table_when_vectors_outnumber_the_group():
@@ -286,7 +285,6 @@ def test_no_table_when_vectors_outnumber_the_group():
     assert Z4.size**2 > group.order
     xs = list(range(group.order))
     assert group.mul_right(xs, 1) == [group.mul(x, 1) for x in xs]
-    assert group.mul_left(1, xs) == [group.mul(1, x) for x in xs]
     assert group._tables == {} and group._table_room == 0
 
 
@@ -309,10 +307,10 @@ def test_keys_of_two_byte_entries():
 
 def test_table_memo_never_exceeds_twice_the_group_order(monkeypatch):
     # GL2(F_5): 480 elements and 2 * 25 entries a table, so at most 19 tables;
-    # generators, conjugacy_classes and character_table_modp each drop their
-    # tables when they store their result, so each of its 4 central elements
-    # and the representative of each of the 7 Z(G)-orbits of its 24 classes
-    # get one, and the codes stay with the group
+    # generators and character_table_modp each drop their tables when they
+    # store their result, and conjugacy_classes builds none, so each of its 4
+    # central elements and the representative of each of the 7 Z(G)-orbits of
+    # its 24 classes get one, and the codes stay with the group
     group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
     assert group._table_room == 19
     held = []
@@ -326,7 +324,7 @@ def test_table_memo_never_exceeds_twice_the_group_order(monkeypatch):
     monkeypatch.setattr(FiniteMatrixGroup, "drop_tables", recorded)
     degrees = DegreeMultiset.from_degrees(character_table_modp(group).degrees)
     assert degrees.entries == ((1, 4), (4, 10), (5, 4), (6, 6))
-    assert group._tables == {} and set(group._codes) == {False, True}
+    assert group._tables == {} and len(group._codes) == 2
     classes = conjugacy_classes(group)
     gens = group.generators()
     moves = _center_moves(_center_perms(group, classes).values())
@@ -334,21 +332,17 @@ def test_table_memo_never_exceeds_twice_the_group_order(monkeypatch):
     assert len(orbit_reps) == 7
     central = [rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1]
     assert len(central) == 4
-    # generators, conjugacy_classes (right products by g, left by g^-1), then the table
-    assert held == [
-        {(False, g) for g in gens},
-        {(True, group.inv(g)) for g in gens},
-        {(False, x) for x in orbit_reps + central},
-    ]
+    # the generators' right products, then the table
+    assert held == [set(gens), set(orbit_reps + central)]
 
 
 def test_row_codes_are_built_once():
     # the row codes generators builds are the ones the class operators read
     group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
     group.generators()
-    codes = group._codes[False]
+    codes = group._codes
     character_table_modp(group)
-    assert group._codes[False] is codes
+    assert group._codes is codes
 
 
 @pytest.mark.parametrize(
@@ -363,9 +357,8 @@ def test_class_operators_never_take_the_plain_loop(monkeypatch, scheme, spec):
     group = _fresh(build_group(scheme, spec))
     conjugacy_classes(group)
     plain = []
-    mul_right, mul_left = FiniteGroup.mul_right, FiniteGroup.mul_left
+    mul_right = FiniteGroup.mul_right
     monkeypatch.setattr(FiniteGroup, "mul_right", lambda self, xs, b: plain.append(b) or mul_right(self, xs, b))
-    monkeypatch.setattr(FiniteGroup, "mul_left", lambda self, a, xs: plain.append(a) or mul_left(self, a, xs))
     character_table_modp(group)
     assert plain == []
 
@@ -591,7 +584,41 @@ def test_generators_and_classes_equal_the_references(make):
     assert len(group.right_products) == len(expected)
     for g, products in zip(expected, group.right_products):
         assert list(products) == [group.mul(x, g) for x in range(group.order)]
+    # the closure tree: each member after the identity is its parent, reached
+    # before it, times one generator
+    parent, via, reach = group.tree
+    assert reach[0] == group.identity and sorted(reach) == list(range(group.order))
+    reached = {group.identity}
+    for x in reach[1:]:
+        assert parent[x] in reached and group.mul(parent[x], expected[via[x]]) == x
+        reached.add(x)
     classes = conjugacy_classes(group)
-    assert group.right_products is None
+    assert group.right_products is None and group.tree is None
     got = (classes.class_of, classes.representatives, classes.sizes, classes.inverse_class)
     assert got == _classes_by_brute_force(group)
+
+
+@pytest.mark.parametrize(
+    "make,n_classes",
+    [
+        pytest.param(lambda: _fresh(build_group(GroupScheme("U", 3), RingSpec.for_q(9, 1))), 89, id="U3(F_9)"),
+        pytest.param(_central_extension_of_gl2_z9, None, id="S/ker psi of GL2(Z/9)"),
+    ],
+)
+def test_classes_make_no_group_operation_after_generators(monkeypatch, make, n_classes):
+    # conjugacy_classes reads the right products and closure tree of generators
+    # only: U3(F_9) has no table room, so a product there would be a single mul
+    group = make()
+    group.generators()
+    calls = []
+    for owner, name in [
+        (FiniteMatrixGroup, "mul"), (FiniteMatrixGroup, "inv"), (FiniteGroup, "mul_right"),
+        (clifford._CentralExtension, "mul_right"), (clifford._CentralExtension, "inv"),
+        (CosetCoordinates, "products"),
+    ]:
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, *args, method=method, name=name: calls.append(name) or method(self, *args))
+    classes = conjugacy_classes(group)
+    monkeypatch.undo()
+    assert calls == []
+    assert sum(classes.sizes) == group.order and n_classes in (None, classes.n_classes)

@@ -476,6 +476,21 @@ def test_candidate_set_builds_one_order_polynomial(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("twist", ["split", "unitary"])
+def test_candidate_set_divides_once_per_cycle_type(monkeypatch, twist):
+    # the 120 w in S_5 fall into the 7 cycle types of the partitions of 5
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return torus_order(*args)
+
+    monkeypatch.setattr(repzoo.lietype, "torus_order", counted)
+    with pytest.raises(CandidateBudgetError):
+        candidate_set(root_datum("GL", 5), twist)
+    assert len(calls) == 7
+
+
 @pytest.mark.parametrize(
     "scheme,qs",
     [
