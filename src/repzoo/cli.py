@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 from pathlib import Path
 
 from .groups import BudgetExceededError, DEFAULT_BUDGET, GroupScheme, check_budget
@@ -92,19 +91,22 @@ def _cmd_lietype(args) -> int:
         for q in qs:
             check_budget(scheme, RingSpec.for_q(q, 1), args.budget)
     cands = candidate_set(datum, args.twist)
-    out = {"candidate_set": cands.to_json()}
+    containment = None
     code = 0
     if qs:
         report = verify_containment(scheme, args.twist, cands, qs, args.budget)
-        out["containment"] = report.to_json()
+        containment = json.dumps(report.to_json(), indent=2, sort_keys=True)
         if not report.all_contained:
             code = 1
-    # the GL3 candidate set is ~490 000 encoder chunks: write them in joined
-    # batches instead of holding them all for one join, as json.dumps does
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(out)
-    for batch in iter(lambda: "".join(islice(chunks, 8192)), ""):
-        sys.stdout.write(batch)
-    sys.stdout.write("\n")
+    # the output is json.dumps({"candidate_set": .., "containment": ..},
+    # indent=2, sort_keys=True) + "\n", written as it is rendered: the GL3
+    # candidate set alone is 5.58 MB of text
+    write = sys.stdout.write
+    write('{\n  "candidate_set": ')
+    cands.write_json(write, "  ")
+    if containment is not None:
+        write(',\n  "containment": ' + containment.replace("\n", "\n  "))
+    write("\n}\n")
     return code
 
 

@@ -136,6 +136,8 @@ def generic_degrees(datum: RootDatum, twist: str = "split") -> Counter[RationalP
 # 140 505, GL4 and SL4 about 6.1e14), and a candidate is kept when positive at q = 2^20
 _BOX_LIMIT = 2 * 10**6
 _POSITIVITY_PROBE = 2**20
+# polynomials per write of CandidateSet.write_json (GL3: about 160 kB)
+_WRITE_BATCH = 2048
 
 
 @dataclass
@@ -162,19 +164,34 @@ class CandidateSet:
             values.add(value)
         return values
 
-    def to_json(self) -> dict:
+    def write_json(self, write, indent: str) -> None:
+        """Write {"bound", "polys", "weyl_order"} as json.dumps(..., indent=2,
+        sort_keys=True) renders it when it starts on a line indented by
+        ``indent``; each polynomial is an array of "num/den" strings.  The text
+        goes to ``write`` in batches of _WRITE_BATCH polynomials, never whole
+        (GL3 split: 5.58 MB)."""
         # the polynomials share few coefficient values (GL3 split: 168 among
         # 280 154), so each value is rendered once, as Fraction's "num/den"
         den = self.denominator
         text = {}
         for c in set().union(*self.polynomials):
             g = math.gcd(c, den)
-            text[c] = f"{c // g}/{den // g}"
-        return {
-            "polys": [list(map(text.__getitem__, key)) for key in self.polynomials],
-            "bound": self.bound,
-            "weyl_order": self.weyl_order,
-        }
+            text[c] = f'"{c // g}/{den // g}"'
+        inner = indent + "  "
+        row = inner + "  "
+        coeff_sep = ",\n" + row + "  "
+        lookup = text.__getitem__
+        polys = self.polynomials
+        write(f'{{\n{inner}"bound": {self.bound},\n{inner}"polys": [')
+        # never "[]": the set is not empty, since all a_w = 1 sum to a positive f
+        sep = ""
+        for start in range(0, len(polys), _WRITE_BATCH):
+            write(sep + ",".join(
+                f"\n{row}[\n{row}  {coeff_sep.join(map(lookup, key))}\n{row}]"
+                for key in polys[start:start + _WRITE_BATCH]
+            ))
+            sep = ","
+        write(f'\n{inner}],\n{inner}"weyl_order": {self.weyl_order}\n{indent}}}')
 
 
 def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:

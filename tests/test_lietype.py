@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -428,14 +429,70 @@ def test_candidate_set_gl2_contents():
     assert again.denominator == cands.denominator
 
 
+def _lietype_stdout(argv, capsys):
+    assert repzoo.cli.main(["lietype", *argv]) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("twist", ["split", "unitary"])
 @pytest.mark.parametrize("family", ["GL", "SL"])
-def test_candidate_set_json_matches_fraction_route(family, twist):
+def test_candidate_set_json_matches_fraction_route(family, twist, capsys):
     # rank 3 is too slow for the Fraction reference enumeration, but not for
     # rendering each key through RationalPoly
     cands = candidate_set(root_datum(family, 3), twist)
     assert len(cands.polynomials) == 70252
-    assert cands.to_json()["polys"] == [p.to_json() for p in _as_polys(cands)]
+    out = _lietype_stdout(["--family", f"{family}3", "--twist", twist], capsys)
+    assert json.loads(out)["candidate_set"]["polys"] == [p.to_json() for p in _as_polys(cands)]
+
+
+def _candidate_set_reference(cands):
+    """The candidate set's JSON object, each coefficient rendered through Fraction."""
+    den = cands.denominator
+    return {
+        "bound": cands.bound,
+        "polys": [
+            [f"{c.numerator}/{c.denominator}" for c in (Fraction(k, den) for k in key)]
+            for key in cands.polynomials
+        ],
+        "weyl_order": cands.weyl_order,
+    }
+
+
+@pytest.mark.parametrize("twist", ["split", "unitary"])
+@pytest.mark.parametrize("family", ["GL1", "GL2", "GL3", "SL2", "SL3"])
+def test_cli_lietype_stdout_is_json_dumps_of_the_reference(family, twist, capsys):
+    scheme = GroupScheme.parse(family)
+    cands = candidate_set(root_datum(scheme.family, scheme.n), twist)
+    ref = {"candidate_set": _candidate_set_reference(cands)}
+    out = _lietype_stdout(["--family", family, "--twist", twist], capsys)
+    assert out == json.dumps(ref, indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_lietype_verify_stdout_is_json_dumps_of_the_reference(capsys):
+    # containment is the second key, after the streamed candidate set
+    scheme = GroupScheme("GL", 2)
+    cands = candidate_set(root_datum("GL", 2))
+    ref = {
+        "candidate_set": _candidate_set_reference(cands),
+        "containment": verify_containment(scheme, "split", cands, [2, 3]).to_json(),
+    }
+    out = _lietype_stdout(["--family", "GL2", "--verify", "2,3"], capsys)
+    assert out == json.dumps(ref, indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_lietype_writes_gl3_in_bounded_batches(monkeypatch):
+    # the 5.58 MB text is never one string, which would raise peak RSS
+    lengths = []
+
+    class Recorder:
+        def write(self, text):
+            lengths.append(len(text))
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert repzoo.cli.main(["lietype", "--family", "GL3", "--twist", "split"]) == 0
+    assert sum(lengths) == 5581052
+    assert len(lengths) > 1
+    assert max(lengths) <= 2**20
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -548,8 +605,21 @@ def test_candidate_set_matches_fraction_reference(family, n, twist):
          "7b45e02f7163a3c370784eed8827814af111491719d34c3c89bf011aaaea8bde"),
         (["--family", "GL3", "--verify", "2,3"],
          "316514431c70343d1674e116603a362402c44eeeb4e1858cff26f3e61a0be243"),
+        (["--family", "GL1", "--twist", "split"],
+         "a9ae95e8f3863baef1d2820e906f4b3a51f0a777235071088cc226eb5115e522"),
+        (["--family", "GL2", "--twist", "split"],
+         "cf5e93154e00721872546e5e8f45d77de1d84d3653e2fcba47318ca1ad3fc0f3"),
+        (["--family", "GL2", "--twist", "unitary"],
+         "cf5e93154e00721872546e5e8f45d77de1d84d3653e2fcba47318ca1ad3fc0f3"),
+        (["--family", "SL2", "--twist", "split"],
+         "cf5e93154e00721872546e5e8f45d77de1d84d3653e2fcba47318ca1ad3fc0f3"),
+        (["--family", "SL2", "--twist", "unitary"],
+         "cf5e93154e00721872546e5e8f45d77de1d84d3653e2fcba47318ca1ad3fc0f3"),
     ],
-    ids=["SL3-split", "GL3-unitary", "SL3-unitary", "GL2-verify", "GL3-verify"],
+    ids=[
+        "SL3-split", "GL3-unitary", "SL3-unitary", "GL2-verify", "GL3-verify",
+        "GL1-split", "GL2-split", "GL2-unitary", "SL2-split", "SL2-unitary",
+    ],
 )
 def test_cli_lietype_digest(argv, digest, capsys):
     assert repzoo.cli.main(["lietype", *argv]) == 0
