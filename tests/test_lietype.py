@@ -446,14 +446,10 @@ def test_candidate_set_json_matches_fraction_route(family, twist, capsys):
 
 
 def _candidate_set_reference(cands):
-    """The candidate set's JSON object, each coefficient rendered through Fraction."""
-    den = cands.denominator
+    """The candidate set's JSON object, each key rendered through its Fractions."""
     return {
         "bound": cands.bound,
-        "polys": [
-            [f"{c.numerator}/{c.denominator}" for c in (Fraction(k, den) for k in key)]
-            for key in cands.polynomials
-        ],
+        "polys": [p.to_json() for p in _as_polys(cands)],
         "weyl_order": cands.weyl_order,
     }
 
