@@ -17,10 +17,10 @@ quotient of the q'-part of the order by the torus order:
 The SL factor q - eps cancels, so f_w is the same for GL_n and SL_n, and so
 are their candidate sets and `repzoo lietype` stdout.  The candidate set
 collects (1/|W|) sum a_w f_w over the integer box |a_w| <= floor(|W|^(3/2)),
-deduplicated and pruned to polynomials positive at q = 2^20.  The box is
-enumerated on integer coefficient vectors (the f_w scaled by the lcm of their
-denominators), and the candidates stay integer vectors over one common
-denominator through verification and rendering.
+deduplicated, pruned to polynomials positive at q = 2^20 and sorted as tuples.
+The box is enumerated on int codes, one byte per coefficient, of integer vectors
+(the f_w scaled by the lcm of their denominators), and the candidates stay
+integer vectors over one denominator through verification and rendering.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ _WRITE_BATCH = 2048
 @dataclass
 class CandidateSet:
     """Polynomials (1/|W|) sum_w a_w f_w with |a_w| <= floor(|W|^{3/2}),
-    ascending by coefficient tuple.
+    ascending as tuples, so (6,) comes before (6, -56, -56, 22) in GL3 split.
 
     Each polynomial is stored as its numerator vector over ``denominator``:
     the key (c_0, .., c_d) stands for sum_k (c_k / denominator) q^k, with no
@@ -199,15 +199,19 @@ def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
 
     Grouping by the distinct generic degrees is exact: a_w enters only through
     sum a_w f_w, so per distinct polynomial f only the aggregate coefficient in
-    [-mult*B, mult*B] matters.
+    [-mult * bound, mult * bound] matters.
 
     The box runs on integer coefficient vectors: with L the lcm of the
     coefficient denominators of the distinct f, each point is c = sum a_i L f_i
-    and its candidate is c / (L |W|).  A point is kept when c is positive at
-    q = _POSITIVITY_PROBE; the scale is positive, so testing c's sign there is
-    exact.  That value is linear in the point, so each level carries
-    a_i L f_i(probe) beside its vector and the test is one sum.  The candidates
-    stay integer vectors over the denominator L |W|.
+    and its candidate is c / (L |W|), kept when c(_POSITIVITY_PROBE) > 0: the
+    scale is positive, so the sign test is exact.  Every L f_i(probe) > 0
+    (checked), so the kept points of each outer combination are a suffix of the
+    last level, cut by one exact floor division.  A point is carried as its sort
+    code sum_k (c_k + off) 256^(w-1-k), linear in the point, with off = B + 1 and
+    B = sum_i reach_i max|L f_i| >= |c_k|, so c_k + off is one byte (checked:
+    2B + 2 <= 256; B = 98 for GL3).  The codes are deduplicated as ints, their
+    trailing bytes off (zero coefficients) set to 0 so the ints sort as the
+    trimmed tuples do, and decoded from their bytes over the denominator L |W|.
     """
     weyl_order = math.factorial(datum.n)
     bound = math.isqrt(weyl_order**3)
@@ -222,35 +226,41 @@ def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
         )
     scale = math.lcm(*(c.denominator for f, _mult in distinct for c in f.coeffs))
     width = max(len(f.coeffs) for f, _mult in distinct)
-    # per distinct f, each aggregate a as (a * L * f padded to width, a * L * f(probe))
-    levels = []
+    # off - 1 bounds every |c_k|; per distinct f: (reach, code(L f), L f(probe))
+    off, levels = 1, []
     for f, mult in distinct:
         scaled = [c * scale for c in f.coeffs]
         if any(c.denominator != 1 for c in scaled):
             raise AssertionError(f"{scale} does not clear the denominators of {f.pretty()}")
         step = [int(c) for c in scaled] + [0] * (width - len(scaled))
-        at_probe = 0
-        for c in reversed(step):
-            at_probe = at_probe * _POSITIVITY_PROBE + c
-        reach = mult * bound
-        levels.append([([a * c for c in step], a * at_probe) for a in range(-reach, reach + 1)])
-    *outer_levels, inner = levels
-    found: set[tuple[int, ...]] = set()
-    for outer in itertools.product(*outer_levels):
-        base = [sum(col) for col in zip([0] * width, *(vec for vec, _value in outer))]
-        base_value = sum(value for _vec, value in outer)
-        for vec, value in inner:
-            if base_value + value > 0:
-                found.add(tuple(map(operator.add, base, vec)))
-    # the padded vectors are deduplicated first; a kept point is not zero
-    keys = []
-    for padded in found:
-        top = width
-        while not padded[top - 1]:
-            top -= 1
-        keys.append(padded[:top])
-    # ascending int keys give ascending Fraction coefficients: the scale is positive
-    keys.sort()
+        code = at_probe = 0
+        for c, c_top in zip(step, reversed(step)):
+            code = code * 256 + c
+            at_probe = at_probe * _POSITIVITY_PROBE + c_top
+        if at_probe <= 0:
+            raise AssertionError(f"{f.pretty()} is not positive at q = {_POSITIVITY_PROBE}")
+        levels.append((mult * bound, code, at_probe))
+        off += mult * bound * max(map(abs, step))
+    if 2 * off > 256:
+        raise AssertionError(f"coefficients up to {off - 1} do not fit one byte")
+    *outer, (reach, code, value) = levels
+    # each outer combination as (its code with off in every byte, its probe value)
+    bases = [(off * (256**width - 1) // 255, 0)]
+    for r, c, v in outer:
+        bases = [(bc + a * c, bv + a * v) for bc, bv in bases for a in range(-r, r + 1)]
+    inner = [a * code for a in range(-reach, reach + 1)]
+    found: set[int] = set()
+    for base_code, base_value in bases:
+        start = max(0, (-base_value) // value + 1 + reach)
+        found.update(map(operator.add, itertools.repeat(base_code), inner[start:]))
+    # a kept point is not zero, so no key loses every byte
+    for k in [k for k in found if k & 255 == off]:
+        found.remove(k)
+        trimmed = k.to_bytes(width, "big").rstrip(bytes([off]))
+        found.add(int.from_bytes(trimmed.ljust(width, b"\0"), "big"))
+    row = (off,) * width
+    keys = [tuple(map(operator.sub, k.to_bytes(width, "big").rstrip(b"\0"), row))
+            for k in sorted(found)]
     return CandidateSet(tuple(keys), scale * weyl_order, bound, weyl_order)
 
 

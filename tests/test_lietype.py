@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -15,6 +16,7 @@ from repzoo.groups import GroupScheme
 from repzoo.intlinalg import identity_matrix, smith_normal_form
 from repzoo.lietype import (
     CandidateBudgetError,
+    CandidateSet,
     UnsupportedTwistError,
     candidate_set,
     generic_degrees,
@@ -586,6 +588,81 @@ def test_candidate_set_matches_fraction_reference(family, n, twist):
     polys, bound = _reference_candidate_set(datum, twist)
     assert _as_polys(cands) == polys
     assert cands.bound == bound
+
+
+def _integer_reference_candidate_set(datum, twist):
+    """The candidate set on padded integer vectors: each point's vector is built
+    and tested for positivity at the probe on its own, the kept vectors are
+    deduplicated as padded tuples, then stripped of trailing zeros and sorted as
+    tuples."""
+    weyl_order = math.factorial(datum.n)
+    bound = math.isqrt(weyl_order**3)
+    degrees = repzoo.lietype.generic_degrees(datum, twist)
+    distinct = sorted(degrees.items(), key=lambda kv: kv[0].coeffs)
+    scale = math.lcm(*(c.denominator for f, _mult in distinct for c in f.coeffs))
+    width = max(len(f.coeffs) for f, _mult in distinct)
+    levels = []
+    for f, mult in distinct:
+        scaled = [c * scale for c in f.coeffs]
+        assert all(c.denominator == 1 for c in scaled)
+        step = [int(c) for c in scaled] + [0] * (width - len(scaled))
+        at_probe = sum(c * repzoo.lietype._POSITIVITY_PROBE**k for k, c in enumerate(step))
+        reach = mult * bound
+        levels.append([([a * c for c in step], a * at_probe) for a in range(-reach, reach + 1)])
+    *outer_levels, inner = levels
+    found = set()
+    for outer in itertools.product(*outer_levels):
+        base = [sum(col) for col in zip([0] * width, *(vec for vec, _value in outer))]
+        base_value = sum(value for _vec, value in outer)
+        for vec, value in inner:
+            if base_value + value > 0:
+                found.add(tuple(map(operator.add, base, vec)))
+    keys = []
+    for padded in found:
+        top = width
+        while not padded[top - 1]:
+            top -= 1
+        keys.append(padded[:top])
+    keys.sort()
+    return CandidateSet(tuple(keys), scale * weyl_order, bound, weyl_order)
+
+
+@pytest.mark.parametrize("twist", ["split", "unitary"])
+@pytest.mark.parametrize("family,n", [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3)])
+def test_candidate_set_matches_the_integer_reference(family, n, twist):
+    datum = root_datum(family, n)
+    assert candidate_set(datum, twist) == _integer_reference_candidate_set(datum, twist)
+
+
+def test_candidate_keys_ascend_as_trimmed_tuples():
+    # a key sorts before every key that extends it; padded with zeros, (6, 0, 0, 0)
+    # would sort after (6, -56, -56, 22)
+    keys = candidate_set(root_datum("GL", 3)).polynomials
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert keys.index((6,)) < keys.index((6, -56, -56, 22))
+
+
+def test_candidate_set_codes_fit_one_byte(monkeypatch):
+    # GL1 has the one degree 1 with |W| = bound = 1, so mult bounds every
+    # coefficient and off = mult + 1; 2 * off <= 256 holds up to mult = 127
+    def with_multiplicity(mult):
+        degrees = Counter({RationalPoly.one(): mult})
+        monkeypatch.setattr(repzoo.lietype, "generic_degrees", lambda datum, twist: degrees)
+
+    with_multiplicity(127)
+    cands = candidate_set(root_datum("GL", 1))
+    assert cands == _integer_reference_candidate_set(root_datum("GL", 1), "split")
+    assert cands.polynomials == tuple((a,) for a in range(1, 128))
+    with_multiplicity(128)
+    with pytest.raises(AssertionError, match="coefficients up to 128 do not fit one byte"):
+        candidate_set(root_datum("GL", 1))
+
+
+def test_candidate_set_refuses_a_degree_not_positive_at_the_probe(monkeypatch):
+    # the suffix cut needs every L f(probe) > 0; q - 1 is -1 at q = 0
+    monkeypatch.setattr(repzoo.lietype, "_POSITIVITY_PROBE", 0)
+    with pytest.raises(AssertionError, match=r"is not positive at q = 0"):
+        candidate_set(root_datum("GL", 2))
 
 
 @pytest.mark.parametrize(
