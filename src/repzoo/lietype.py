@@ -19,8 +19,9 @@ are their candidate sets and `repzoo lietype` stdout.  The candidate set
 collects (1/|W|) sum a_w f_w over the integer box |a_w| <= floor(|W|^(3/2)),
 deduplicated, pruned to polynomials positive at q = 2^20 and sorted as tuples.
 The box is enumerated on int codes, one byte per coefficient, of integer vectors
-(the f_w scaled by the lcm of their denominators), and the candidates stay
-integer vectors over one denominator through verification and rendering.
+(the f_w scaled by the lcm of their denominators), and the candidate set keeps
+the sorted codes: the JSON is rendered from their bytes, and the vectors over
+one denominator are decoded only when read.
 """
 
 from __future__ import annotations
@@ -145,22 +146,31 @@ class CandidateSet:
     """Polynomials (1/|W|) sum_w a_w f_w with |a_w| <= floor(|W|^{3/2}),
     ascending as tuples, so (6,) comes before (6, -56, -56, 22) in GL3 split.
 
-    Each polynomial is stored as its numerator vector over ``denominator``:
-    the key (c_0, .., c_d) stands for sum_k (c_k / denominator) q^k, with no
-    trailing zero."""
+    The key (c_0, .., c_d) stands for sum_k (c_k / denominator) q^k, with no
+    trailing zero, and is stored as its code: ``width`` big-endian bytes,
+    c_k + ``offset`` up to c_d and 0 after, so the codes ascend as the keys do."""
 
-    polynomials: tuple[tuple[int, ...], ...]
+    codes: list[int]
+    width: int
+    offset: int
     denominator: int
     bound: int
     weyl_order: int
 
+    @property
+    def polynomials(self) -> tuple[tuple[int, ...], ...]:
+        """The keys, decoded from the codes on each read."""
+        off = itertools.repeat(self.offset)
+        return tuple(tuple(map(operator.sub, k.to_bytes(self.width, "big").rstrip(b"\0"), off))
+                     for k in self.codes)
+
     def scaled_values(self, q: int) -> set[int]:
-        """denominator * p(q) over the candidates p, by Horner on the keys."""
-        values = set()
-        for key in self.polynomials:
+        """denominator * p(q) over the candidates p, by Horner on the code bytes."""
+        values, off = set(), self.offset
+        for k in self.codes:
             value = 0
-            for c in reversed(key):
-                value = value * q + c
+            for b in k.to_bytes(self.width, "big").rstrip(b"\0")[::-1]:
+                value = value * q + b - off
             values.add(value)
         return values
 
@@ -168,30 +178,23 @@ class CandidateSet:
         """Write {"bound", "polys", "weyl_order"} as json.dumps(..., indent=2,
         sort_keys=True) renders it when it starts on a line indented by
         ``indent``; each polynomial is an array of "num/den" strings.  The text
-        goes to ``write`` in batches of _WRITE_BATCH polynomials, never whole
-        (GL3 split: 5.58 MB)."""
-        # the polynomials share few coefficient values (GL3 split: 168 among
-        # 280 154), so each value is rendered once, as Fraction's "num/den"
-        den = self.denominator
-        text = {}
-        for c in set().union(*self.polynomials):
-            g = math.gcd(c, den)
-            text[c] = f'"{c // g}/{den // g}"'
-        inner = indent + "  "
-        row = inner + "  "
-        coeff_sep = ",\n" + row + "  "
-        lookup = text.__getitem__
-        polys = self.polynomials
-        write(f'{{\n{inner}"bound": {self.bound},\n{inner}"polys": [')
-        # never "[]": the set is not empty, since all a_w = 1 sum to a positive f
-        sep = ""
-        for start in range(0, len(polys), _WRITE_BATCH):
-            write(sep + ",".join(
-                f"\n{row}[\n{row}  {coeff_sep.join(map(lookup, key))}\n{row}]"
-                for key in polys[start:start + _WRITE_BATCH]
-            ))
-            sep = ","
-        write(f'\n{inner}],\n{inner}"weyl_order": {self.weyl_order}\n{indent}}}')
+        goes to ``write`` in batches of _WRITE_BATCH keys, never whole (GL3
+        split: 5.58 MB), each read off the bytes of its codes."""
+        den, off, row = self.denominator, self.offset, indent + "    "
+        close = f"\n{row}]"
+        # byte b is the coefficient b - off, quoted as Fraction's "num/den"; byte 0
+        # (a trimmed zero) renders nothing, and a key's first byte closes the key before it
+        text = [f'"{c // math.gcd(c, den)}/{den // math.gcd(c, den)}"' for c in range(1 - off, off)]
+        tables = [[""] + [f"{close},\n{row}[\n{row}  {t}" for t in text]]
+        tables += [[""] + [f",\n{row}  {t}" for t in text]] * (self.width - 1)
+        # never "[]" (all a_w = 1 sum to a positive f); "," leads every batch but the first
+        lead = f'{{\n{indent}  "bound": {self.bound},\n{indent}  "polys": ['
+        for start in range(0, len(self.codes), _WRITE_BATCH):
+            batch = self.codes[start:start + _WRITE_BATCH]
+            blob = b"".join(map(int.to_bytes, batch, itertools.repeat(self.width), itertools.repeat("big")))
+            write(lead + "".join(map(operator.getitem, itertools.cycle(tables), blob))[len(close) + 1:] + close)
+            lead = ","
+        write(f'\n{indent}  ],\n{indent}  "weyl_order": {self.weyl_order}\n{indent}}}')
 
 
 def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
@@ -209,9 +212,9 @@ def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
     last level, cut by one exact floor division.  A point is carried as its sort
     code sum_k (c_k + off) 256^(w-1-k), linear in the point, with off = B + 1 and
     B = sum_i reach_i max|L f_i| >= |c_k|, so c_k + off is one byte (checked:
-    2B + 2 <= 256; B = 98 for GL3).  The codes are deduplicated as ints, their
-    trailing bytes off (zero coefficients) set to 0 so the ints sort as the
-    trimmed tuples do, and decoded from their bytes over the denominator L |W|.
+    2B + 2 <= 256; B = 98 for GL3).  The codes are deduplicated as ints, and
+    their trailing bytes off (zero coefficients) set to 0 so the ints sort as the
+    trimmed tuples do; CandidateSet keeps them sorted, over the denominator L |W|.
     """
     weyl_order = math.factorial(datum.n)
     bound = math.isqrt(weyl_order**3)
@@ -258,10 +261,7 @@ def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
         found.remove(k)
         trimmed = k.to_bytes(width, "big").rstrip(bytes([off]))
         found.add(int.from_bytes(trimmed.ljust(width, b"\0"), "big"))
-    row = (off,) * width
-    keys = [tuple(map(operator.sub, k.to_bytes(width, "big").rstrip(b"\0"), row))
-            for k in sorted(found)]
-    return CandidateSet(tuple(keys), scale * weyl_order, bound, weyl_order)
+    return CandidateSet(sorted(found), width, off, scale * weyl_order, bound, weyl_order)
 
 
 @dataclass

@@ -16,7 +16,6 @@ from repzoo.groups import GroupScheme
 from repzoo.intlinalg import identity_matrix, smith_normal_form
 from repzoo.lietype import (
     CandidateBudgetError,
-    CandidateSet,
     UnsupportedTwistError,
     candidate_set,
     generic_degrees,
@@ -478,6 +477,18 @@ def test_cli_lietype_verify_stdout_is_json_dumps_of_the_reference(capsys):
     assert out == json.dumps(ref, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("family,twist", [("GL1", "split"), ("GL2", "split"), ("GL2", "unitary")])
+def test_cli_lietype_stdout_is_the_same_at_every_batch_boundary(family, twist, batch, monkeypatch, capsys):
+    # a batch closes its own last key and drops the close that opens its first
+    monkeypatch.setattr(repzoo.lietype, "_WRITE_BATCH", batch)
+    scheme = GroupScheme.parse(family)
+    cands = candidate_set(root_datum(scheme.family, scheme.n), twist)
+    ref = {"candidate_set": _candidate_set_reference(cands)}
+    out = _lietype_stdout(["--family", family, "--twist", twist], capsys)
+    assert out == json.dumps(ref, indent=2, sort_keys=True) + "\n"
+
+
 def test_cli_lietype_writes_gl3_in_bounded_batches(monkeypatch):
     # the 5.58 MB text is never one string, which would raise peak RSS
     lengths = []
@@ -591,10 +602,10 @@ def test_candidate_set_matches_fraction_reference(family, n, twist):
 
 
 def _integer_reference_candidate_set(datum, twist):
-    """The candidate set on padded integer vectors: each point's vector is built
-    and tested for positivity at the probe on its own, the kept vectors are
-    deduplicated as padded tuples, then stripped of trailing zeros and sorted as
-    tuples."""
+    """(keys, denominator, bound, weyl_order) of the candidate set on padded
+    integer vectors: each point's vector is built and tested for positivity at
+    the probe on its own, the kept vectors are deduplicated as padded tuples,
+    then stripped of trailing zeros and sorted as tuples."""
     weyl_order = math.factorial(datum.n)
     bound = math.isqrt(weyl_order**3)
     degrees = repzoo.lietype.generic_degrees(datum, twist)
@@ -624,14 +635,18 @@ def _integer_reference_candidate_set(datum, twist):
             top -= 1
         keys.append(padded[:top])
     keys.sort()
-    return CandidateSet(tuple(keys), scale * weyl_order, bound, weyl_order)
+    return tuple(keys), scale * weyl_order, bound, weyl_order
+
+
+def _decoded(cands):
+    return cands.polynomials, cands.denominator, cands.bound, cands.weyl_order
 
 
 @pytest.mark.parametrize("twist", ["split", "unitary"])
 @pytest.mark.parametrize("family,n", [("GL", 1), ("GL", 2), ("GL", 3), ("SL", 2), ("SL", 3)])
 def test_candidate_set_matches_the_integer_reference(family, n, twist):
     datum = root_datum(family, n)
-    assert candidate_set(datum, twist) == _integer_reference_candidate_set(datum, twist)
+    assert _decoded(candidate_set(datum, twist)) == _integer_reference_candidate_set(datum, twist)
 
 
 def test_candidate_keys_ascend_as_trimmed_tuples():
@@ -651,7 +666,7 @@ def test_candidate_set_codes_fit_one_byte(monkeypatch):
 
     with_multiplicity(127)
     cands = candidate_set(root_datum("GL", 1))
-    assert cands == _integer_reference_candidate_set(root_datum("GL", 1), "split")
+    assert _decoded(cands) == _integer_reference_candidate_set(root_datum("GL", 1), "split")
     assert cands.polynomials == tuple((a,) for a in range(1, 128))
     with_multiplicity(128)
     with pytest.raises(AssertionError, match="coefficients up to 128 do not fit one byte"):
