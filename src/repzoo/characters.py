@@ -10,15 +10,18 @@ Comp. 1990), each class matrix is kept sparse, as the nonzero entries of its
 columns, and is applied to a subspace basis by summing the columns its
 nonzero coordinates select.  Only one column per orbit of the center Z(G) on
 the classes is counted; the others are that column with its rows permuted.
+Only one of each pair of inverse classes j, j* is counted: |C_t| M_j[s][t] =
+|C_s| M_j*[t][s], so M_j* is M_j transposed and rescaled by class sizes.
 The split starts from the central-character blocks, the eigenspaces of the
 class permutation P_z of one central element z, and runs in block
 coordinates, one per <z>-orbit of classes: each class matrix is checked to
 commute with P_z, which makes it keep every block, and is condensed onto each
 block from its orbit-leader columns, so vectors have the length of a block,
 not of the class count.  The eigenvalues are found by equal-degree splitting
-of the characteristic polynomial (Cantor-Zassenhaus, Math. Comp. 1981).
-Everything is integer arithmetic; the structural identities (sum of squares,
-class count, divisibility) are checked on every output.
+of the squarefree part of the characteristic polynomial (Cantor-Zassenhaus,
+Math. Comp. 1981).  Everything is integer arithmetic; the structural
+identities (sum of squares, class count, divisibility) are checked on every
+output.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from math import isqrt
 
 from .groups import ConjugacyClassData, FiniteGroup, conjugacy_classes, uint_buffer
 from .intlinalg import identity_matrix, nullspace, rref
-from .localring import fp_gcd, fp_powmod, fp_sub, is_prime
+from .localring import fp_div, fp_gcd, fp_powmod, fp_sub, fp_trim, is_prime
 
 
 class ModulusSearchError(RuntimeError):
@@ -140,28 +143,40 @@ def _charpoly(a: list[list[int]], ell: int) -> list[int]:
 def _poly_roots(poly: list[int], ell: int) -> list[int]:
     """Sorted distinct roots in Z/ell (ell odd) of a nonzero polynomial.
 
-    g = gcd(poly, x^ell - x) is the squarefree product of (x - r) over the
-    roots r.  Equal-degree splitting (Cantor-Zassenhaus) with the deterministic
-    shifts a = 0, 1, 2, ...: t = (x + a)^((ell-1)/2) mod h is 1, -1 or 0 at a
-    root r of a factor h as r + a is a nonzero square, a non-square or zero, so
-    gcd(h, t - 1) and gcd(h, t + 1) split h, and -a is a root of h exactly when
-    their degrees add up to deg h - 1.  Shift a = -r isolates r, so every
-    factor of degree at least 2 splits before a reaches ell.
+    When deg poly < ell every multiplicity is below ell, so poly' keeps each
+    factor of poly to one power less and r = poly / gcd(poly, poly') is the
+    squarefree part, with the same roots and often a much smaller degree;
+    otherwise r = poly.  As x^ell - x = x (x^h - 1) (x^h + 1), h = (ell-1)/2,
+    with coprime factors, gcd(r, x^ell - x) is x when r(0) = 0, times
+    gcd(r, t - 1) and gcd(r, t + 1) for t = x^h mod r: the squarefree
+    products of (x - root) over the nonzero roots that are squares and that
+    are not.  Each is split further by equal-degree splitting
+    (Cantor-Zassenhaus) with the deterministic shifts a = 1, 2, ...: t =
+    (x + a)^h mod f is 1, -1 or 0 at a root of a factor f as root + a is a
+    nonzero square, a non-square or zero, so gcd(f, t - 1) and gcd(f, t + 1)
+    split f, and -a is a root of f exactly when their degrees add up to
+    deg f - 1.  Shift a = -root isolates the root, so every factor of degree
+    at least 2 splits before a reaches ell.
     """
-    x = (0, 1)
-    factors = [fp_gcd(poly, fp_sub(fp_powmod(x, ell, poly, ell), x, ell), ell)]
-    roots = []
+    poly = fp_trim([c % ell for c in poly])
+    if len(poly) <= ell:
+        derivative = fp_trim([i * c % ell for i, c in enumerate(poly)][1:])
+        poly = fp_div(poly, fp_gcd(poly, derivative, ell), ell)
     half = (ell - 1) // 2
-    for a in range(ell):
+
+    def split(f, t):
+        return [fp_gcd(f, fp_sub(t, (1,), ell), ell), fp_gcd(f, fp_sub(t, (ell - 1,), ell), ell)]
+
+    roots = [] if poly[0] else [0]
+    factors = split(poly, fp_powmod((0, 1), half, poly, ell))
+    for a in range(1, ell):
         pending = []
-        for h in factors:
-            if len(h) == 2:
-                roots.append(-h[0] % ell)
-            elif len(h) > 2:
-                t = fp_powmod((a, 1), half, h, ell)
-                squares = fp_gcd(h, fp_sub(t, (1,), ell), ell)
-                non_squares = fp_gcd(h, fp_sub(t, (ell - 1,), ell), ell)
-                if len(squares) + len(non_squares) < len(h) + 1:
+        for f in factors:
+            if len(f) == 2:
+                roots.append(-f[0] % ell)
+            elif len(f) > 2:
+                squares, non_squares = split(f, fp_powmod((a, 1), half, f, ell))
+                if len(squares) + len(non_squares) < len(f) + 1:
                     roots.append(-a % ell)
                 pending += [squares, non_squares]
         factors = pending
@@ -355,21 +370,67 @@ def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, inverse_membe
     return columns
 
 
+def _inverse_class_matrix(columns, sizes):
+    """M_j* from the sparse columns of M_j, with no product.
+
+    Both |C_t| M_j[s][t] and |C_s| M_j*[t][s] count the triples (y, w, z) in
+    C_j* x C_t x C_s with y w = z, as (y, w, z) -> (y^{-1}, z, w) maps them
+    onto those of C_j x C_s x C_t, so M_j*[t][s] = |C_t| M_j[s][t] / |C_s|;
+    a quotient that is not exact raises."""
+    derived: list[list[tuple[int, int]]] = [[] for _ in columns]
+    for t, column in enumerate(columns):
+        for s, count in column:
+            entry, rest = divmod(sizes[t] * count, sizes[s])
+            if rest:
+                raise AssertionError(f"|C_{t}| M[{s}][{t}] = {sizes[t] * count} is not a multiple of |C_{s}|")
+            derived[s].append((t, entry))
+    return derived
+
+
+def _class_operators(group: FiniteGroup, classes: ConjugacyClassData, moves):
+    """M_j for j = 0, 1, ..., as sparse columns, each followed by M_j* derived
+    from it (_inverse_class_matrix) when j* != j; no class is given twice and
+    the identity class not at all.  Each operator is made when it is asked
+    for, so a caller that stops asking counts no more."""
+    order = group.order
+    # each class's members in one pass: class c is flat[start[c]:start[c + 1]]
+    start = list(accumulate(classes.sizes, initial=0))
+    flat = uint_buffer(order, order)
+    fill = start[:-1]
+    for x, c in enumerate(classes.class_of):
+        flat[fill[c]] = x
+        fill[c] += 1
+    used = [False] * classes.n_classes
+    used[classes.class_of[group.identity]] = True
+    for j, inv_j in enumerate(classes.inverse_class):
+        if used[j]:
+            continue
+        used[j] = True
+        columns = _class_matrix(group, classes, flat[start[inv_j]:start[inv_j + 1]], moves)
+        yield columns
+        if not used[inv_j]:
+            used[inv_j] = True
+            yield _inverse_class_matrix(columns, classes.sizes)
+
+
 def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     """Full Dixon-Schneider eigen-separation for the class algebra of G.
 
-    The central blocks (_CentralBlocks) are split by M_j for j = 0, 1, ...
-    (skipping the identity class) until all are lines, each in the
-    coordinates of its block: a vector of length d_mu, not k.  M_j is counted
-    as sparse columns, checked to commute with P_z, so that it keeps every
-    block, and condensed onto each block that still holds a subspace of
-    dimension above 1.  The image of a basis vector v is the sum of v[c] *
-    column c of the condensed operator over the nonzero v[c]; it must lie in
-    the subspace.  A subspace on which M_j is a scalar is kept whole;
-    otherwise the eigenvalues of M_j on it are the roots of its characteristic
-    polynomial, found by equal-degree splitting.  The lines are written out at
-    full length at the end and sorted by (degree, omega), so the output does
-    not depend on the blocks or the order of the splits.
+    The central blocks (_CentralBlocks) are split by the class operators in
+    the order of _class_operators, M_j for j = 0, 1, ... (skipping the
+    identity class), each followed by M_j* derived from it by transposition,
+    until all are lines, each in the coordinates of its block: a vector of
+    length d_mu, not k.  No operator is made once every subspace is a line.
+    Each, counted or derived, is kept as sparse columns, checked to commute
+    with P_z, so that it keeps every block, and condensed onto each block that
+    still holds a subspace of dimension above 1.  The image of a basis vector
+    v is the sum of v[c] * column c of the condensed operator over the nonzero
+    v[c]; it must lie in the subspace.  A subspace on which the operator is a
+    scalar is kept whole; otherwise its eigenvalues there are the roots of its
+    characteristic polynomial (_poly_roots, on the squarefree part).  The
+    lines are written out at full length at the end and sorted by (degree,
+    omega), so the output does not depend on the blocks or the order of the
+    splits.
     """
     if group.modp_table is not None:
         return group.modp_table
@@ -379,28 +440,19 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     ell = choose_ell(order, group.exponent())
 
     id_class = classes.class_of[group.identity]
-    # each class's members in one pass: class c is flat[start[c]:start[c + 1]]
-    start = list(accumulate(classes.sizes, initial=0))
-    flat = uint_buffer(order, order)
-    fill = start[:-1]
-    for x, c in enumerate(classes.class_of):
-        flat[fill[c]] = x
-        fill[c] += 1
     perms = _center_perms(group, classes)
-    moves = _center_moves(perms.values())
     blocks = _central_blocks(perms, id_class, ell)
+    operators = _class_operators(group, classes, _center_moves(perms.values()))
     # subspaces of the blocks, split until all are lines, each kept as (e, rref
     # rows, pivot columns) in the coordinates of block e, so coordinates read
     # off the pivots
     subspaces = [(e, identity_matrix(len(b)), list(range(len(b)))) for e, b in enumerate(blocks.blocks)]
 
-    for j in range(k):
-        if all(len(rows) == 1 for _, rows, _ in subspaces):
+    # the next operator is made only while some subspace is not yet a line
+    while not all(len(rows) == 1 for _, rows, _ in subspaces):
+        columns = next(operators, None)
+        if columns is None:
             break
-        if j == id_class:
-            continue
-        inv_j = classes.inverse_class[j]
-        columns = _class_matrix(group, classes, flat[start[inv_j]:start[inv_j + 1]], moves)
         blocks.check_commutes(columns)
         condensed = {}
         new_spaces = []

@@ -363,7 +363,9 @@ class FiniteMatrixGroup(FiniteGroup):
 
     def _table(self, factor: int) -> list[list[int]] | None:
         """For each j, code of v -> the share of the key of factor^T v placed
-        as row j; None when the memo is full."""
+        as row j; None when the memo is full.  Tables are made only for
+        one-byte entries, so the ring has at most _TABLE_LIMIT elements and
+        its own tables, which _mat_vecs reads."""
         table = self._tables.get(factor)
         if table is not None or len(self._tables) >= self._table_room:
             return table
@@ -372,14 +374,14 @@ class FiniteMatrixGroup(FiniteGroup):
         # by shifts[j], it is v's share of a key as its row j
         shifts = [8 * n * (n - 1 - j) for j in range(n)]
         weights = [8 * (n - 1 - t) for t in range(n)]
-        vectors = list(itertools.product(range(ring.size), repeat=n))
         if not self._codes:
-            # the code of row j of x: its vector's place in vectors, from x's
-            # key shifted by shifts[j] and masked to that vector
+            # the code of row j of x: its vector's place in the product order
+            # of R^n, from x's key shifted by shifts[j] and masked to that vector
+            vectors = itertools.product(range(ring.size), repeat=n)
             code = {sum(map(lshift, v, weights)): c for c, v in enumerate(vectors)}
             mask = sum(map(lshift, [255] * n, weights))
             self._codes = [
-                uint_buffer(self.order, len(vectors), map(
+                uint_buffer(self.order, len(code), map(
                     code.__getitem__, map(and_, map(rshift, self.keys, itertools.repeat(s)), itertools.repeat(mask))
                 ))
                 for s in shifts
@@ -387,7 +389,8 @@ class FiniteMatrixGroup(FiniteGroup):
         # the rows of b^T are the columns of b
         a = self._entries(self.keys[factor])
         a = b"".join(a[j::n] for j in range(n))
-        images = [sum(map(lshift, _mat_vec(ring, n, a, v), weights)) for v in vectors]
+        entries = _mat_vecs(ring, n, a)
+        images = list(map(sum, zip(*([x << w for x in row] for row, w in zip(entries, weights)))))
         table = [[image << s for image in images] for s in shifts]
         self._tables[factor] = table
         return table
@@ -628,11 +631,21 @@ def uint_buffer(count: int, bound: int, values=None) -> memoryview:
     return buf
 
 
-def _mat_vec(ring: QuotientRing, n: int, a, v):
-    m, s = ring.mul, ring.add
-    return tuple(
-        reduce(s, (m(a[i * n + k], v[k]) for k in range(n))) for i in range(n)
-    )
+def _mat_vecs(ring: QuotientRing, n: int, a) -> list[list[int]]:
+    """rows[i][c] = entry i of a v for the c-th v of R^n in the order of
+    itertools.product, read off the ring's tables, which every ring of at
+    most _TABLE_LIMIT elements has.  Row i is built one coordinate of v at a
+    time: its values on the vectors of the first k coordinates, each plus
+    a[i][k] times every ring element, give those on the first k + 1."""
+    mt, at = ring.mul_table, ring.add_table
+    rows = []
+    for i in range(0, n * n, n):
+        row = mt[a[i]]
+        for k in range(i + 1, i + n):
+            products = mt[a[k]]
+            row = [at[x][y] for x in row for y in products]
+        rows.append(row)
+    return rows
 
 
 def _mat_det(ring: QuotientRing, n: int, a) -> int:

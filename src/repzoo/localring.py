@@ -87,26 +87,46 @@ def fp_mul(a, b, p):
     return fp_trim(out)
 
 
-def fp_mod(a, m, p):
+def fp_divmod(a, m, p):
+    """(quotient, remainder) of a by m over F_p, by long division."""
     a = [x % p for x in a]
     dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
+    if len(a) <= dm:
+        return (), fp_trim(a)
+    inv = 1 if m[-1] == 1 else pow(m[-1], -1, p)
+    quotient = [0] * (len(a) - dm)
+    # each step clears a[k]; only a[:dm], the remainder, is read afterwards
     for k in range(len(a) - 1, dm - 1, -1):
         c = a[k] * inv % p
         if c:
-            for j in range(dm + 1):
+            quotient[k - dm] = c
+            for j in range(dm):
                 a[k - dm + j] = (a[k - dm + j] - c * m[j]) % p
-    return fp_trim(a)
+    return fp_trim(quotient), fp_trim(a[:dm])
+
+
+def fp_mod(a, m, p):
+    return fp_divmod(a, m, p)[1]
+
+
+def fp_div(a, m, p):
+    """The exact quotient a / m over F_p; raises unless m divides a."""
+    quotient, remainder = fp_divmod(a, m, p)
+    if remainder:
+        raise AssertionError(f"{m} does not divide {a} over F_{p}")
+    return quotient
 
 
 def fp_powmod(a, n, m, p):
-    result = (1,)
-    base = fp_mod(a, m, p)
-    while n:
-        if n & 1:
+    """a^n mod m, squaring from the top bit of n down, so a multiplies in
+    only as itself: a cheap product when a is linear."""
+    if not n:
+        return (1,)
+    base = result = fp_mod(a, m, p)
+    for bit in bin(n)[3:]:
+        result = fp_mod(fp_mul(result, result, p), m, p)
+        if bit == "1":
             result = fp_mod(fp_mul(result, base, p), m, p)
-        base = fp_mod(fp_mul(base, base, p), m, p)
-        n >>= 1
     return result
 
 

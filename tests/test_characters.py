@@ -18,6 +18,7 @@ from repzoo.characters import (
     _central_blocks,
     _charpoly,
     _class_matrix,
+    _inverse_class_matrix,
     _poly_roots,
     _root_of_unity,
     character_degrees,
@@ -28,6 +29,7 @@ from repzoo.clifford import clifford_dimirr, default_normal_subgroup
 from repzoo.groups import (
     FiniteMatrixGroup,
     GroupScheme,
+    QuotientGroup,
     build_group,
     congruence_kernel,
     conjugacy_classes,
@@ -276,6 +278,11 @@ def test_poly_roots_matches_scan(ell):
         "linear": (3, 5),
         "full": _from_roots(range(ell), ell) if ell < 100 else (0, 1),
     }
+    if ell == 7:
+        # multiplicities of ell and more: p / gcd(p, p') would lose these
+        # roots, as p' vanishes with (x - 1)^ell and (x - 3)^(2 ell)
+        polys["power ell"] = _from_roots([1] * ell + [2], ell)
+        polys["power 2 ell"] = fp_mul(_from_roots([3] * (2 * ell), ell), rootless, ell)
     for name, poly in polys.items():
         assert _poly_roots(list(poly), ell) == _brute_roots(poly, ell), name
 
@@ -283,14 +290,20 @@ def test_poly_roots_matches_scan(ell):
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([7, 73, 313, 6553]),
-    st.lists(st.integers(min_value=0, max_value=6552), max_size=8),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=6552), st.integers(min_value=1, max_value=14)),
+        max_size=8,
+    ),
     st.lists(st.integers(min_value=0, max_value=6552), max_size=5),
     st.integers(min_value=1, max_value=6552),
 )
 def test_poly_roots_property(ell, roots, cofactor, lead):
-    # (prod of x - r) * a random cofactor with a nonzero leading coefficient
+    # (prod of (x - r)^m) * a random cofactor with a nonzero leading
+    # coefficient; at ell = 7 a root repeats up to 2 ell times, elsewhere twice
+    cap = 2 * ell if ell == 7 else 2
+    roots = [r % ell for r, m in roots for _ in range(min(m, cap))]
     cofactor = [c % ell for c in cofactor] + [lead % ell or 1]
-    poly = fp_mul(_from_roots([r % ell for r in roots], ell), tuple(cofactor), ell)
+    poly = fp_mul(_from_roots(roots, ell), tuple(cofactor), ell)
     assert _poly_roots(list(poly), ell) == _brute_roots(poly, ell)
 
 
@@ -349,8 +362,8 @@ def _group(scheme, ring):
     return lambda: build_group(GroupScheme(scheme[:-1], int(scheme[-1])), RingSpec.parse(ring))
 
 
-def _stabilizer_quotient_of_gl2_z9():
-    """The one non-abelian S/ker psi of the level-2 Clifford run of GL2(Z/9)."""
+def _stabilizer_quotients(spec):
+    """The S/ker psi whose tables the level-2 Clifford run of GL2 over spec reads."""
     seen = []
 
     def capture(group):
@@ -359,10 +372,15 @@ def _stabilizer_quotient_of_gl2_z9():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(clifford, "character_table_modp", capture)
-        group = coset_group(GroupScheme("GL", 2), RingSpec("unramified", 3, 1, 2))
+        group = coset_group(GroupScheme("GL", 2), spec)
         clifford_dimirr(group, default_normal_subgroup(group))
-    (s_bar,) = seen
-    assert isinstance(s_bar, clifford._CentralExtension)
+    assert all(isinstance(s_bar, clifford._CentralExtension) for s_bar in seen)
+    return seen
+
+
+def _stabilizer_quotient_of_gl2_z9():
+    """The one non-abelian S/ker psi of the level-2 Clifford run of GL2(Z/9)."""
+    (s_bar,) = _stabilizer_quotients(RingSpec("unramified", 3, 1, 2))
     return s_bar
 
 
@@ -446,6 +464,93 @@ def test_class_matrix_columns_equal_direct_counts(make, orbits, n_classes):
         inv_j = classes.inverse_class[j]
         columns = _class_matrix(group, classes, _members(classes, inv_j), moves)
         assert [dict(column) for column in columns] == direct[inv_j]
+
+
+def _stabilizer_quotient_of_gl2_gr42():
+    """The first S/ker psi, of order 360, of the level-2 Clifford run of
+    GL2(GR(4,2)), the q = 4 sample of `fit --scheme GL2 --level 2`."""
+    s_bar = _stabilizer_quotients(RingSpec("unramified", 2, 2, 2))[0]
+    assert s_bar.order == 360
+    return s_bar
+
+
+def _gl2_f5_mod_minus_one():
+    """GL2(F_5)/{1, -1} as a QuotientGroup; unlike PGL2(F_5) it has classes
+    that are not their own inverse class."""
+    group = build_group(GroupScheme("GL", 2), RingSpec("unramified", 5, 1, 1))
+    classes = conjugacy_classes(group)
+    center = [rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1]
+    minus_one = next(z for z in center if z != group.identity and group.mul(z, z) == group.identity)
+    return QuotientGroup(group, [group.identity, minus_one])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _group("GL2", "unram:5,1,1"),
+        _group("GL2", "unram:3,1,2"),
+        _group("U3", "unram:3,2,1"),
+        _group("B2", "eqchar:3,1,2"),
+        _stabilizer_quotient_of_gl2_z9,
+        _gl2_f5_mod_minus_one,
+        _stabilizer_quotient_of_gl2_gr42,
+    ],
+    ids=[
+        "GL2(F_5)",
+        "GL2(Z/9)",
+        "U3(F_9)",
+        "B2(F_3[t]/t^2)",
+        "S/ker psi of GL2(Z/9)",
+        "GL2(F_5)/{1,-1}",
+        "S/ker psi of GL2(GR(4,2))",
+    ],
+)
+def test_inverse_class_matrix_equals_direct_counts(make):
+    group = make()
+    classes = conjugacy_classes(group)
+    moves = _center_moves(_center_perms(group, classes).values())
+    counted = [
+        _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), moves)
+        for j in range(classes.n_classes)
+    ]
+    pairs = [(j, inv_j) for j, inv_j in enumerate(classes.inverse_class) if inv_j != j]
+    assert pairs
+    for j, inv_j in pairs:
+        derived = _inverse_class_matrix(counted[j], classes.sizes)
+        assert [sorted(column) for column in derived] == [sorted(column) for column in counted[inv_j]]
+
+
+def test_an_inexact_inverse_class_quotient_raises_under_optimize():
+    # classes of sizes 1 and 2: |C_0| M[1][0] = 1 is not a multiple of |C_1| = 2
+    code = (
+        "from repzoo.characters import _inverse_class_matrix\n"
+        "_inverse_class_matrix([[(1, 1)], [(0, 2), (1, 1)]], [1, 2])"
+    )
+    proc = _run_optimized(code)
+    assert proc.returncode != 0
+    assert "AssertionError: |C_0| M[1][0] = 1 is not a multiple of |C_1|" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "family,n,q,counted", [("GL", 2, 13, 12), ("U", 3, 9, 18)], ids=["GL2(F_13)", "U3(F_9)"]
+)
+def test_inverse_class_operators_are_derived_not_counted(monkeypatch, family, n, q, counted):
+    # each M_j* with j* != j comes from M_j by transposition, and no operator
+    # is counted once every subspace is a line (18 and 35 counted before)
+    group = build_group(GroupScheme(family, n), RingSpec.for_q(q, 1))
+    expected = character_table_modp(group)
+    calls = []
+    count = characters._class_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(characters, "_class_matrix", counting)
+    monkeypatch.setattr(group, "modp_table", None)
+    table = character_table_modp(group)
+    assert (table.ell, table.degrees, table.omega) == (expected.ell, expected.degrees, expected.omega)
+    assert len(calls) == counted
 
 
 def test_class_matrix_multiplies_once_per_center_orbit(monkeypatch):

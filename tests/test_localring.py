@@ -11,6 +11,10 @@ import repzoo
 from repzoo.localring import (
     RingConstructionError,
     RingSpec,
+    fp_div,
+    fp_divmod,
+    fp_mod,
+    fp_mul,
     is_prime,
     iso_check_truncated,
     make_ring,
@@ -204,3 +208,32 @@ def test_spec_serialization_round_trip():
     assert spec.to_json() == {"kind": "eisenstein", "p": 3, "f": 2, "e": 2, "r": 2, "modulus": [1, 0, 1]}
     assert RingSpec.parse("unram:3,1,2") == RingSpec("unramified", 3, 1, 2)
     assert RingSpec.parse("eis:3,1,2,2") == RingSpec("eisenstein", 3, 1, 2, 2)
+
+
+def test_fp_divmod_is_long_division():
+    rng = random.Random(5)
+    for p in (2, 7, 313):
+        for _ in range(200):
+            a = tuple(rng.randrange(p) for _ in range(rng.randrange(0, 12)))
+            m = tuple(rng.randrange(p) for _ in range(rng.randrange(0, 5))) + (rng.randrange(1, p),)
+            quotient, remainder = fp_divmod(a, m, p)
+            assert len(remainder) < len(m)
+            product = fp_mul(quotient, m, p)
+            total = [(x + y) % p for x, y in zip(product + (0,) * len(a), remainder + (0,) * len(a))]
+            assert tuple(total[: len(a)]) == a and not any(total[len(a):])
+            assert fp_mod(a, m, p) == remainder
+
+
+def test_fp_div_is_the_exact_quotient():
+    # (x + 1)(2x^2 + 3) = 2x^3 + 2x^2 + 3x + 3 over F_7
+    assert fp_div((3, 3, 2, 2), (1, 1), 7) == (3, 0, 2)
+    assert fp_div((3, 3, 2, 2), (3, 0, 2), 7) == (1, 1)
+
+
+def test_an_inexact_fp_div_raises_under_optimize():
+    # python -O strips assert statements; the check must still raise
+    code = "from repzoo.localring import fp_div; fp_div((4, 3, 2, 2), (1, 1), 7)"
+    env = {**os.environ, "PYTHONPATH": str(Path(repzoo.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "AssertionError: (1, 1) does not divide (4, 3, 2, 2) over F_7" in proc.stderr
