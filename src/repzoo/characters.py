@@ -12,6 +12,8 @@ nonzero coordinates select.  Only one column per orbit of the center Z(G) on
 the classes is counted; the others are that column with its rows permuted.
 Only one of each pair of inverse classes j, j* is counted: |C_t| M_j[s][t] =
 |C_s| M_j*[t][s], so M_j* is M_j transposed and rescaled by class sizes.
+Only one class of each <z>-orbit {z^i C_j} gives an operator, as M_{z^i C_j}
+is mu^i M_j, with the eigenspaces of M_j, on the block where z acts as mu.
 The split starts from the central-character blocks, the eigenspaces of the
 class permutation P_z of one central element z, and runs in block
 coordinates, one per <z>-orbit of classes: each class matrix is checked to
@@ -387,11 +389,17 @@ def _inverse_class_matrix(columns, sizes):
     return derived
 
 
-def _class_operators(group: FiniteGroup, classes: ConjugacyClassData, moves):
-    """M_j for j = 0, 1, ..., as sparse columns, each followed by M_j* derived
-    from it (_inverse_class_matrix) when j* != j; no class is given twice and
-    the identity class not at all.  Each operator is made when it is asked
-    for, so a caller that stops asking counts no more."""
+def _class_operators(group: FiniteGroup, classes: ConjugacyClassData, moves, blocks: _CentralBlocks):
+    """M_j for the least class j of an unused <z>-orbit, as sparse columns,
+    each followed by M_j* derived from it (_inverse_class_matrix) when j* is in
+    another unused orbit; the orbit of each operator given is then used.
+
+    z is the central element of blocks.perm, so M_{z^i C_j} = M_{C_z}^i M_j,
+    and M_{C_z} is the scalar mu on block mu: on every block M_{z^i C_j} is
+    mu^i M_j, with the eigenspaces of M_j, and the operators of the identity's
+    orbit, the central classes in <z>, are scalars.  No operator of a used
+    orbit is made.  Each operator is made when it is asked for, so a caller
+    that stops asking counts no more."""
     order = group.order
     # each class's members in one pass: class c is flat[start[c]:start[c + 1]]
     start = list(accumulate(classes.sizes, initial=0))
@@ -400,16 +408,18 @@ def _class_operators(group: FiniteGroup, classes: ConjugacyClassData, moves):
     for x, c in enumerate(classes.class_of):
         flat[fill[c]] = x
         fill[c] += 1
-    used = [False] * classes.n_classes
-    used[classes.class_of[group.identity]] = True
+    used = [False] * len(blocks.orbits)
+    used[blocks.place[classes.class_of[group.identity]][0]] = True
     for j, inv_j in enumerate(classes.inverse_class):
-        if used[j]:
+        orbit = blocks.place[j][0]
+        if used[orbit]:
             continue
-        used[j] = True
+        used[orbit] = True
         columns = _class_matrix(group, classes, flat[start[inv_j]:start[inv_j + 1]], moves)
         yield columns
-        if not used[inv_j]:
-            used[inv_j] = True
+        inv_orbit = blocks.place[inv_j][0]
+        if not used[inv_orbit]:
+            used[inv_orbit] = True
             yield _inverse_class_matrix(columns, classes.sizes)
 
 
@@ -417,10 +427,13 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     """Full Dixon-Schneider eigen-separation for the class algebra of G.
 
     The central blocks (_CentralBlocks) are split by the class operators in
-    the order of _class_operators, M_j for j = 0, 1, ... (skipping the
-    identity class), each followed by M_j* derived from it by transposition,
-    until all are lines, each in the coordinates of its block: a vector of
-    length d_mu, not k.  No operator is made once every subspace is a line.
+    the order of _class_operators, M_j for the least class j of each <z>-orbit
+    of classes not yet used, each followed by M_j* derived from it by
+    transposition when j* lies in another unused orbit, until all are lines,
+    each in the coordinates of its block: a vector of length d_mu, not k.  The
+    other operators of an orbit are multiples of the one made on every block,
+    and those of the identity's orbit are scalars, so they are never made; no
+    operator is made once every subspace is a line.
     Each, counted or derived, is kept as sparse columns, checked to commute
     with P_z, so that it keeps every block, and condensed onto each block that
     still holds a subspace of dimension above 1.  The image of a basis vector
@@ -442,7 +455,7 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     id_class = classes.class_of[group.identity]
     perms = _center_perms(group, classes)
     blocks = _central_blocks(perms, id_class, ell)
-    operators = _class_operators(group, classes, _center_moves(perms.values()))
+    operators = _class_operators(group, classes, _center_moves(perms.values()), blocks)
     # subspaces of the blocks, split until all are lines, each kept as (e, rref
     # rows, pivot columns) in the coordinates of block e, so coordinates read
     # off the pivots

@@ -212,9 +212,11 @@ def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
     last level, cut by one exact floor division.  A point is carried as its sort
     code sum_k (c_k + off) 256^(w-1-k), linear in the point, with off = B + 1 and
     B = sum_i reach_i max|L f_i| >= |c_k|, so c_k + off is one byte (checked:
-    2B + 2 <= 256; B = 98 for GL3).  The codes are deduplicated as ints, and
-    their trailing bytes off (zero coefficients) set to 0 so the ints sort as the
-    trimmed tuples do; CandidateSet keeps them sorted, over the denominator L |W|.
+    2B + 2 <= 256; B = 98 for GL3).  The level of widest reach runs innermost, so
+    the suffixes are few and long (GL3: 1 653 of up to 85 points).  The codes
+    are collected in one list, their trailing bytes off (zero coefficients) set
+    to 0 in place so the ints sort as the trimmed tuples do, sorted, and rid of
+    adjacent duplicates; CandidateSet keeps them, over the denominator L |W|.
     """
     weyl_order = math.factorial(datum.n)
     bound = math.isqrt(weyl_order**3)
@@ -246,22 +248,26 @@ def candidate_set(datum: RootDatum, twist: str = "split") -> CandidateSet:
         off += mult * bound * max(map(abs, step))
     if 2 * off > 256:
         raise AssertionError(f"coefficients up to {off - 1} do not fit one byte")
-    *outer, (reach, code, value) = levels
+    # the level of widest reach runs innermost, so the runs are few and long
+    widest = max(range(len(levels)), key=lambda i: levels[i][0])
+    reach, code, value = levels.pop(widest)
     # each outer combination as (its code with off in every byte, its probe value)
     bases = [(off * (256**width - 1) // 255, 0)]
-    for r, c, v in outer:
+    for r, c, v in levels:
         bases = [(bc + a * c, bv + a * v) for bc, bv in bases for a in range(-r, r + 1)]
     inner = [a * code for a in range(-reach, reach + 1)]
-    found: set[int] = set()
+    codes: list[int] = []
     for base_code, base_value in bases:
         start = max(0, (-base_value) // value + 1 + reach)
-        found.update(map(operator.add, itertools.repeat(base_code), inner[start:]))
+        codes.extend(map(operator.add, itertools.repeat(base_code), inner[start:]))
     # a kept point is not zero, so no key loses every byte
-    for k in [k for k in found if k & 255 == off]:
-        found.remove(k)
-        trimmed = k.to_bytes(width, "big").rstrip(bytes([off]))
-        found.add(int.from_bytes(trimmed.ljust(width, b"\0"), "big"))
-    return CandidateSet(sorted(found), width, off, scale * weyl_order, bound, weyl_order)
+    for i, k in enumerate(codes):
+        if k & 255 == off:
+            codes[i] = int.from_bytes(k.to_bytes(width, "big").rstrip(bytes([off])).ljust(width, b"\0"), "big")
+    codes.sort()
+    # equal points of the box are adjacent once sorted
+    codes = [k for k, _ in itertools.groupby(codes)]
+    return CandidateSet(codes, width, off, scale * weyl_order, bound, weyl_order)
 
 
 @dataclass

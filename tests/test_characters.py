@@ -532,11 +532,15 @@ def test_an_inexact_inverse_class_quotient_raises_under_optimize():
 
 
 @pytest.mark.parametrize(
-    "family,n,q,counted", [("GL", 2, 13, 12), ("U", 3, 9, 18)], ids=["GL2(F_13)", "U3(F_9)"]
+    "family,n,q,counted",
+    [("GL", 2, 13, 12), ("U", 3, 9, 15), ("GL", 3, 3, 7)],
+    ids=["GL2(F_13)", "U3(F_9)", "GL3(F_3)"],
 )
 def test_inverse_class_operators_are_derived_not_counted(monkeypatch, family, n, q, counted):
-    # each M_j* with j* != j comes from M_j by transposition, and no operator
-    # is counted once every subspace is a line (18 and 35 counted before)
+    # each M_j* with j* != j comes from M_j by transposition, no operator of a
+    # used <z>-orbit of classes is made, and no operator is counted once every
+    # subspace is a line (18, 35 and 9 counted with every operator; 12, 18 and
+    # 8 with the used orbits' operators still counted)
     group = build_group(GroupScheme(family, n), RingSpec.for_q(q, 1))
     expected = character_table_modp(group)
     calls = []
@@ -551,6 +555,35 @@ def test_inverse_class_operators_are_derived_not_counted(monkeypatch, family, n,
     table = character_table_modp(group)
     assert (table.ell, table.degrees, table.omega) == (expected.ell, expected.degrees, expected.omega)
     assert len(calls) == counted
+
+
+@pytest.mark.parametrize(
+    "make", [_group("GL2", "unram:13,1,1"), _group("U3", "unram:3,2,1")], ids=["GL2(F_13)", "U3(F_9)"]
+)
+def test_operators_of_a_central_orbit_are_multiples_on_each_block(make):
+    # M_{z^i C_t} = M_{C_z}^i M_t and M_{C_z} is mu on block mu, so on block e
+    # the operator of class perm^i t is mu_e^i times that of t: it has the
+    # eigenspaces of M_t, and those of the identity's orbit are scalars
+    group = make()
+    classes = conjugacy_classes(group)
+    ell = choose_ell(group.order, group.exponent())
+    perms = _center_perms(group, classes)
+    central = _central_blocks(perms, classes.class_of[group.identity], ell)
+    moves = _center_moves(perms.values())
+    m = len(central.powers)
+    assert m > 1
+    for orbit in central.orbits:
+        condensed = [
+            [central.condense(e, _class_matrix(group, classes, _members(classes, classes.inverse_class[u]), moves))
+             for e in range(m)]
+            for u in orbit
+        ]
+        for i, by_block in enumerate(condensed):
+            for e, op in enumerate(by_block):
+                mu_i = central.powers[e * i % m]
+                assert [dict(column) for column in op] == [
+                    {r: x * mu_i % ell for r, x in column} for column in condensed[0][e]
+                ]
 
 
 def test_class_matrix_multiplies_once_per_center_orbit(monkeypatch):

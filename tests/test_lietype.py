@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -671,6 +672,24 @@ def test_candidate_set_codes_fit_one_byte(monkeypatch):
     with_multiplicity(128)
     with pytest.raises(AssertionError, match="coefficients up to 128 do not fit one byte"):
         candidate_set(root_datum("GL", 1))
+
+
+def test_candidate_set_peaks_near_what_it_keeps():
+    # the box points are collected in a list, sorted in place: building the GL3
+    # split set peaks within 1.5x of the codes it returns (a hash set of them
+    # peaked at about 1.9x)
+    datum = root_datum("GL", 3)
+    candidate_set(datum, "split")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cands = candidate_set(datum, "split")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cands.codes) == 70252
+    assert peak - before <= 1.5 * (kept - before)
 
 
 def test_candidate_set_refuses_a_degree_not_positive_at_the_probe(monkeypatch):
