@@ -8,22 +8,23 @@ orthogonality relation; each degree is read from the divisors of |G|.
 Following Schneider ("Dixon's character table algorithm revisited", J. Symb.
 Comp. 1990), each class matrix is kept sparse, as the nonzero entries of its
 columns, and is applied to a subspace basis by summing the columns its
-nonzero coordinates select.  Only one column per orbit of the center Z(G) on
-the classes is counted; the others are that column with its rows permuted.
-Only one of each pair of inverse classes j, j* is counted: |C_t| M_j[s][t] =
+nonzero coordinates select.  The center is read through one class
+permutation P_z: C_t -> zC_t for one central element z, from one batch of k
+products.  Only the leader column of each <z>-orbit of classes is counted;
+the others are that column with its rows relabelled by P_z.  Only one of
+each pair of inverse classes j, j* is counted: |C_t| M_j[s][t] =
 |C_s| M_j*[t][s], so M_j* is M_j transposed and rescaled by class sizes.
 Only one class of each <z>-orbit {z^i C_j} gives an operator, as M_{z^i C_j}
 is mu^i M_j, with the eigenspaces of M_j, on the block where z acts as mu.
-The split starts from the central-character blocks, the eigenspaces of the
-class permutation P_z of one central element z, and runs in block
-coordinates, one per <z>-orbit of classes: each class matrix is checked to
-commute with P_z, which makes it keep every block, and is condensed onto each
-block from its orbit-leader columns, so vectors have the length of a block,
-not of the class count.  The eigenvalues are found by equal-degree splitting
-of the squarefree part of the characteristic polynomial (Cantor-Zassenhaus,
-Math. Comp. 1981).  Everything is integer arithmetic; the structural
-identities (sum of squares, class count, divisibility) are checked on every
-output.
+The split starts from the central-character blocks, the eigenspaces of P_z,
+and runs in block coordinates, one per <z>-orbit of classes: each class
+matrix is checked to commute with P_z, which makes it keep every block, and
+is condensed onto each block from its orbit-leader columns, so vectors have
+the length of a block, not of the class count.  The eigenvalues are found by
+equal-degree splitting of the squarefree part of the characteristic
+polynomial (Cantor-Zassenhaus, Math. Comp. 1981).  Everything is integer
+arithmetic; the structural identities (sum of squares, class count,
+divisibility) are checked on every output.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from math import isqrt
+from math import isqrt, lcm
 
 from .groups import ConjugacyClassData, FiniteGroup, conjugacy_classes, uint_buffer
 from .intlinalg import identity_matrix, nullspace, rref
@@ -210,50 +211,19 @@ def choose_ell(order: int, exponent: int) -> int:
     raise ModulusSearchError(f"no prime = 1 mod {exponent} above 2 sqrt({order}) below 10^7")
 
 
-def _center_perms(group: FiniteGroup, classes: ConjugacyClassData) -> dict[int, list[int]]:
-    """{z: perm} over the central z, where perm[t] is the class of z rep_t.  Z(G)
-    is the union of the classes of size 1, and each perm takes k products."""
-    class_of = classes.class_of
-    return {
-        z: [class_of[y] for y in group.mul_right(classes.representatives, z)]
-        for z, size in zip(classes.representatives, classes.sizes)
-        if size == 1
-    }
-
-
-def _center_moves(perms) -> list[tuple[int, list[int] | None]]:
-    """For each class u, (t, perm): t is the least class in the orbit of u
-    under Z(G), and perm, one of the central class permutations perms, maps
-    C_t to C_u, or is None when u = t."""
-    perms = list(perms)
-    moves: list[tuple[int, list[int] | None] | None] = [None] * len(perms[0])
-    for t, move in enumerate(moves):
-        if move is None:
-            moves[t] = (t, None)
-            for perm in perms:
-                if moves[perm[t]] is None:
-                    moves[perm[t]] = (t, perm)
-    return moves
-
-
-def _cycle(perm: list[int], t: int) -> list[int]:
-    """(t, perm t, perm^2 t, ...) up to the return to t."""
-    orbit = [t]
-    u = perm[t]
-    while u != t:
-        orbit.append(u)
-        u = perm[u]
-    return orbit
-
-
 def _cycles(perm) -> list[list[int]]:
-    """The cycles of perm, in the order of their least points."""
+    """The cycles (t, perm t, perm^2 t, ...) of perm, each from its least point
+    t, in the order of those points."""
     cycles: list[list[int]] = []
-    seen: set[int] = set()
+    seen = [False] * len(perm)
     for t in range(len(perm)):
-        if t not in seen:
-            cycles.append(_cycle(perm, t))
-            seen.update(cycles[-1])
+        if not seen[t]:
+            cycles.append([])
+            u = t
+            while not seen[u]:
+                seen[u] = True
+                cycles[-1].append(u)
+                u = perm[u]
     return cycles
 
 
@@ -330,13 +300,15 @@ class _CentralBlocks:
         return out
 
 
-def _central_blocks(perms: dict[int, list[int]], id_class: int, ell: int) -> _CentralBlocks:
-    """The blocks of P_z for perms[z], z a central element of largest order
-    m, least on ties.  perm[id_class] = C_z, so the orbit of the identity
-    class has m classes, and m is the order of perm."""
-    z = max(perms, key=lambda z: (len(_cycle(perms[z], id_class)), -z))
-    perm = perms[z]
-    m = len(_cycle(perm, id_class))
+def _central_blocks(group: FiniteGroup, classes: ConjugacyClassData, orders, ell: int) -> _CentralBlocks:
+    """The blocks of P_z for z a central element of largest order m, least on
+    ties, where orders[t] is the order of rep_t.  Z(G) is the union of the
+    classes of size 1, and perm[t], the class of z rep_t, takes one batch of
+    k products."""
+    reps = classes.representatives
+    c = max((t for t, size in enumerate(classes.sizes) if size == 1), key=lambda t: (orders[t], -reps[t]))
+    m = orders[c]
+    perm = [classes.class_of[y] for y in group.mul_right(reps, reps[c])]
     k = len(perm)
     orbits = _cycles(perm)
     place: list = [None] * k
@@ -350,25 +322,25 @@ def _central_blocks(perms: dict[int, list[int]], id_class: int, ell: int) -> _Ce
     return _CentralBlocks(ell, perm, orbits, place, powers, blocks)
 
 
-def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, inverse_members, moves):
+def _class_matrix(group: FiniteGroup, classes: ConjugacyClassData, inverse_members, blocks: _CentralBlocks):
     """M_j[s][t] = #{x in C_j : x^{-1} rep_t in C_s}, as one list per column t of
     its nonzero (s, M_j[s][t]) entries; columns are omega eigenvectors.
 
     Inversion maps C_j onto C_j*, the inverse class, and only counts are read,
     so the products run over inverse_members, the members of C_j*.  They run
-    for one column t per orbit of Z(G) on the classes (moves, _center_moves):
-    M_j does not depend on which member of C_u stands for it, and for central z
-    the product x^{-1} (z rep_t) = z (x^{-1} rep_t) lies in zC_s exactly when
-    x^{-1} rep_t lies in C_s, so M_j[zC_s][zC_t] = M_j[s][t] and column
-    u = zC_t is column t with its rows relabelled by perm."""
+    for the leader t of each <z>-orbit of classes (blocks.orbits): M_j does
+    not depend on which member of C_u stands for it, and for the central z of
+    blocks.perm the product x^{-1} (z rep_t) = z (x^{-1} rep_t) lies in zC_s
+    exactly when x^{-1} rep_t lies in C_s, so M_j[zC_s][zC_t] = M_j[s][t]:
+    column perm t is column t with its rows relabelled by perm."""
     class_of = classes.class_of.__getitem__
-    columns = []
-    for u, (t, perm) in enumerate(moves):
-        if perm is None:
-            products = group.mul_right(inverse_members, classes.representatives[u])
-            columns.append(list(Counter(map(class_of, products)).items()))
-        else:
-            columns.append([(perm[s], count) for s, count in columns[t]])
+    perm = blocks.perm
+    columns: list = [None] * len(perm)
+    for orbit in blocks.orbits:
+        products = group.mul_right(inverse_members, classes.representatives[orbit[0]])
+        columns[orbit[0]] = list(Counter(map(class_of, products)).items())
+        for t, u in zip(orbit, orbit[1:]):
+            columns[u] = [(perm[s], count) for s, count in columns[t]]
     return columns
 
 
@@ -389,7 +361,7 @@ def _inverse_class_matrix(columns, sizes):
     return derived
 
 
-def _class_operators(group: FiniteGroup, classes: ConjugacyClassData, moves, blocks: _CentralBlocks):
+def _class_operators(group: FiniteGroup, classes: ConjugacyClassData, blocks: _CentralBlocks):
     """M_j for the least class j of an unused <z>-orbit, as sparse columns,
     each followed by M_j* derived from it (_inverse_class_matrix) when j* is in
     another unused orbit; the orbit of each operator given is then used.
@@ -415,7 +387,7 @@ def _class_operators(group: FiniteGroup, classes: ConjugacyClassData, moves, blo
         if used[orbit]:
             continue
         used[orbit] = True
-        columns = _class_matrix(group, classes, flat[start[inv_j]:start[inv_j + 1]], moves)
+        columns = _class_matrix(group, classes, flat[start[inv_j]:start[inv_j + 1]], blocks)
         yield columns
         inv_orbit = blocks.place[inv_j][0]
         if not used[inv_orbit]:
@@ -450,12 +422,13 @@ def character_table_modp(group: FiniteGroup) -> CharacterTableModP:
     classes = conjugacy_classes(group)
     k = classes.n_classes
     order = group.order
-    ell = choose_ell(order, group.exponent())
+    # exp(G) is the lcm of the orders of the class representatives
+    orders = [group.element_order(rep) for rep in classes.representatives]
+    ell = choose_ell(order, lcm(*orders))
 
     id_class = classes.class_of[group.identity]
-    perms = _center_perms(group, classes)
-    blocks = _central_blocks(perms, id_class, ell)
-    operators = _class_operators(group, classes, _center_moves(perms.values()), blocks)
+    blocks = _central_blocks(group, classes, orders, ell)
+    operators = _class_operators(group, classes, blocks)
     # subspaces of the blocks, split until all are lines, each kept as (e, rref
     # rows, pivot columns) in the coordinates of block e, so coordinates read
     # off the pivots

@@ -29,7 +29,6 @@ and a budget is checked on every call, before any memo is consulted.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cache, partial, reduce
 from operator import add, and_, lshift, rshift
@@ -257,10 +256,6 @@ class FiniteGroup:
             for a in gens
             for b in gens
         )
-
-    def exponent(self) -> int:
-        classes = conjugacy_classes(self)
-        return math.lcm(*(self.element_order(r) for r in classes.representatives))
 
     def coset_coordinates(self, kernel: SubgroupView) -> CosetCoordinates:
         """G over the normal subgroup kernel, a SubgroupView of G."""

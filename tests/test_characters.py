@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,6 @@ import repzoo
 from repzoo import characters, clifford
 from repzoo.characters import (
     DegreeMultiset,
-    _center_moves,
-    _center_perms,
     _central_blocks,
     _charpoly,
     _class_matrix,
@@ -307,11 +306,23 @@ def test_poly_roots_property(ell, roots, cofactor, lead):
     assert _poly_roots(list(poly), ell) == _brute_roots(poly, ell)
 
 
+def _orders_and_ell(group, classes):
+    """The orders of the class representatives, by single products, and
+    choose_ell at their lcm, exp(G)."""
+    orders = [group.element_order(rep) for rep in classes.representatives]
+    return orders, choose_ell(group.order, math.lcm(*orders))
+
+
+def _blocks(group, classes):
+    """The central blocks that character_table_modp builds for group."""
+    return _central_blocks(group, classes, *_orders_and_ell(group, classes))
+
+
 def _reference_table(group):
     """(ell, degrees, omega) by the dense class matrices and a scan of Z/ell for roots."""
     classes = conjugacy_classes(group)
     k, order = classes.n_classes, group.order
-    ell = choose_ell(order, group.exponent())
+    _, ell = _orders_and_ell(group, classes)
     id_class = classes.class_of[group.identity]
     subspaces = [[[1 if i == j else 0 for i in range(k)] for j in range(k)]]
     for j in range(k):
@@ -440,18 +451,23 @@ def _center_by_scan(group):
     [
         (lambda: build_group(GroupScheme("GL", 2), RingSpec("unramified", 5, 1, 1)), 7, 24),
         (lambda: build_group(GroupScheme("GL", 2), RingSpec("unramified", 3, 1, 2)), 14, 78),
-        (lambda: build_group(GroupScheme("U", 3), RingSpec("unramified", 3, 2, 1)), 81, 89),
+        # Z(G) = F_9 is not cyclic: <z> has order 3 and 83 orbits on the
+        # classes, where Z(G) has 81
+        (lambda: build_group(GroupScheme("U", 3), RingSpec("unramified", 3, 2, 1)), 83, 89),
         (lambda: build_group(GroupScheme("B", 2), RingSpec("eqchar", 3, 1, 2)), 10, 60),
         (_stabilizer_quotient_of_gl2_z9, 5, 24),
+        # Z(G) = C2 x C2, so non-central classes are relabelled through <z>,
+        # a proper subgroup of the center
+        (lambda: build_group(GroupScheme("GL", 2), RingSpec("unramified", 2, 1, 3)), 36, 60),
     ],
-    ids=["GL2(F_5)", "GL2(Z/9)", "U3(F_9)", "B2(F_3[t]/t^2)", "S/ker psi of GL2(Z/9)"],
+    ids=["GL2(F_5)", "GL2(Z/9)", "U3(F_9)", "B2(F_3[t]/t^2)", "S/ker psi of GL2(Z/9)", "GL2(Z/8)"],
 )
 def test_class_matrix_columns_equal_direct_counts(make, orbits, n_classes):
     group = make()
     classes = conjugacy_classes(group)
     k = classes.n_classes
-    moves = _center_moves(_center_perms(group, classes).values())
-    assert (sum(perm is None for _, perm in moves), k) == (orbits, n_classes)
+    blocks = _blocks(group, classes)
+    assert (len(blocks.orbits), k) == (orbits, n_classes)
     central = [rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1]
     if isinstance(group, FiniteMatrixGroup):
         assert central == _center_by_scan(group)
@@ -462,7 +478,7 @@ def test_class_matrix_columns_equal_direct_counts(make, orbits, n_classes):
             direct[classes.class_of[x]][t][classes.class_of[group.mul(x, rep)]] += 1
     for j in range(k):
         inv_j = classes.inverse_class[j]
-        columns = _class_matrix(group, classes, _members(classes, inv_j), moves)
+        columns = _class_matrix(group, classes, _members(classes, inv_j), blocks)
         assert [dict(column) for column in columns] == direct[inv_j]
 
 
@@ -508,9 +524,9 @@ def _gl2_f5_mod_minus_one():
 def test_inverse_class_matrix_equals_direct_counts(make):
     group = make()
     classes = conjugacy_classes(group)
-    moves = _center_moves(_center_perms(group, classes).values())
+    blocks = _blocks(group, classes)
     counted = [
-        _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), moves)
+        _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), blocks)
         for j in range(classes.n_classes)
     ]
     pairs = [(j, inv_j) for j, inv_j in enumerate(classes.inverse_class) if inv_j != j]
@@ -566,15 +582,13 @@ def test_operators_of_a_central_orbit_are_multiples_on_each_block(make):
     # eigenspaces of M_t, and those of the identity's orbit are scalars
     group = make()
     classes = conjugacy_classes(group)
-    ell = choose_ell(group.order, group.exponent())
-    perms = _center_perms(group, classes)
-    central = _central_blocks(perms, classes.class_of[group.identity], ell)
-    moves = _center_moves(perms.values())
+    central = _blocks(group, classes)
+    ell = central.ell
     m = len(central.powers)
     assert m > 1
     for orbit in central.orbits:
         condensed = [
-            [central.condense(e, _class_matrix(group, classes, _members(classes, classes.inverse_class[u]), moves))
+            [central.condense(e, _class_matrix(group, classes, _members(classes, classes.inverse_class[u]), central))
              for e in range(m)]
             for u in orbit
         ]
@@ -587,11 +601,11 @@ def test_operators_of_a_central_orbit_are_multiples_on_each_block(make):
 
 
 def test_class_matrix_multiplies_once_per_center_orbit(monkeypatch):
-    # GL2(F_5): Z(G) has 4 elements and 7 orbits on the 24 classes
+    # GL2(F_5): Z(G) = <z> has 4 elements and 7 orbits on the 24 classes
     group = build_group(GroupScheme("GL", 2), RingSpec("unramified", 5, 1, 1))
     classes = conjugacy_classes(group)
-    moves = _center_moves(_center_perms(group, classes).values())
-    orbit_reps = sorted(classes.representatives[u] for u, (_, perm) in enumerate(moves) if perm is None)
+    blocks = _blocks(group, classes)
+    orbit_reps = sorted(classes.representatives[orbit[0]] for orbit in blocks.orbits)
     assert len(orbit_reps) == 7
     batches = []
     batched = FiniteMatrixGroup.mul_right
@@ -603,8 +617,43 @@ def test_class_matrix_multiplies_once_per_center_orbit(monkeypatch):
     monkeypatch.setattr(FiniteMatrixGroup, "mul_right", counted)
     for j in range(classes.n_classes):
         batches.clear()
-        _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), moves)
+        _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), blocks)
         assert sorted(batches) == orbit_reps
+
+
+def test_table_products_are_pinned(monkeypatch):
+    # a fresh GL2(F_13) with its classes built: P_z is one batch of k = 168
+    # products (the parent made a permutation for each of the 12 central
+    # elements, 32 616 batched products in all), and the single products are
+    # the walks over the powers of the class representatives
+    built = build_group(GroupScheme("GL", 2), RingSpec.for_q(13, 1))
+    expected = character_table_modp(built)
+    group = FiniteMatrixGroup(built.scheme, built.ring, [built.matrix(x) for x in range(built.order)])
+    classes = conjugacy_classes(group)
+    batched, single, central_batches = [], [], []
+    batch, mul, central_blocks = FiniteMatrixGroup.mul_right, FiniteMatrixGroup.mul, characters._central_blocks
+
+    def counted_batch(self, xs, b):
+        batched.append(len(xs))
+        return batch(self, xs, b)
+
+    def counted_mul(self, i, j):
+        single.append(1)
+        return mul(self, i, j)
+
+    def counted_blocks(*args):
+        before = len(batched)
+        blocks = central_blocks(*args)
+        central_batches.append(batched[before:])
+        return blocks
+
+    monkeypatch.setattr(FiniteMatrixGroup, "mul_right", counted_batch)
+    monkeypatch.setattr(FiniteMatrixGroup, "mul", counted_mul)
+    monkeypatch.setattr(characters, "_central_blocks", counted_blocks)
+    table = character_table_modp(group)
+    assert (sum(batched), len(single)) == (30768, 7992)
+    assert central_batches == [[classes.n_classes]] == [[168]]
+    assert (table.ell, table.degrees, table.omega) == (expected.ell, expected.degrees, expected.omega)
 
 
 def _orbit(perm, t):
@@ -645,26 +694,28 @@ def test_central_blocks_are_reduced_and_kept_by_every_class_operator(make, n_blo
     group = make()
     classes = conjugacy_classes(group)
     k = classes.n_classes
-    ell = choose_ell(group.order, group.exponent())
-    perms = _center_perms(group, classes)
-    # the central z of largest order, least on ties
-    z = min(perms, key=lambda z: (-group.element_order(z), z))
-    central = _central_blocks(perms, classes.class_of[group.identity], ell)
-    assert central.perm == perms[z]
+    central = _blocks(group, classes)
+    ell = central.ell
+    # the central z of largest order, least on ties, and C_t -> zC_t
+    z = min(
+        (rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1),
+        key=lambda z: (-group.element_order(z), z),
+    )
+    perm = [classes.class_of[group.mul(rep, z)] for rep in classes.representatives]
+    assert central.perm == perm
     blocks = _block_bases(central)
     assert len(blocks) == n_blocks
     assert sum(len(rows) for rows, _ in blocks) == k
     for rows, pivots in blocks:
         assert rref(rows, ell) == (rows, pivots)
         for row, pivot in zip(rows, pivots):
-            orbit = _orbit(perms[z], pivot)
+            orbit = _orbit(perm, pivot)
             assert pivot == min(orbit)
             assert {c for c, x in enumerate(row) if x} == orbit
     # every M_j as sparse columns, which test_class_matrix_columns_equal_direct_counts
     # checks against direct counts, applied to every basis vector of every block
-    moves = _center_moves(perms.values())
     operators = [
-        _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), moves)
+        _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), central)
         for j in range(k)
     ]
     for rows, pivots in blocks:
@@ -712,13 +763,11 @@ def test_root_of_unity_powers_follow_the_prime_divisor_rule(ell):
 def test_condensed_operator_is_the_class_operator_on_each_block(make):
     group = make()
     classes = conjugacy_classes(group)
-    ell = choose_ell(group.order, group.exponent())
-    perms = _center_perms(group, classes)
-    central = _central_blocks(perms, classes.class_of[group.identity], ell)
+    central = _blocks(group, classes)
+    ell = central.ell
     bases = _block_bases(central)
-    moves = _center_moves(perms.values())
     for j in range(classes.n_classes):
-        columns = _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), moves)
+        columns = _class_matrix(group, classes, _members(classes, classes.inverse_class[j]), central)
         central.check_commutes(columns)
         for e, (rows, pivots) in enumerate(bases):
             condensed = central.condense(e, columns)
@@ -733,7 +782,7 @@ def test_condensed_operator_is_the_class_operator_on_each_block(make):
 
 
 # python -O runs of GL2(F_5) whose class operators are corrupted after they are
-# counted; perm is the class permutation of the central z of largest order
+# counted; perm is the class permutation of the central z of the blocks
 _CORRUPT = """
 from repzoo import characters
 from repzoo.groups import GroupScheme, build_group
@@ -741,13 +790,12 @@ from repzoo.localring import RingSpec
 count_columns = characters._class_matrix
 calls = []
 
-def corrupted(group, classes, members, moves):
-    columns = count_columns(group, classes, members, moves)
+def corrupted(group, classes, members, blocks):
+    columns = count_columns(group, classes, members, blocks)
     calls.append(columns)
-    perms = characters._center_perms(group, classes)
-    perm = perms[min(perms, key=lambda z: (-group.element_order(z), z))]
+    perm = blocks.perm
     t, (s, _) = 0, columns[0][0]
-    if moves[0][1] is not None or perm[0] == 0:
+    if blocks.orbits[0][0] != 0 or perm[0] == 0:
         raise SystemExit('column 0 is not a counted column that z moves')
     {corrupt}
     return columns

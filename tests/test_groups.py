@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from repzoo import clifford, groups
-from repzoo.characters import DegreeMultiset, _center_moves, _center_perms, character_table_modp
+from repzoo.characters import DegreeMultiset, _central_blocks, character_table_modp, choose_ell
 from repzoo.clifford import clifford_dimirr, default_normal_subgroup
 from repzoo.groups import (
     _PATTERNS,
@@ -308,9 +309,9 @@ def test_keys_of_two_byte_entries():
 def test_table_memo_never_exceeds_twice_the_group_order(monkeypatch):
     # GL2(F_5): 480 elements and 2 * 25 entries a table, so at most 19 tables;
     # generators and character_table_modp each drop their tables when they
-    # store their result, and conjugacy_classes builds none, so each of its 4
-    # central elements and the representative of each of the 7 Z(G)-orbits of
-    # its 24 classes get one, and the codes stay with the group
+    # store their result, and conjugacy_classes builds none, so the central z
+    # of the blocks and the representative of each of the 7 <z>-orbits of its
+    # 24 classes get one, and the codes stay with the group
     group = _fresh(build_group(GL2, RingSpec("unramified", 5, 1, 1)))
     assert group._table_room == 19
     held = []
@@ -327,13 +328,16 @@ def test_table_memo_never_exceeds_twice_the_group_order(monkeypatch):
     assert group._tables == {} and len(group._codes) == 2
     classes = conjugacy_classes(group)
     gens = group.generators()
-    moves = _center_moves(_center_perms(group, classes).values())
-    orbit_reps = [classes.representatives[u] for u, (_, perm) in enumerate(moves) if perm is None]
+    orders = [group.element_order(rep) for rep in classes.representatives]
+    blocks = _central_blocks(group, classes, orders, choose_ell(group.order, math.lcm(*orders)))
+    orbit_reps = [classes.representatives[orbit[0]] for orbit in blocks.orbits]
     assert len(orbit_reps) == 7
     central = [rep for rep, size in zip(classes.representatives, classes.sizes) if size == 1]
-    assert len(central) == 4
+    # the central element of largest order, least on ties: a generator of Z(G)
+    z = min(central, key=lambda z: (-group.element_order(z), z))
+    assert (len(central), group.element_order(z)) == (4, 4)
     # the generators' right products, then the table
-    assert held == [set(gens), set(orbit_reps + central)]
+    assert held == [set(gens), set(orbit_reps + [z])]
 
 
 def test_row_codes_are_built_once():
