@@ -623,9 +623,9 @@ def test_class_matrix_multiplies_once_per_center_orbit(monkeypatch):
 
 def test_table_products_are_pinned(monkeypatch):
     # a fresh GL2(F_13) with its classes built: P_z is one batch of k = 168
-    # products (the parent made a permutation for each of the 12 central
-    # elements, 32 616 batched products in all), and the single products are
-    # the walks over the powers of the class representatives
+    # products (a permutation for each of the 12 central elements would make
+    # 32 616 batched products in all), and the single products are the walks
+    # over the powers of the class representatives
     built = build_group(GroupScheme("GL", 2), RingSpec.for_q(13, 1))
     expected = character_table_modp(built)
     group = FiniteMatrixGroup(built.scheme, built.ring, [built.matrix(x) for x in range(built.order)])
