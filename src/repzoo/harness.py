@@ -1,10 +1,11 @@
 """Experiment orchestration: cached degree oracles, ring comparison, polynomial fits.
 
-The fitter has one core.  `_alignments` enumerates every way to align the
-per-q (value, count) tables into rows, by ascending value, with rows that
-collide or vanish at small q spread over adjacent slots.  `_fit_table`
-interpolates each row's (d_i, m_i), keeps the rows that pass the two row checks
-(`_is_degree_poly`, `_is_count_poly`) and the exact group-order identity
+The fitter has one core.  `_alignments` aligns the per-q (value, count) tables
+into rows by ascending value, with rows that collide or vanish at small q
+spread over adjacent slots.  It places one row at a time and asks a row fitter
+for its fit; a row that does not fit drops every alignment that begins with
+the rows placed so far.  `_fit_table` fits each row's d_i (`_is_degree_poly`)
+as it is placed, then m_i (`_is_count_poly`) under the exact group-order identity
 sum_i m_i(x) d_i(x)^2 = |G(o_r)|(x), and `_LeastScore` returns the fit of least
 total degree.  No fit, or several at that degree, is an error: anything
 ambiguous is reported, never guessed.
@@ -13,8 +14,9 @@ Flat multiset data determines the row polynomials only at level 1; at higher
 levels the multiplicity rows outrun what three samples can see.  When the
 samples come from the Clifford engine, its orbit output stratifies each
 multiset into families (orbit count, orbit size, stabilizer-level table).  The
-same alignment loop and selector run over the strata, and `_fit_table` fits
-each stabilizer-level table; the final rows are products of the fitted pieces.
+same search and selector run over the strata, with `_fit_stratum` as the row
+fitter, and `_fit_table` fits each stabilizer-level table; the final rows are
+products of the fitted pieces.
 """
 
 from __future__ import annotations
@@ -316,54 +318,50 @@ class FitReport:
         }
 
 
-def _slot_assignments(entries, k: int):
-    """All ways to spread multiset entries over k ordered slots.
+def _alignments(qs, entries_by_q, fit_row):
+    """Yield (rows, fits) for each alignment of the per-q (key, count) tables into
+    k rows, k the size of the largest table; rows are dicts {q: (key, count)}.
 
-    Zero slots carry a free key (None); nonzero slots consume the entries in
-    order, splitting an entry's multiplicity across adjacent slots when values
-    collide at this q.  Entry keys are opaque (degrees, or stratum signatures).
-    """
-    out = []
-    n = len(entries)
-
-    def rec(idx, taken, slots):
-        filled = len(slots)
-        if filled == k:
-            if idx == n:
-                out.append(tuple(slots))
-            return
-        remaining = k - filled
-        pending = n - idx
-        if remaining - 1 >= pending:
-            slots.append((None, 0))
-            rec(idx, taken, slots)
-            slots.pop()
-        if idx < n:
-            d, m = entries[idx]
-            left = m - taken
-            for take in range(1, left + 1):
-                slots.append((d, take))
-                if take < left:
-                    rec(idx, taken + take, slots)
-                else:
-                    rec(idx + 1, 0, slots)
-                slots.pop()
-
-    rec(0, 0, [])
-    return out
-
-
-def _alignments(qs, entries_by_q):
-    """Every alignment of the per-q (key, count) tables into k rows, k the size
-    of the largest table, as a list of k dicts {q: (key, count)}.
-
-    A row absent at q has key None and count 0 there.  The largest table puts
-    one entry in every row, so each row has a key at some q.
+    At each q the rows take the entries in order, splitting a count over adjacent
+    rows where values collide; a row absent at q has (None, 0) there, and one row
+    is kept free for every entry not yet used up.  Rows are placed one at a time:
+    fit_row(placed, row) gets the (row, fit) pairs placed so far and returns the
+    row's fit, or None to drop every alignment that begins with them.  Keys are
+    opaque (degrees, or stratum signatures).
     """
     k = max(len(entries_by_q[q]) for q in qs)
-    per_sample = [_slot_assignments(entries_by_q[q], k) for q in qs]
-    for combo in itertools.product(*per_sample):
-        yield [dict(zip(qs, row)) for row in zip(*combo)]
+    placed = []
+
+    def place(j, row, state):
+        # state[q]: the index of the entry in use at q and the count taken from it
+        if j == len(qs):
+            fit = fit_row(placed, row)
+            if fit is not None:
+                placed.append((row, fit))
+                if len(placed) == k:
+                    yield tuple(zip(*placed))
+                else:
+                    yield from place(0, {}, state)
+                placed.pop()
+            return
+        q = qs[j]
+        idx, taken = state[q]
+        pending = len(entries_by_q[q]) - idx  # entries not yet used up
+        free = k - len(placed) - 1  # rows below this one
+        options = []  # (slot, state at q after it)
+        if free >= pending:
+            options.append(((None, 0), (idx, taken)))
+        if pending:
+            key, count = entries_by_q[q][idx]
+            left = count - taken
+            if free >= pending:
+                options += [((key, t), (idx, taken + t)) for t in range(1, left)]
+            if free >= pending - 1:
+                options.append(((key, left), (idx + 1, 0)))
+        for slot, after in options:
+            yield from place(j + 1, {**row, q: slot}, {**state, q: after})
+
+    yield from place(0, {}, dict.fromkeys(qs, (0, 0)))
 
 
 class _LeastScore:
@@ -523,10 +521,13 @@ def _fit_table(qs, entries_by_q, identity_rhs, cap, den_bound, residual_degrees,
     """The least-score rows (d_i, m_i) through per-q (degree, count) tables under
     sum_i m_i d_i^2 = identity_rhs, and their score.
 
-    d_i interpolates row i's degrees; m_i interpolates its counts, plus
-    (x - q_1)...(x - q_s) times a residual of a degree in residual_degrees where
-    the identity needs one.  Raises AlignmentError when nothing fits and
-    AmbiguousFitError when distinct fits share the least score.
+    Rows are placed one at a time: d_i interpolates row i's degrees and must pass
+    _is_degree_poly and be at least d_{i-1} where both rows are present, or every
+    alignment that begins with rows 1..i is dropped.  Over each full alignment,
+    m_i interpolates row i's counts, plus (x - q_1)...(x - q_s) times a residual
+    of a degree in residual_degrees where the identity needs one.  Raises
+    AlignmentError when nothing fits and AmbiguousFitError when distinct fits
+    share the least score.
     """
     s = len(qs)
     k = max(len(entries_by_q[q]) for q in qs)
@@ -539,21 +540,18 @@ def _fit_table(qs, entries_by_q, identity_rhs, cap, den_bound, residual_degrees,
             f"profile space {len(residual_options)}^{k} too large; add sample points"
         )
 
+    def fit_row(placed, row):
+        d = interpolate([(q, key) for q, (key, _) in row.items() if key is not None])
+        if not _is_degree_poly(d, cap, qs):
+            return None
+        if placed:
+            above, d_above = placed[-1]
+            if any(d_above(q) > d(q) for q in qs if None not in (above[q][0], row[q][0])):
+                return None
+        return d
+
     best = _LeastScore()
-    for aligned in _alignments(qs, entries_by_q):
-        dims = []
-        for row in aligned:
-            d = interpolate([(q, key) for q, (key, _) in row.items() if key is not None])
-            if not _is_degree_poly(d, cap, qs):
-                break
-            dims.append(d)
-        if len(dims) < k or any(
-            dims[i](q) > dims[i + 1](q)
-            for q in qs
-            for i in range(k - 1)
-            if aligned[i][q][0] is not None and aligned[i + 1][q][0] is not None
-        ):
-            continue
+    for aligned, dims in _alignments(qs, entries_by_q, fit_row):
         interp = [interpolate([(q, count) for q, (_, count) in row.items()]) for row in aligned]
         d_sq = [d * d for d in dims]
         target = identity_rhs - sum((m * e for m, e in zip(interp, d_sq)), RationalPoly.zero())
@@ -631,7 +629,9 @@ def _fit_stratum(stratum, order_poly, e_n, cap, den_bound, notes):
 
 def _fit_stratified(order_poly, reports, cap, den_bound, notes):
     """The least-score rows assembled from per-stratum fits whose rows, merged by
-    dimension, satisfy sum_i m_i d_i^2 = |G|, and their score."""
+    dimension, satisfy sum_i m_i d_i^2 = |G|, and their score.  Strata are placed
+    one at a time, and one that _fit_stratum cannot fit drops every alignment
+    that begins with it."""
     qs = sorted(reports)
     # |N| per sample is the dual-group size: sum of orbit sizes; must be q^e
     exps = set()
@@ -646,16 +646,12 @@ def _fit_stratified(order_poly, reports, cap, den_bound, notes):
     e_n = exps.pop()
 
     strata_by_q = {q: _stratify(reports[q]) for q in qs}
+
+    def fit_row(placed, stratum):
+        return _fit_stratum(stratum, order_poly, e_n, cap, den_bound, notes)
+
     best = _LeastScore()
-    for strata in _alignments(qs, strata_by_q):
-        fits = []
-        for stratum in strata:
-            fit = _fit_stratum(stratum, order_poly, e_n, cap, den_bound, notes)
-            if fit is None:
-                break
-            fits.append(fit)
-        if len(fits) < len(strata):
-            continue
+    for _, fits in _alignments(qs, strata_by_q, fit_row):
         # merge rows with identical dimension polynomial
         merged: dict[tuple, FitRow] = {}
         for fit_rows, _ in fits:

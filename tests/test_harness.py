@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import repzoo
 from repzoo import harness
+from repzoo.characters import DegreeMultiset
 from repzoo.cli import main as cli_main
 from repzoo.groups import BudgetExceededError, GroupScheme, predicted_order
 from repzoo.harness import (
@@ -486,14 +488,40 @@ PINNED_FITS = [
     (("U2", 3, (2, 3, 4), "stratified"), 3, [
         (["1/1"], ["0/1", "0/1", "0/1", "1/1"]),
     ]),
+    (("U2", 1, (2, 3, 4), "flat"), 1, [
+        (["1/1"], ["0/1", "1/1"]),
+    ]),
+    (("U3", 1, (2, 3, 4), "flat"), 4, [
+        (["1/1"], ["0/1", "0/1", "1/1"]),
+        (["0/1", "1/1"], ["-1/1", "1/1"]),
+    ]),
+    (("U3", 2, (2, 3, 4), "stratified"), 10, [
+        (["1/1"], ["0/1", "0/1", "0/1", "0/1", "1/1"]),
+        (["0/1", "1/1"], ["0/1", "0/1", "-1/1", "1/1"]),
+        (["0/1", "0/1", "1/1"], ["0/1", "-1/1", "1/1"]),
+    ]),
+    (("GL2", 2, (2, 3, 4), "stratified"), 27, [
+        (["1/1"], ["0/1", "-1/1", "1/1"]),
+        (["-1/1", "1/1"], ["0/1", "0/1", "-1/2", "1/2"]),
+        (["0/1", "1/1"], ["0/1", "-1/1", "1/1"]),
+        (["1/1", "1/1"], ["0/1", "1/1", "-3/2", "1/2"]),
+        (["-1/1", "0/1", "1/1"], ["0/1", "0/1", "-1/1", "1/1"]),
+        (["0/1", "-1/1", "1/1"], ["0/1", "1/2", "-1/2", "-1/2", "1/2"]),
+        (["0/1", "1/1", "1/1"], ["0/1", "-1/2", "3/2", "-3/2", "1/2"]),
+    ]),
 ]
 
 
-@pytest.mark.parametrize(
-    "case,score,rows",
-    PINNED_FITS,
-    ids=[f"{name}-level{level}-{kind}" for (name, level, _, kind), _, _ in PINNED_FITS],
-)
+def _pinned_ids():
+    # scheme, level and kind, plus the samples where that repeats an earlier id
+    ids = []
+    for (name, level, qs, kind), _, _ in PINNED_FITS:
+        base = f"{name}-level{level}-{kind}"
+        ids.append(f"{base}-q{''.join(map(str, qs))}" if base in ids else base)
+    return ids
+
+
+@pytest.mark.parametrize("case,score,rows", PINNED_FITS, ids=_pinned_ids())
 def test_fit_report_is_pinned(case, score, rows):
     name, level, qs, kind = case
     scheme = GroupScheme.parse(name)
@@ -514,6 +542,139 @@ def test_sl2_level2_stratified_fit_is_refused():
     sl2 = GroupScheme("SL", 2)
     with pytest.raises(AlignmentError):
         fit_polynomials(sl2, 2, _fit_samples(sl2, 2, (2, 3, 4), "stratified"))
+
+
+def _reference_slot_assignments(entries, k):
+    """Every way to spread the (key, count) entries of one sample over k ordered
+    slots, as the fitter listed them before it placed rows one at a time."""
+    out = []
+    n = len(entries)
+
+    def rec(idx, taken, slots):
+        filled = len(slots)
+        if filled == k:
+            if idx == n:
+                out.append(tuple(slots))
+            return
+        if k - filled - 1 >= n - idx:
+            slots.append((None, 0))
+            rec(idx, taken, slots)
+            slots.pop()
+        if idx < n:
+            d, m = entries[idx]
+            left = m - taken
+            for take in range(1, left + 1):
+                slots.append((d, take))
+                if take < left:
+                    rec(idx, taken + take, slots)
+                else:
+                    rec(idx + 1, 0, slots)
+                slots.pop()
+
+    rec(0, 0, [])
+    return out
+
+
+def _reference_alignments(qs, entries_by_q):
+    # the full product of the per-sample slot assignments
+    k = max(len(entries_by_q[q]) for q in qs)
+    per_sample = [_reference_slot_assignments(entries_by_q[q], k) for q in qs]
+    for combo in itertools.product(*per_sample):
+        yield [dict(zip(qs, row)) for row in zip(*combo)]
+
+
+def _alignment_counts(alignments):
+    return Counter(tuple(tuple(sorted(row.items())) for row in rows) for rows in alignments)
+
+
+@st.composite
+def _slot_tables(draw):
+    # ascending keys with counts up to 3, so colliding values split over
+    # adjacent slots; smaller q may have fewer entries, so rows go absent there
+    qs = (2, 3, 4)[: draw(st.integers(1, 3))]
+    k = draw(st.integers(1, 3))
+    sizes = sorted(draw(st.lists(st.integers(1, k), min_size=len(qs) - 1, max_size=len(qs) - 1)))
+    tables = {}
+    for q, n in zip(qs, [*sizes, k]):
+        keys = sorted(draw(st.sets(st.integers(1, 9), min_size=n, max_size=n)))
+        counts = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        tables[q] = tuple(zip(keys, counts))
+    return qs, tables
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_slot_tables(), st.sets(st.tuples(st.sampled_from((2, 3, 4)), st.integers(0, 9))))
+def test_alignments_match_the_per_sample_product(case, refused):
+    qs, tables = case
+    reference = list(_reference_alignments(qs, tables))
+    accepted = list(harness._alignments(qs, tables, lambda placed, row: row))
+    assert _alignment_counts(rows for rows, _ in accepted) == _alignment_counts(reference)
+    assert all(list(rows) == list(fits) for rows, fits in accepted)
+    # a refused row drops exactly the alignments that contain it
+    def fit_row(placed, row):
+        return None if any((q, key or 0) in refused for q, (key, _) in row.items()) else row
+
+    pruned = [rows for rows, _ in harness._alignments(qs, tables, fit_row)]
+    kept = [rows for rows in reference if all(fit_row(None, row) for row in rows)]
+    assert _alignment_counts(pruned) == _alignment_counts(kept)
+
+
+SL2 = GroupScheme("SL", 2)
+
+
+def _sl2_samples(qs):
+    return {q: compute_degrees(SL2, RingSpec.for_q(q, 1), "chardeg") for q in qs}
+
+
+def test_alignments_match_the_per_sample_product_on_sl2():
+    qs = (2, 3, 4, 5)
+    tables = {q: dm.entries for q, dm in _sl2_samples(qs).items()}
+    reference = _alignment_counts(_reference_alignments(qs, tables))
+    assert sum(reference.values()) == 88_200
+    accepted = harness._alignments(qs, tables, lambda placed, row: row)
+    assert _alignment_counts(rows for rows, _ in accepted) == reference
+
+
+def test_sl2_level1_fit_fails_fast(monkeypatch):
+    # each row is interpolated once under the rows above it, not once per
+    # alignment: the per-sample product took 10 118 calls to fail here
+    calls = []
+    real = harness.interpolate
+
+    def counting(points):
+        calls.append(points)
+        return real(points)
+
+    samples = _sl2_samples((2, 3, 5))
+    monkeypatch.setattr(harness, "interpolate", counting)
+    with pytest.raises(AlignmentError, match="no consistent fit for slot counts"):
+        fit_polynomials(SL2, 1, samples)
+    assert 0 < len(calls) <= 1000
+
+
+def test_cli_fit_sl2_level1_exits_1_with_its_witness(capsys):
+    argv = ["fit", "--scheme", "SL2", "--level", "1", "--samples", "2,3,5"]
+    assert cli_main(argv) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out) == {
+        "assertion_failure": "no consistent fit for slot counts {2: 2, 3: 3, 5: 6}"
+    }
+
+
+def test_cli_fit_holdout_mismatch_exits_1_with_the_diff(monkeypatch, capsys):
+    real = repzoo.cli.compute_degrees
+    # GL2(F_7) has 15 irreducibles of degree 8; the wrong oracle says 14
+    wrong = DegreeMultiset(((1, 6), (6, 21), (7, 6), (8, 14)))
+
+    def oracle(scheme, spec, engine, budget):
+        return wrong if spec.q == 7 else real(scheme, spec, engine, budget)
+
+    monkeypatch.setattr(repzoo.cli, "compute_degrees", oracle)
+    assert cli_main([*FIT_L1, "--holdout", "7", "--format", "json"]) == 1
+    *report, last = capsys.readouterr().out.splitlines()
+    holdout = json.loads("\n".join(report))["holdout"]
+    assert holdout["match"] is False and holdout["oracle"] == [list(p) for p in wrong.entries]
+    assert json.loads(last) == {"holdout_diff": [[8, 15, 14]]}
 
 
 @pytest.mark.parametrize("scheme", ["GL1", "T1"])
