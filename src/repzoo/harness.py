@@ -4,11 +4,13 @@ The fitter has one core.  `_alignments` aligns the per-q (value, count) tables
 into rows by ascending value, with rows that collide or vanish at small q
 spread over adjacent slots.  It places one row at a time and asks a row fitter
 for its fit; a row that does not fit drops every alignment that begins with
-the rows placed so far.  `_fit_table` fits each row's d_i (`_is_degree_poly`)
-as it is placed, then m_i (`_is_count_poly`) under the exact group-order identity
-sum_i m_i(x) d_i(x)^2 = |G(o_r)|(x), and `_LeastScore` returns the fit of least
-total degree.  No fit, or several at that degree, is an error: anything
-ambiguous is reported, never guessed.
+the rows placed so far.  `_fit_table` fits each row's d_i as it is placed, then
+m_i under the exact group-order identity sum_i m_i(x) d_i(x)^2 = |G(o_r)|(x),
+and `_LeastScore` returns the fit of least total degree.  Every row polynomial
+is in Q[x] with coefficient denominators dividing n! and passes `_is_row_poly`;
+degrees and orbit sizes must also be positive integers at the samples.  No
+fit, or several at that degree, is an error: anything ambiguous is reported,
+never guessed.
 
 Flat multiset data determines the row polynomials only at level 1; at higher
 levels the multiplicity rows outrun what three samples can see.  When the
@@ -285,10 +287,12 @@ class FitReport:
 
     def predicted_multiset(self, q: int) -> DegreeMultiset:
         pairs = []
-        for row in self.rows:
+        for i, row in enumerate(self.rows, 1):
             d, m = row.dim(q), row.mult(q)
             if d.denominator != 1 or m.denominator != 1:
-                raise AssertionError("non-integer prediction")
+                raise AssertionError(
+                    f"non-integer prediction at q = {q}: row {i} has d = {d}, m = {m}"
+                )
             if m < 0:
                 raise AssertionError("negative multiplicity prediction")
             if m:
@@ -391,25 +395,15 @@ class _LeastScore:
         return rows, self.score
 
 
-def _is_degree_poly(p: RationalPoly, cap: int, qs) -> bool:
-    """p can be a degree or an orbit size: integer coefficients, a positive
-    leading term, degree at most cap, and a value of at least 1 at each of qs."""
-    return (
-        p.leading > 0
-        and p.has_integer_coeffs()
-        and p.degree <= cap
-        and all(p(q) >= 1 for q in qs)
-    )
-
-
-def _is_count_poly(p: RationalPoly, cap: int, den_bound: int) -> bool:
-    """p can count irreducibles or orbits: a positive leading term, degree at
-    most cap, coefficient denominators dividing den_bound, integer-valued."""
+def _is_row_poly(p: RationalPoly, cap: int, den_bound: int, qs=()) -> bool:
+    """p can be a row polynomial (a degree, a count, an orbit size): a positive
+    leading term, degree at most cap, coefficient denominators dividing
+    den_bound, and a positive integer at each of qs."""
     return (
         p.leading > 0
         and p.degree <= cap
         and all(den_bound % c.denominator == 0 for c in p.coeffs)
-        and p.is_integer_valued()
+        and all(v.denominator == 1 and v > 0 for v in map(p, qs))
     )
 
 
@@ -467,7 +461,7 @@ def _fit_mults_for_profile(interp, d_sq, sroot, target, profile, den_bound, cap)
         return [sroot * c for c in cs]
 
     def valid(mults):
-        return all(_is_count_poly(m, cap, den_bound) for m in mults)
+        return all(_is_row_poly(m, cap, den_bound) for m in mults)
 
     base_mults = [m + r for m, r in zip(interp, residuals(particular))]
     if not nullspace:
@@ -522,10 +516,11 @@ def _fit_table(qs, entries_by_q, identity_rhs, cap, den_bound, residual_degrees,
     sum_i m_i d_i^2 = identity_rhs, and their score.
 
     Rows are placed one at a time: d_i interpolates row i's degrees and must pass
-    _is_degree_poly and be at least d_{i-1} where both rows are present, or every
-    alignment that begins with rows 1..i is dropped.  Over each full alignment,
-    m_i interpolates row i's counts, plus (x - q_1)...(x - q_s) times a residual
-    of a degree in residual_degrees where the identity needs one.  Raises
+    _is_row_poly with the samples, or every alignment that begins with rows 1..i
+    is dropped.  Over each full alignment, m_i interpolates row i's counts, plus
+    (x - q_1)...(x - q_s) times a residual of a degree in residual_degrees where
+    the identity needs one, and must pass _is_row_poly at no sample (a count
+    equals the observed one there, and that may be 0).  Raises
     AlignmentError when nothing fits and AmbiguousFitError when distinct fits
     share the least score.
     """
@@ -542,13 +537,7 @@ def _fit_table(qs, entries_by_q, identity_rhs, cap, den_bound, residual_degrees,
 
     def fit_row(placed, row):
         d = interpolate([(q, key) for q, (key, _) in row.items() if key is not None])
-        if not _is_degree_poly(d, cap, qs):
-            return None
-        if placed:
-            above, d_above = placed[-1]
-            if any(d_above(q) > d(q) for q in qs if None not in (above[q][0], row[q][0])):
-                return None
-        return d
+        return d if _is_row_poly(d, cap, den_bound, qs) else None
 
     best = _LeastScore()
     for aligned, dims in _alignments(qs, entries_by_q, fit_row):
@@ -612,7 +601,7 @@ def _fit_stratum(stratum, order_poly, e_n, cap, den_bound, notes):
     present = list(keys)
     nu = interpolate([(q, count) for q, (_, count) in stratum.items()])
     sigma = interpolate([(q, size) for q, (size, _) in keys.items()])
-    if not (_is_count_poly(nu, cap, den_bound) and _is_degree_poly(sigma, cap, present)):
+    if not (_is_row_poly(nu, cap, den_bound) and _is_row_poly(sigma, cap, den_bound, present)):
         return None
     try:
         inner_rhs = order_poly.exact_div(sigma * RationalPoly.monomial(e_n))

@@ -163,17 +163,6 @@ class RationalPoly:
             raise ValueError(f"inexact polynomial division: remainder {r.pretty()}")
         return q
 
-    # -- predicates -----------------------------------------------------
-
-    def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def is_integer_valued(self) -> bool:
-        """Integer values at every integer argument.  p(0), .., p(d) decide it
-        for d = deg p (Polya, 1915): they are integers exactly when p's
-        coefficients in the basis binom(x, k) are."""
-        return all(self(k).denominator == 1 for k in range(self.degree + 1))
-
     # -- serialization & display -----------------------------------------
 
     def to_json(self) -> list[str]:

@@ -509,7 +509,57 @@ PINNED_FITS = [
         (["0/1", "-1/1", "1/1"], ["0/1", "1/2", "-1/2", "-1/2", "1/2"]),
         (["0/1", "1/1", "1/1"], ["0/1", "-1/2", "3/2", "-3/2", "1/2"]),
     ]),
+    # SL2(F_q), q odd: degrees (q -+ 1)/2 with counts 2 (Fulton-Harris 5.2)
+    (("SL2", 1, (3, 9, 27), "flat"), 7, [
+        (["1/1"], ["1/1"]),
+        (["-1/2", "1/2"], ["2/1"]),
+        (["1/2", "1/2"], ["2/1"]),
+        (["-1/1", "1/1"], ["-1/2", "1/2"]),
+        (["0/1", "1/1"], ["1/1"]),
+        (["1/1", "1/1"], ["-3/2", "1/2"]),
+    ]),
+    (("SL2", 1, (5, 7, 9), "flat"), 7, [
+        (["1/1"], ["1/1"]),
+        (["-1/2", "1/2"], ["2/1"]),
+        (["1/2", "1/2"], ["2/1"]),
+        (["-1/1", "1/1"], ["-1/2", "1/2"]),
+        (["0/1", "1/1"], ["1/1"]),
+        (["1/1", "1/1"], ["-3/2", "1/2"]),
+    ]),
+    # SL2(F_q), q even: no (q -+ 1)/2 rows
+    (("SL2", 1, (2, 4, 8), "flat"), 5, [
+        (["1/1"], ["1/1"]),
+        (["-1/1", "1/1"], ["0/1", "1/2"]),
+        (["0/1", "1/1"], ["1/1"]),
+        (["1/1", "1/1"], ["-1/1", "1/2"]),
+    ]),
+    (("SL2", 2, (3, 5, 7), "stratified"), 18, [
+        (["1/1"], ["1/1"]),
+        (["-1/1", "1/1"], ["-1/2", "1/2"]),
+        (["-1/2", "1/2"], ["2/1"]),
+        (["0/1", "1/1"], ["1/1"]),
+        (["1/2", "1/2"], ["2/1"]),
+        (["1/1", "1/1"], ["-3/2", "1/2"]),
+        (["-1/2", "0/1", "1/2"], ["0/1", "4/1"]),
+        (["0/1", "-1/1", "1/1"], ["-1/2", "0/1", "1/2"]),
+        (["0/1", "1/1", "1/1"], ["1/2", "-1/1", "1/2"]),
+    ]),
 ]
+
+# the notes of a pinned fit, each with the number of times it is given; every
+# other pinned fit gives none
+PINNED_NOTES = {
+    ("SL2", 1, (3, 9, 27), "flat"): {
+        "profile (None, 0, 0, 0, 0, 0): 2-dimensional residual family": 6,
+        "profile (0, None, 0, 0, 0, 0): 2-dimensional residual family": 6,
+        "profile (0, 0, None, 0, 0, 0): 2-dimensional residual family": 6,
+        "profile (0, 0, 0, None, 0, 0): 2-dimensional residual family": 6,
+        "profile (0, 0, 0, 0, None, 0): 2-dimensional residual family": 6,
+        "profile (0, 0, 0, 0, 0, None): 2-dimensional residual family": 6,
+        "profile (None, 0, 0, 0, None, 0): 2-dimensional residual family": 1,
+        "profile (0, 0, 0, 0, 0, 0): 3-dimensional residual family": 6,
+    },
+}
 
 
 def _pinned_ids():
@@ -525,15 +575,15 @@ def _pinned_ids():
 def test_fit_report_is_pinned(case, score, rows):
     name, level, qs, kind = case
     scheme = GroupScheme.parse(name)
-    rep = fit_polynomials(scheme, level, _fit_samples(scheme, level, qs, kind))
-    assert rep.to_json() == {
+    rep = fit_polynomials(scheme, level, _fit_samples(scheme, level, qs, kind)).to_json()
+    assert Counter(rep.pop("notes")) == Counter(PINNED_NOTES.get(case, {}))
+    assert rep == {
         "scheme": name,
         "level": level,
         "k": len(rows),
         "samples": list(qs),
         "rows": [{"d": d, "m": m} for d, m in rows],
         "score": score,
-        "notes": [],
         "holdout": None,
     }
 
@@ -659,6 +709,40 @@ def test_cli_fit_sl2_level1_exits_1_with_its_witness(capsys):
     assert json.loads(out) == {
         "assertion_failure": "no consistent fit for slot counts {2: 2, 3: 3, 5: 6}"
     }
+
+
+def test_cli_fit_sl2_level1_on_powers_of_3_matches_its_holdout(capsys):
+    argv = ["fit", "--scheme", "SL2", "--level", "1", "--samples", "3,9,27",
+            "--holdout", "5", "--format", "json"]
+    assert cli_main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["holdout"]["match"] is True
+
+
+def test_cli_fit_non_integer_prediction_names_q_row_and_value(capsys):
+    # d = (q - 1)/2 is 3/2 at the even holdout q = 4
+    argv = ["fit", "--scheme", "SL2", "--level", "1", "--samples", "3,9,27",
+            "--holdout", "4", "--format", "json"]
+    assert cli_main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "assertion_failure": "('non-integer prediction at q = 4: row 2 has d = 3/2, m = 2',)"
+    }
+
+
+@pytest.mark.parametrize(
+    "p,qs,accepted",
+    [
+        ((x - 3) * half, (), True),  # an SL2 count, not an integer at even x
+        ((x - 1) * half, (3, 5, 7), True),
+        (x * Fraction(1, 3), (), False),  # 3 does not divide 2!
+        ((x - 1) * half, (4,), False),  # 3/2 at a sample
+        ((x - 3) * half, (3,), False),  # 0 at a sample
+        (x**4, (), False),  # above the cap
+        (-x, (), False),
+    ],
+)
+def test_row_poly_boundaries_at_n_2(p, qs, accepted):
+    # cap 3 = deg |SL2(F_q)|, denominators dividing 2! = 2
+    assert harness._is_row_poly(p, 3, 2, qs) is accepted
 
 
 def test_cli_fit_holdout_mismatch_exits_1_with_the_diff(monkeypatch, capsys):

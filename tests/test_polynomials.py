@@ -1,8 +1,7 @@
-import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repzoo.polynomials import (
     MalformedSampleError,
@@ -63,53 +62,9 @@ def test_json_round_trip():
     assert p.to_json() == ["7/3", "-3/1", "1/2"]
 
 
-def test_integer_valued():
-    assert (half * x * (x - 1)).is_integer_valued()
-    assert not (half * x).is_integer_valued()
-    assert (x * x - x).has_integer_coeffs()
-    assert not (half * x).has_integer_coeffs()
-
-
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=20
 )
-
-
-def _binomial(k):
-    """binom(x, k) as an exact polynomial."""
-    out = RationalPoly.one()
-    for j in range(k):
-        out = out * RationalPoly((-j, 1))
-    return out * Fraction(1, math.factorial(k))
-
-
-def _newton_integer_valued(p):
-    """The Newton-basis test: peel off p(k) binom(x, k) for k = 0, 1, ...; p is
-    integer-valued when every value peeled off is an integer."""
-    rem, k = p, 0
-    while not rem.is_zero():
-        v = rem(k)
-        if v.denominator != 1:
-            return False
-        rem = rem - v * _binomial(k)
-        k += 1
-    return True
-
-
-@settings(derandomize=True, deadline=None)
-@given(
-    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=4), max_size=6),
-    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=4), max_size=6),
-)
-def test_integer_valued_matches_the_newton_basis_test(binomial_coeffs, coeffs):
-    # sum c_k binom(x, k) is integer-valued exactly when every c_k is an integer
-    p = RationalPoly.zero()
-    for k, c in enumerate(binomial_coeffs):
-        p = p + c * _binomial(k)
-    assert p.is_integer_valued() == _newton_integer_valued(p)
-    assert p.is_integer_valued() == all(c.denominator == 1 for c in binomial_coeffs)
-    q = RationalPoly(coeffs)
-    assert q.is_integer_valued() == _newton_integer_valued(q)
 
 
 @given(
