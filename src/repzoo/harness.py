@@ -9,8 +9,9 @@ m_i under the exact group-order identity sum_i m_i(x) d_i(x)^2 = |G(o_r)|(x),
 and `_LeastScore` returns the fit of least total degree.  Every row polynomial
 is in Q[x] with coefficient denominators dividing n! and passes `_is_row_poly`;
 degrees and orbit sizes must also be positive integers at the samples.  No
-fit, or several at that degree, is an error: anything ambiguous is reported,
-never guessed.
+leading term of the identity cancels, so deg m_i + 2 deg d_i <= deg |G| bounds
+every row and residual.  No fit, or several at that degree, is an error:
+anything ambiguous is reported, never guessed.
 
 Flat multiset data determines the row polynomials only at level 1; at higher
 levels the multiplicity rows outrun what three samples can see.  When the
@@ -329,9 +330,9 @@ def _alignments(qs, entries_by_q, fit_row):
     At each q the rows take the entries in order, splitting a count over adjacent
     rows where values collide; a row absent at q has (None, 0) there, and one row
     is kept free for every entry not yet used up.  Rows are placed one at a time:
-    fit_row(placed, row) gets the (row, fit) pairs placed so far and returns the
-    row's fit, or None to drop every alignment that begins with them.  Keys are
-    opaque (degrees, or stratum signatures).
+    fit_row(row) returns the row's fit, or None to drop every alignment that
+    begins with the rows placed so far and this one.  Keys are opaque (degrees,
+    or stratum signatures).
     """
     k = max(len(entries_by_q[q]) for q in qs)
     placed = []
@@ -339,7 +340,7 @@ def _alignments(qs, entries_by_q, fit_row):
     def place(j, row, state):
         # state[q]: the index of the entry in use at q and the count taken from it
         if j == len(qs):
-            fit = fit_row(placed, row)
+            fit = fit_row(row)
             if fit is not None:
                 placed.append((row, fit))
                 if len(placed) == k:
@@ -511,33 +512,32 @@ def _fit_mults_for_profile(interp, d_sq, sroot, target, profile, den_bound, cap)
     return found
 
 
-def _fit_table(qs, entries_by_q, identity_rhs, cap, den_bound, residual_degrees, notes):
+def _fit_table(qs, entries_by_q, identity_rhs, den_bound, notes):
     """The least-score rows (d_i, m_i) through per-q (degree, count) tables under
     sum_i m_i d_i^2 = identity_rhs, and their score.
 
     Rows are placed one at a time: d_i interpolates row i's degrees and must pass
     _is_row_poly with the samples, or every alignment that begins with rows 1..i
     is dropped.  Over each full alignment, m_i interpolates row i's counts, plus
-    (x - q_1)...(x - q_s) times a residual of a degree in residual_degrees where
-    the identity needs one, and must pass _is_row_poly at no sample (a count
-    equals the observed one there, and that may be 0).  Raises
-    AlignmentError when nothing fits and AmbiguousFitError when distinct fits
-    share the least score.
+    sroot = (x - q_1)...(x - q_s) times a residual c_i of exact degree t where
+    the identity needs one; m_i passes _is_row_poly at no sample (there it is
+    the observed count, maybe 0).  No leading term cancels, so s + t + 2 deg d_i
+    <= deg identity_rhs, and the largest t + 2 deg d_i over the residual rows is
+    deg(target / sroot), target = identity_rhs - sum_i interp_i d_i^2 (no
+    residual at all when target is 0).  Raises AlignmentError when nothing fits
+    and AmbiguousFitError when distinct fits share the least score.
     """
     s = len(qs)
     k = max(len(entries_by_q[q]) for q in qs)
-    sroot = RationalPoly.one()
-    for q in qs:
-        sroot = sroot * RationalPoly((-q, 1))
-    residual_options = [None, *residual_degrees]
-    if len(residual_options) ** k > _PROFILE_LIMIT:
-        raise AlignmentError(
-            f"profile space {len(residual_options)}^{k} too large; add sample points"
-        )
+    top = identity_rhs.degree
+    sroot = math.prod((RationalPoly((-q, 1)) for q in qs), start=RationalPoly.one())
+    width = max(top - s + 2, 1)  # a degree-0 row's options: None and t = 0..top - s
+    if width**k > _PROFILE_LIMIT:
+        raise AlignmentError(f"profile space {width}^{k} too large; add sample points")
 
-    def fit_row(placed, row):
+    def fit_row(row):
         d = interpolate([(q, key) for q, (key, _) in row.items() if key is not None])
-        return d if _is_row_poly(d, cap, den_bound, qs) else None
+        return d if _is_row_poly(d, top // 2, den_bound, qs) else None
 
     best = _LeastScore()
     for aligned, dims in _alignments(qs, entries_by_q, fit_row):
@@ -553,15 +553,20 @@ def _fit_table(qs, entries_by_q, identity_rhs, cap, den_bound, residual_degrees,
         def cost(profile):
             return dims_cost + sum(row_cost(i, t) for i, t in enumerate(profile))
 
+        def reach(profile):  # deg(target / sroot) under the profile's residuals
+            return max((t + e.degree for t, e in zip(profile, d_sq) if t is not None), default=-1)
+
+        need = target.degree - s if target else -1
+        options = [[None, *range(top - s - e.degree + 1)] for e in d_sq]
         profiles = sorted(
-            itertools.product(residual_options, repeat=k),
+            (pr for pr in itertools.product(*options) if reach(pr) == need),
             key=lambda pr: (cost(pr), tuple(-1 if t is None else t for t in pr)),
         )
         for pr in profiles:
             if best.score is not None and cost(pr) > best.score:
                 break
             try:
-                sols = _fit_mults_for_profile(interp, d_sq, sroot, target, pr, den_bound, cap)
+                sols = _fit_mults_for_profile(interp, d_sq, sroot, target, pr, den_bound, top)
             except _ProfileAmbiguous as exc:
                 notes.append(f"profile {pr}: {exc}")
                 continue
@@ -587,7 +592,7 @@ def _stratify(report: CliffordReport):
     return sorted(Counter((o.orbit_size, o.dims) for o in report.orbits).items())
 
 
-def _fit_stratum(stratum, order_poly, e_n, cap, den_bound, notes):
+def _fit_stratum(stratum, order_poly, e_n, den_bound, notes):
     """The rows (sigma * d_j, nu * mu_j) of one aligned stratum {q: (key, count)}
     and their score, or None when it does not fit.
 
@@ -601,6 +606,7 @@ def _fit_stratum(stratum, order_poly, e_n, cap, den_bound, notes):
     present = list(keys)
     nu = interpolate([(q, count) for q, (_, count) in stratum.items()])
     sigma = interpolate([(q, size) for q, (size, _) in keys.items()])
+    cap = order_poly.degree
     if not (_is_row_poly(nu, cap, den_bound) and _is_row_poly(sigma, cap, den_bound, present)):
         return None
     try:
@@ -609,14 +615,14 @@ def _fit_stratum(stratum, order_poly, e_n, cap, den_bound, notes):
         return None
     tables = {q: table for q, (_, table) in keys.items()}
     try:
-        rows, score = _fit_table(present, tables, inner_rhs, cap, den_bound, (), notes)
+        rows, score = _fit_table(present, tables, inner_rhs, den_bound, notes)
     except AlignmentError:
         return None
     rows = tuple(FitRow(sigma * r.dim, nu * r.mult) for r in rows)
     return rows, nu.degree + sigma.degree + score
 
 
-def _fit_stratified(order_poly, reports, cap, den_bound, notes):
+def _fit_stratified(order_poly, reports, den_bound, notes):
     """The least-score rows assembled from per-stratum fits whose rows, merged by
     dimension, satisfy sum_i m_i d_i^2 = |G|, and their score.  Strata are placed
     one at a time, and one that _fit_stratum cannot fit drops every alignment
@@ -636,8 +642,8 @@ def _fit_stratified(order_poly, reports, cap, den_bound, notes):
 
     strata_by_q = {q: _stratify(reports[q]) for q in qs}
 
-    def fit_row(placed, stratum):
-        return _fit_stratum(stratum, order_poly, e_n, cap, den_bound, notes)
+    def fit_row(stratum):
+        return _fit_stratum(stratum, order_poly, e_n, den_bound, notes)
 
     best = _LeastScore()
     for _, fits in _alignments(qs, strata_by_q, fit_row):
@@ -671,7 +677,6 @@ def fit_polynomials(
         raise AlignmentError("need at least 3 sample values of q")
     qs = sorted(samples)
     order_poly = scheme_order_poly(scheme, level)
-    cap = order_poly.degree
     den_bound = math.factorial(scheme.n)
     notes: list[str] = []
     observed = {
@@ -679,19 +684,13 @@ def fit_polynomials(
         for q in qs
     }
     if all(isinstance(samples[q], CliffordReport) for q in qs):
-        rows, score = _fit_stratified(order_poly, samples, cap, den_bound, notes)
+        rows, score = _fit_stratified(order_poly, samples, den_bound, notes)
     else:
         for q in qs:
             if observed[q].sum_of_squares != order_poly(q):
                 raise AssertionError("sample inconsistent with the group order", q)
-        # flat fits search residuals of m_i up to this degree; a heuristic
-        # range, not a bound on the fit (that is cap)
-        residual_search_degree = scheme.n * (scheme.n - 1) // 2 * level + scheme.n
         entries_by_q = {q: observed[q].entries for q in qs}
-        residual_degrees = range(residual_search_degree - len(qs) + 1)
-        rows, score = _fit_table(
-            qs, entries_by_q, order_poly, cap, den_bound, residual_degrees, notes
-        )
+        rows, score = _fit_table(qs, entries_by_q, order_poly, den_bound, notes)
 
     report = FitReport(scheme.label(), level, len(rows), rows, tuple(qs), score, tuple(notes))
 

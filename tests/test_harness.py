@@ -482,6 +482,10 @@ PINNED_FITS = [
     (("T2", 2, (2, 3, 4), "stratified"), 4, [
         (["1/1"], ["0/1", "0/1", "1/1", "-2/1", "1/1"]),
     ]),
+    # the stratum's count needs a residual: x^4 (x - 1)^2 through three samples
+    (("T2", 3, (2, 3, 4), "stratified"), 6, [
+        (["1/1"], ["0/1", "0/1", "0/1", "0/1", "1/1", "-2/1", "1/1"]),
+    ]),
     (("GL1", 2, (2, 3, 4), "stratified"), 2, [
         (["1/1"], ["0/1", "-1/1", "1/1"]),
     ]),
@@ -546,20 +550,10 @@ PINNED_FITS = [
     ]),
 ]
 
-# the notes of a pinned fit, each with the number of times it is given; every
-# other pinned fit gives none
-PINNED_NOTES = {
-    ("SL2", 1, (3, 9, 27), "flat"): {
-        "profile (None, 0, 0, 0, 0, 0): 2-dimensional residual family": 6,
-        "profile (0, None, 0, 0, 0, 0): 2-dimensional residual family": 6,
-        "profile (0, 0, None, 0, 0, 0): 2-dimensional residual family": 6,
-        "profile (0, 0, 0, None, 0, 0): 2-dimensional residual family": 6,
-        "profile (0, 0, 0, 0, None, 0): 2-dimensional residual family": 6,
-        "profile (0, 0, 0, 0, 0, None): 2-dimensional residual family": 6,
-        "profile (None, 0, 0, 0, None, 0): 2-dimensional residual family": 1,
-        "profile (0, 0, 0, 0, 0, 0): 3-dimensional residual family": 6,
-    },
-}
+# the notes of a pinned fit, each with the number of times it is given; no
+# pinned fit gives any, since the order-identity bound rules out the profiles
+# that left a residual family unpinned
+PINNED_NOTES = {}
 
 
 def _pinned_ids():
@@ -657,15 +651,15 @@ def _slot_tables(draw):
 def test_alignments_match_the_per_sample_product(case, refused):
     qs, tables = case
     reference = list(_reference_alignments(qs, tables))
-    accepted = list(harness._alignments(qs, tables, lambda placed, row: row))
+    accepted = list(harness._alignments(qs, tables, lambda row: row))
     assert _alignment_counts(rows for rows, _ in accepted) == _alignment_counts(reference)
     assert all(list(rows) == list(fits) for rows, fits in accepted)
     # a refused row drops exactly the alignments that contain it
-    def fit_row(placed, row):
+    def fit_row(row):
         return None if any((q, key or 0) in refused for q, (key, _) in row.items()) else row
 
     pruned = [rows for rows, _ in harness._alignments(qs, tables, fit_row)]
-    kept = [rows for rows in reference if all(fit_row(None, row) for row in rows)]
+    kept = [rows for rows in reference if all(fit_row(row) for row in rows)]
     assert _alignment_counts(pruned) == _alignment_counts(kept)
 
 
@@ -681,7 +675,7 @@ def test_alignments_match_the_per_sample_product_on_sl2():
     tables = {q: dm.entries for q, dm in _sl2_samples(qs).items()}
     reference = _alignment_counts(_reference_alignments(qs, tables))
     assert sum(reference.values()) == 88_200
-    accepted = harness._alignments(qs, tables, lambda placed, row: row)
+    accepted = harness._alignments(qs, tables, lambda row: row)
     assert _alignment_counts(rows for rows, _ in accepted) == reference
 
 
@@ -700,6 +694,32 @@ def test_sl2_level1_fit_fails_fast(monkeypatch):
     with pytest.raises(AlignmentError, match="no consistent fit for slot counts"):
         fit_polynomials(SL2, 1, samples)
     assert 0 < len(calls) <= 1000
+
+
+def test_sl2_level1_fit_fails_after_few_profile_solves(monkeypatch):
+    # only the residual profiles the order identity allows are solved: the
+    # search over guessed residual degrees made 1 472 solves here
+    calls = []
+    real = harness._fit_mults_for_profile
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    samples = _sl2_samples((2, 3, 5))
+    monkeypatch.setattr(harness, "_fit_mults_for_profile", counting)
+    with pytest.raises(AlignmentError, match="no consistent fit for slot counts"):
+        fit_polynomials(SL2, 1, samples)
+    assert 0 < len(calls) <= 200
+
+
+def test_fit_mults_for_profile_refuses_a_two_dimensional_residual_family():
+    # three rows of degree 1 share one residual equation c_0 + c_1 + c_2 = 1,
+    # so the constant residuals form a 2-dimensional family
+    sroot = (x - 2) * (x - 3) * (x - 4)
+    one = RationalPoly.one()
+    with pytest.raises(harness._ProfileAmbiguous, match="2-dimensional residual family"):
+        harness._fit_mults_for_profile([one] * 3, [one] * 3, sroot, sroot, (0, 0, 0), 2, 3)
 
 
 def test_cli_fit_sl2_level1_exits_1_with_its_witness(capsys):
