@@ -10,35 +10,23 @@ Clifford engine can reach at reasonable cost.
 import time
 
 from repzoo.groups import GroupScheme
-from repzoo.harness import (
-    compute_clifford_report,
-    compute_degrees,
-    fit_polynomials,
-    render_fit_markdown,
-)
+from repzoo.harness import fit_polynomials, oracle_record, render_fit_markdown
 from repzoo.localring import RingSpec
 
 
 def main():
     scheme = GroupScheme("GL", 2)
-    sample_specs = {
-        2: RingSpec("unramified", 2, 1, 2),
-        3: RingSpec("unramified", 3, 1, 2),
-        4: RingSpec("unramified", 2, 2, 2),
-    }
-    samples = {}
-    for q, spec in sample_specs.items():
+    records = {}
+    for q in (2, 3, 4, 5):
+        spec = RingSpec.for_q(q, 2)
         t0 = time.time()
-        samples[q] = compute_clifford_report(scheme, spec)
+        records[q] = oracle_record(scheme, spec)
         print(
-            f"q={q}: {spec.label():14s} |G|={samples[q].degrees.sum_of_squares:>8}"
-            f"  #irr={samples[q].degrees.total_count:>4}  ({time.time()-t0:.1f}s)"
+            f"q={q}: {spec.label():14s} |G|={records[q]['order']:>8}"
+            f"  #irr={records[q]['n_irr']:>4}  ({time.time()-t0:.1f}s)"
         )
-    t0 = time.time()
-    holdout = compute_degrees(scheme, RingSpec("unramified", 5, 1, 2), "clifford")
-    print(f"q=5: unram:5,1,2    |G|={holdout.sum_of_squares:>8}  #irr={holdout.total_count:>4}  ({time.time()-t0:.1f}s)")
-
-    report = fit_polynomials(scheme, 2, samples, holdout=(5, holdout))
+    holdout = (5, records.pop(5))
+    report = fit_polynomials(scheme, 2, records, holdout=holdout)
     print()
     print(render_fit_markdown(report))
     if not report.holdout_match:

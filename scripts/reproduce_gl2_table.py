@@ -6,21 +6,19 @@ degree multisets, fits polynomial rows through them, and prints the table in
 markdown, then spot-checks the fit against q = 7.
 """
 
+from repzoo.characters import DegreeMultiset
 from repzoo.groups import GroupScheme
-from repzoo.harness import compute_degrees, fit_polynomials, render_fit_markdown
+from repzoo.harness import fit_polynomials, oracle_record, render_fit_markdown
 from repzoo.localring import RingSpec
 
 
 def main():
     scheme = GroupScheme("GL", 2)
-    samples = {
-        q: compute_degrees(scheme, RingSpec("unramified", q, 1, 1), "chardeg")
-        for q in (2, 3, 5)
-    }
-    for q, dm in sorted(samples.items()):
-        print(f"dimirr(GL2(F_{q})) = {dm.entries}")
-    holdout = compute_degrees(scheme, RingSpec("unramified", 7, 1, 1), "chardeg")
-    report = fit_polynomials(scheme, 1, samples, holdout=(7, holdout))
+    samples = {q: oracle_record(scheme, RingSpec.for_q(q, 1)) for q in (2, 3, 5)}
+    for q, record in samples.items():
+        print(f"dimirr(GL2(F_{q})) = {DegreeMultiset.from_json(record['degrees']).entries}")
+    holdout = (7, oracle_record(scheme, RingSpec.for_q(7, 1)))
+    report = fit_polynomials(scheme, 1, samples, holdout=holdout)
     print()
     print(render_fit_markdown(report))
     if not report.holdout_match:

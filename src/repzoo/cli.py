@@ -18,9 +18,8 @@ from .harness import (
     CACHE_ENV,
     ExperimentConfig,
     compare_rings,
-    compute_clifford_report,
-    compute_degrees,
     fit_polynomials,
+    oracle_record,
     render_fit,
     run_dimirr,
 )
@@ -48,18 +47,13 @@ def _cmd_fit(args) -> int:
     hq = None if args.holdout is None else int(args.holdout)
     if hq in sample_qs:
         raise ValueError(f"holdout q={hq} is one of the samples, which every fit reproduces")
-    # every argument is checked before the first oracle runs; at level >= 2 the
-    # samples and the holdout all go through the Clifford engine
+    # every argument is checked before the first oracle runs; the "auto" engine
+    # takes the samples and the holdout through Clifford at level >= 2
     specs = {q: RingSpec.for_q(q, level) for q in [*sample_qs, hq] if q is not None}
     for spec in specs.values():
         check_budget(scheme, spec, args.budget, clifford=level >= 2)
-    samples = {}
-    for q in sample_qs:
-        if level >= 2:
-            samples[q] = compute_clifford_report(scheme, specs[q], args.budget)
-        else:
-            samples[q] = compute_degrees(scheme, specs[q], "chardeg", args.budget)
-    holdout = None if hq is None else (hq, compute_degrees(scheme, specs[hq], "auto", args.budget))
+    samples = {q: oracle_record(scheme, specs[q], "auto", args.budget) for q in sample_qs}
+    holdout = None if hq is None else (hq, oracle_record(scheme, specs[hq], "auto", args.budget))
     report = fit_polynomials(scheme, level, samples, holdout=holdout)
     text = render_fit(report, args.format)
     if args.out:

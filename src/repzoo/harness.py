@@ -15,11 +15,11 @@ anything ambiguous is reported, never guessed.
 
 Flat multiset data determines the row polynomials only at level 1; at higher
 levels the multiplicity rows outrun what three samples can see.  When the
-samples come from the Clifford engine, its orbit output stratifies each
-multiset into families (orbit count, orbit size, stabilizer-level table).  The
-same search and selector run over the strata, with `_fit_stratum` as the row
-fitter, and `_fit_table` fits each stabilizer-level table; the final rows are
-products of the fitted pieces.
+samples come from the Clifford engine, their records (`oracle_record`, the
+record that `run_dimirr` caches) stratify each multiset into families (orbit
+count, orbit size, stabilizer-level table).  The same search and selector run
+over the strata, with `_fit_stratum` as the row fitter, and `_fit_table` fits
+each stabilizer-level table; the final rows are products of the fitted pieces.
 """
 
 from __future__ import annotations
@@ -165,17 +165,7 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
         if cached is not None:
             results[spec.label()] = cached
             continue
-        dm = compute_degrees(config.scheme, spec, config.engine, config.budget)
-        payload = {
-            "key": key_obj,
-            "order": dm.sum_of_squares,
-            "n_irr": dm.total_count,
-            "degrees": dm.to_json(),
-        }
-        if engine in ("clifford", "both"):
-            report = compute_clifford_report(config.scheme, spec, config.budget)
-            payload["strata"] = _strata_json(report)
-            payload["dual_order"] = sum(o.orbit_size for o in report.orbits)
+        payload = {"key": key_obj, **oracle_record(config.scheme, spec, config.engine, config.budget)}
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
@@ -190,35 +180,53 @@ def run_dimirr(config: ExperimentConfig) -> dict[str, dict]:
 
 def _read_entry(path: Path, key_obj: dict, order: int) -> dict | None:
     """The cache entry at path, or None if it is missing, unparsable, written
-    for another key, or inconsistent: its degrees fail the checks of
-    DegreeMultiset.validate, its order is not sum m d^2 or its n_irr not sum m,
-    or, when it has strata, the pairs (sigma d, nu m) do not rebuild its
-    degrees or sum nu sigma is not its dual_order."""
+    for another key, or fails check_record."""
     try:
         payload = json.loads(path.read_text())
         if payload["key"] != key_obj:
             return None
-        dm = DegreeMultiset.from_json(payload["degrees"])
-        dm.validate(order)
-        if (payload["order"], payload["n_irr"]) != (dm.sum_of_squares, dm.total_count):
-            return None
-        if "strata" in payload:
-            strata = payload["strata"]
-            pairs = [(s["sigma"] * d, s["nu"] * m) for s in strata for d, m in s["dims"]]
-            if DegreeMultiset.from_pairs(pairs) != dm:
-                return None
-            if sum(s["nu"] * s["sigma"] for s in strata) != payload["dual_order"]:
-                return None
+        check_record(payload, order)
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, AssertionError):
         return None
     return payload
 
 
-def _strata_json(report: CliffordReport) -> list:
-    return [
-        {"sigma": sigma, "nu": nu, "dims": [list(p) for p in dims]}
-        for (sigma, dims), nu in _stratify(report)
-    ]
+def oracle_record(
+    scheme: GroupScheme, spec: RingSpec, engine: str = "auto", budget: int = DEFAULT_BUDGET
+) -> dict:
+    """The oracle's record for one (scheme, ring, engine), as run_dimirr caches
+    it under its key: order, n_irr and degrees, and where the Clifford engine
+    runs, its strata (nu orbits of size sigma with stabilizer-level table dims,
+    keyed by (sigma, dims)) and dual_order, the size of the dual of N."""
+    dm = compute_degrees(scheme, spec, engine, budget)
+    record = {"order": dm.sum_of_squares, "n_irr": dm.total_count, "degrees": dm.to_json()}
+    if _resolve_engine(engine, spec) in ("clifford", "both"):
+        orbits = compute_clifford_report(scheme, spec, budget).orbits
+        record["strata"] = [
+            {"sigma": sigma, "nu": nu, "dims": [list(p) for p in dims]}
+            for (sigma, dims), nu in sorted(Counter((o.orbit_size, o.dims) for o in orbits).items())
+        ]
+        record["dual_order"] = sum(o.orbit_size for o in orbits)
+    return record
+
+
+def check_record(record: dict, order: int) -> DegreeMultiset:
+    """The degrees of an oracle record; raises AssertionError unless they pass
+    DegreeMultiset.validate(order), the record's order is sum m d^2 and its
+    n_irr sum m, and, when it has strata, the pairs (sigma d, nu m) rebuild its
+    degrees and sum nu sigma is its dual_order."""
+    dm = DegreeMultiset.from_json(record["degrees"])
+    dm.validate(order)
+    if (record["order"], record["n_irr"]) != (dm.sum_of_squares, dm.total_count):
+        raise AssertionError("order or n_irr disagrees with the degrees", record["order"], record["n_irr"])
+    if "strata" in record:
+        strata = record["strata"]
+        pairs = [(s["sigma"] * d, s["nu"] * m) for s in strata for d, m in s["dims"]]
+        if DegreeMultiset.from_pairs(pairs) != dm:
+            raise AssertionError("strata do not rebuild the degrees")
+        if sum(s["nu"] * s["sigma"] for s in strata) != record["dual_order"]:
+            raise AssertionError("dual_order is not sum nu sigma", record["dual_order"])
+    return dm
 
 
 # -- ring comparison -----------------------------------------------------------------
@@ -587,11 +595,6 @@ def _fit_table(qs, entries_by_q, identity_rhs, den_bound, notes):
     return best.unique(f"slot counts { {q: len(entries_by_q[q]) for q in qs} }")
 
 
-def _stratify(report: CliffordReport):
-    """Group orbit records into strata keyed by (orbit size, stabilizer table)."""
-    return sorted(Counter((o.orbit_size, o.dims) for o in report.orbits).items())
-
-
 def _fit_stratum(stratum, order_poly, e_n, den_bound, notes):
     """The rows (sigma * d_j, nu * mu_j) of one aligned stratum {q: (key, count)}
     and their score, or None when it does not fit.
@@ -622,16 +625,16 @@ def _fit_stratum(stratum, order_poly, e_n, den_bound, notes):
     return rows, nu.degree + sigma.degree + score
 
 
-def _fit_stratified(order_poly, reports, den_bound, notes):
-    """The least-score rows assembled from per-stratum fits whose rows, merged by
-    dimension, satisfy sum_i m_i d_i^2 = |G|, and their score.  Strata are placed
-    one at a time, and one that _fit_stratum cannot fit drops every alignment
-    that begins with it."""
-    qs = sorted(reports)
-    # |N| per sample is the dual-group size: sum of orbit sizes; must be q^e
+def _fit_stratified(order_poly, records, den_bound, notes):
+    """The least-score rows assembled from per-stratum fits of the records'
+    strata whose rows, merged by dimension, satisfy sum_i m_i d_i^2 = |G|, and
+    their score.  Strata are placed one at a time, and one that _fit_stratum
+    cannot fit drops every alignment that begins with it."""
+    qs = sorted(records)
+    # |N| per sample is the dual-group size; must be q^e
     exps = set()
     for q in qs:
-        n_order = sum(o.orbit_size for o in reports[q].orbits)
+        n_order = records[q]["dual_order"]
         e = next(k for k in itertools.count() if q**k >= n_order)
         if q**e != n_order:
             raise AlignmentError(f"|N| = {n_order} is not a power of q = {q}")
@@ -640,7 +643,9 @@ def _fit_stratified(order_poly, reports, den_bound, notes):
         raise AlignmentError(f"inconsistent kernel exponents across samples: {exps}")
     e_n = exps.pop()
 
-    strata_by_q = {q: _stratify(reports[q]) for q in qs}
+    strata_by_q = {
+        q: [((s["sigma"], s["dims"]), s["nu"]) for s in records[q]["strata"]] for q in qs
+    }
 
     def fit_row(stratum):
         return _fit_stratum(stratum, order_poly, e_n, den_bound, notes)
@@ -662,14 +667,16 @@ def _fit_stratified(order_poly, reports, den_bound, notes):
 def fit_polynomials(
     scheme: GroupScheme,
     level: int,
-    samples: dict[int, DegreeMultiset | CliffordReport],
-    holdout: tuple[int, DegreeMultiset] | None = None,
+    samples: dict[int, dict],
+    holdout: tuple[int, dict] | None = None,
 ) -> FitReport:
-    """Fit (d_i, m_i) rows through oracle data sampled at >= 3 values of q.
+    """Fit (d_i, m_i) rows through oracle records (see oracle_record) sampled at
+    >= 3 values of q; the holdout is a (q, record) pair.
 
-    Sample values may be plain DegreeMultisets (flat fit) or CliffordReports
-    (stratified fit; required beyond level 1, where multiset data alone is
-    underdetermined).  No fitted polynomial has a degree above that of |G|(x):
+    Every sample passes check_record against |G|(q); the holdout is not
+    checked.  The fit is stratified when every sample has strata (required
+    beyond level 1, where multiset data alone is underdetermined) and flat
+    otherwise.  No fitted polynomial has a degree above that of |G|(x):
     sum_i m_i d_i^2 = |G| and every term on the left has a positive leading
     coefficient.
     """
@@ -679,16 +686,10 @@ def fit_polynomials(
     order_poly = scheme_order_poly(scheme, level)
     den_bound = math.factorial(scheme.n)
     notes: list[str] = []
-    observed = {
-        q: samples[q].degrees if isinstance(samples[q], CliffordReport) else samples[q]
-        for q in qs
-    }
-    if all(isinstance(samples[q], CliffordReport) for q in qs):
+    observed = {q: check_record(samples[q], order_poly(q)) for q in qs}
+    if all("strata" in samples[q] for q in qs):
         rows, score = _fit_stratified(order_poly, samples, den_bound, notes)
     else:
-        for q in qs:
-            if observed[q].sum_of_squares != order_poly(q):
-                raise AssertionError("sample inconsistent with the group order", q)
         entries_by_q = {q: observed[q].entries for q in qs}
         rows, score = _fit_table(qs, entries_by_q, order_poly, den_bound, notes)
 
@@ -700,7 +701,8 @@ def fit_polynomials(
             raise AssertionError("fit does not reproduce its sample", q, predicted.entries)
 
     if holdout is not None:
-        hq, oracle = holdout
+        hq, record = holdout
+        oracle = DegreeMultiset.from_json(record["degrees"])
         predicted = report.predicted_multiset(hq)
         diff = predicted.diff(oracle)
         report.holdout_q = hq

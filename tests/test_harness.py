@@ -17,15 +17,17 @@ import repzoo
 from repzoo import harness
 from repzoo.characters import DegreeMultiset
 from repzoo.cli import main as cli_main
+from repzoo.clifford import CliffordReport
 from repzoo.groups import BudgetExceededError, GroupScheme, predicted_order
 from repzoo.harness import (
     AlignmentError,
+    CACHE_ENV,
     ExperimentConfig,
     FitReport,
     compare_rings,
     compute_clifford_report,
-    compute_degrees,
     fit_polynomials,
+    oracle_record,
     render_fit,
     render_fit_markdown,
     run_dimirr,
@@ -40,10 +42,7 @@ half = Fraction(1, 2)
 
 
 def field_samples(qs):
-    return {
-        q: compute_degrees(GL2, RingSpec("unramified", q, 1, 1), "chardeg")
-        for q in qs
-    }
+    return {q: oracle_record(GL2, RingSpec("unramified", q, 1, 1), "chardeg") for q in qs}
 
 
 def test_run_dimirr_fields_match_known_rows(tmp_path):
@@ -212,10 +211,7 @@ def test_fields_fit_reproduces_known_table():
 
 def test_gl1_constant_family():
     gl1 = GroupScheme("GL", 1)
-    samples = {
-        q: compute_degrees(gl1, RingSpec("unramified", q, 1, 1), "chardeg")
-        for q in (2, 3, 5)
-    }
+    samples = {q: oracle_record(gl1, RingSpec("unramified", q, 1, 1), "chardeg") for q in (2, 3, 5)}
     rep = fit_polynomials(gl1, 1, samples)
     assert rep.k == 1
     assert rep.rows[0].dim == RationalPoly.one()
@@ -252,12 +248,12 @@ def test_markdown_empty_rows_renders_header_only():
 
 
 def test_stratified_fit_level2_small():
-    reports = {
-        q: compute_clifford_report(GL2, RingSpec("unramified", q, 1, 2))
+    records = {
+        q: oracle_record(GL2, RingSpec("unramified", q, 1, 2), "clifford")
         for q in (2, 3)
     }
-    reports[4] = compute_clifford_report(GL2, RingSpec("unramified", 2, 2, 2))
-    rep = fit_polynomials(GL2, 2, reports)
+    records[4] = oracle_record(GL2, RingSpec("unramified", 2, 2, 2), "clifford")
+    rep = fit_polynomials(GL2, 2, records)
     assert rep.k == 7
     dim_set = {r.dim.coeffs for r in rep.rows}
     for target in (RationalPoly.one(), x - 1, x, x + 1, x * x - 1, x * x - x, x * x + x):
@@ -320,8 +316,7 @@ def test_cli_fit_rejects_a_bad_later_argument_before_any_oracle(args, monkeypatc
         calls.append(args)
         raise AssertionError("an oracle ran")
 
-    monkeypatch.setattr(repzoo.cli, "compute_degrees", oracle)
-    monkeypatch.setattr(repzoo.cli, "compute_clifford_report", oracle)
+    monkeypatch.setattr(repzoo.cli, "oracle_record", oracle)
     for level in ("1", "2"):
         assert cli_main(["fit", "--scheme", "GL2", "--level", level, *args]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -397,8 +392,7 @@ def test_cli_fit_rejects_fewer_than_three_distinct_samples_before_any_oracle(
     def oracle(*args):
         raise AssertionError("an oracle ran")
 
-    monkeypatch.setattr(repzoo.cli, "compute_degrees", oracle)
-    monkeypatch.setattr(repzoo.cli, "compute_clifford_report", oracle)
+    monkeypatch.setattr(repzoo.cli, "oracle_record", oracle)
     for level in ("1", "2"):
         argv = ["fit", "--scheme", "GL2", "--level", level, "--samples", samples]
         assert cli_main(argv) == 2
@@ -446,10 +440,47 @@ def test_run_dimirr_leaves_no_temporary_file_when_the_rename_fails(tmp_path, mon
     assert list(tmp_path.iterdir()) == []
 
 
+def test_dimirr_without_a_cache_dir_writes_under_the_env_directory(tmp_path, monkeypatch, capsys):
+    cache, cwd = tmp_path / "cache", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv(CACHE_ENV, str(cache))
+    assert cli_main(["dimirr", "--scheme", "GL2", "--ring", "unram:2,1,1", "--engine", "chardeg"]) == 0
+    assert len(list(cache.glob("*.json"))) == len(list(cache.iterdir())) == 1
+    assert list(cwd.iterdir()) == []
+
+
+def test_dimirr_engine_mismatch_exits_1_and_caches_nothing(tmp_path, monkeypatch, capsys):
+    # GL2(F_2) is S_3, with degrees 1, 1, 2; this Clifford report says six 1s
+    def disagreeing(scheme, spec, budget):
+        return CliffordReport(DegreeMultiset(((1, 6),)), ())
+
+    monkeypatch.setattr(harness, "compute_clifford_report", disagreeing)
+    argv = ["--cache-dir", str(tmp_path), "dimirr", "--scheme", "GL2", "--ring", "unram:2,1,1"]
+    assert cli_main([*argv, "--engine", "both"]) == 1
+    assert "engine mismatch" in json.loads(capsys.readouterr().out)["assertion_failure"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_of_the_dimirr_cache_entries_equals_repzoo_fit(tmp_path, capsys):
+    # fit reads the records that dimirr caches, less their key
+    rings = ["unram:2,1,2", "unram:3,1,2", "unram:2,2,2"]
+    argv = ["--cache-dir", str(tmp_path), "dimirr", "--scheme", "GL2", "--engine", "clifford"]
+    assert cli_main([*argv, *itertools.chain(*(("--ring", ring) for ring in rings))]) == 0
+    samples = {}
+    for path in tmp_path.glob("*.json"):
+        record = json.loads(path.read_text())
+        ring = record.pop("key")["ring"]
+        samples[ring["p"] ** ring["f"]] = record
+    assert sorted(samples) == [2, 3, 4]
+    capsys.readouterr()
+    assert cli_main(["fit", "--scheme", "GL2", "--level", "2", "--samples", "2,3,4", "--format", "json"]) == 0
+    assert fit_polynomials(GL2, 2, samples).to_json() == json.loads(capsys.readouterr().out)
+
+
 def _fit_samples(scheme, level, qs, kind):
-    if kind == "stratified":
-        return {q: compute_clifford_report(scheme, RingSpec.for_q(q, level)) for q in qs}
-    return {q: compute_degrees(scheme, RingSpec.for_q(q, level), "chardeg") for q in qs}
+    engine = "clifford" if kind == "stratified" else "chardeg"
+    return {q: oracle_record(scheme, RingSpec.for_q(q, level), engine) for q in qs}
 
 
 # (scheme, level, samples, kind), score, rows (d, m) as ascending coefficients
@@ -588,6 +619,13 @@ def test_sl2_level2_stratified_fit_is_refused():
         fit_polynomials(sl2, 2, _fit_samples(sl2, 2, (2, 3, 4), "stratified"))
 
 
+def test_fit_refuses_a_stratified_sample_whose_strata_do_not_rebuild_its_degrees():
+    samples = _fit_samples(GL2, 2, (2, 3, 4), "stratified")
+    samples[2]["strata"][0]["nu"] += 1
+    with pytest.raises(AssertionError, match="strata do not rebuild the degrees"):
+        fit_polynomials(GL2, 2, samples)
+
+
 def _reference_slot_assignments(entries, k):
     """Every way to spread the (key, count) entries of one sample over k ordered
     slots, as the fitter listed them before it placed rows one at a time."""
@@ -667,12 +705,12 @@ SL2 = GroupScheme("SL", 2)
 
 
 def _sl2_samples(qs):
-    return {q: compute_degrees(SL2, RingSpec.for_q(q, 1), "chardeg") for q in qs}
+    return {q: oracle_record(SL2, RingSpec.for_q(q, 1), "chardeg") for q in qs}
 
 
 def test_alignments_match_the_per_sample_product_on_sl2():
     qs = (2, 3, 4, 5)
-    tables = {q: dm.entries for q, dm in _sl2_samples(qs).items()}
+    tables = {q: DegreeMultiset.from_json(r["degrees"]).entries for q, r in _sl2_samples(qs).items()}
     reference = _alignment_counts(_reference_alignments(qs, tables))
     assert sum(reference.values()) == 88_200
     accepted = harness._alignments(qs, tables, lambda row: row)
@@ -766,14 +804,16 @@ def test_row_poly_boundaries_at_n_2(p, qs, accepted):
 
 
 def test_cli_fit_holdout_mismatch_exits_1_with_the_diff(monkeypatch, capsys):
-    real = repzoo.cli.compute_degrees
-    # GL2(F_7) has 15 irreducibles of degree 8; the wrong oracle says 14
+    real = repzoo.cli.oracle_record
+    # GL2(F_7) has 15 irreducibles of degree 8; the wrong oracle says 14, and
+    # its record's order and n_irr no longer agree with its degrees
     wrong = DegreeMultiset(((1, 6), (6, 21), (7, 6), (8, 14)))
 
     def oracle(scheme, spec, engine, budget):
-        return wrong if spec.q == 7 else real(scheme, spec, engine, budget)
+        record = real(scheme, spec, engine, budget)
+        return {**record, "degrees": wrong.to_json()} if spec.q == 7 else record
 
-    monkeypatch.setattr(repzoo.cli, "compute_degrees", oracle)
+    monkeypatch.setattr(repzoo.cli, "oracle_record", oracle)
     assert cli_main([*FIT_L1, "--holdout", "7", "--format", "json"]) == 1
     *report, last = capsys.readouterr().out.splitlines()
     holdout = json.loads("\n".join(report))["holdout"]
@@ -808,14 +848,20 @@ def test_predicted_multiset_refuses_a_negative_multiplicity_under_optimize():
     assert "negative multiplicity prediction" in proc.stderr
 
 
-def test_reproduce_gl2_table_script():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_gl2_table.py"
+SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+# a line each script prints only when its check holds
+SCRIPT_VERDICTS = {
+    "level2_experiment.py": "holdout q=5: prediction matches the oracle multiset",
+    "reproduce_gl2_table.py": "holdout q=7: prediction matches the oracle multiset",
+    "ring_family_scan.py": "GL2: unram:5,1,2      vs eis:5,1,3,2      -> equal",
+}
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+def test_script_runs(script):
     proc = _run([sys.executable, str(script)])
     assert proc.returncode == 0, proc.stderr
-    assert "prediction matches the oracle multiset" in proc.stdout
-
-
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+    assert SCRIPT_VERDICTS[script.name] in proc.stdout
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
