@@ -3,11 +3,13 @@
 Given N normal abelian in G, Irr(G) decomposes over G-orbits of the dual of N;
 above an orbit with representative psi and stabilizer S, every irreducible is
 induced from Irr(S | psi) and its dimension is [G:S] times the dimension of a
-member of Irr(S | psi).  Irr(S | psi) itself is computed honestly (no cocycle
-triviality assumed): all its members kill ker psi, so they live in the quotient
-S/ker(psi), where the image of N is central and cyclic; they are exactly the
-rows of that quotient's character table whose central character on N/ker(psi)
-is faithful.
+member of Irr(S | psi).  All members of Irr(S | psi) kill ker psi, so they live
+in the quotient S/ker(psi), where the image of N is central and cyclic.  When
+that central extension of Stab(psi) = S/N splits, which is decided by solving
+for a section (_has_section), psi extends to S, and by Gallagher's theorem
+(Isaacs, Cor. 6.17) Irr(S | psi) has the degrees of Irr(Stab(psi)).
+Otherwise they are exactly the rows of the quotient's character table whose
+central character on N/ker(psi) is faithful.
 
 Everything runs through G/N.  The engine reads G only through its coset
 coordinates (groups.CosetCoordinates): every element is x = s(c) k for a coset
@@ -134,7 +136,8 @@ class DualGroup:
     def _build_dlog(self) -> dict[int, tuple[int, ...]]:
         dlog: dict[int, tuple[int, ...]] = {}
         exponents = itertools.product(*[range(n) for n in self.orders])
-        for elem, exps in zip(_words(self.group, self.basis, self.orders), exponents):
+        self.words = _words(self.group, self.basis, self.orders)
+        for elem, exps in zip(self.words, exponents):
             if elem in dlog:
                 raise AssertionError("basis is not a direct decomposition")
             dlog[elem] = exps
@@ -148,10 +151,20 @@ class DualGroup:
         """All |N| characters as exponent tuples, lexicographic order."""
         return itertools.product(*[range(n) for n in self.orders])
 
-    def phase_num(self, chi: tuple[int, ...], local_elem: int) -> int:
-        """Character value as an exponent of exp(2 pi i / exponent)."""
-        e = self.dlog[local_elem]
-        return sum(a * c * w for a, c, w in zip(chi, e, self._weights)) % self.exponent
+    def values(self, chi: tuple[int, ...], M: int) -> list[int]:
+        """chi(k_j) as an exponent of exp(2 pi i / M) for every ordinal j of N,
+        chi of order dividing M.  The words list N in the order of
+        itertools.product over the basis exponents, so the values grow basis
+        element by basis element as the words did, with no discrete log."""
+        step = self.exponent // M
+        flat = [0]
+        for a, w, n in zip(chi, self._weights, self.orders):
+            c = a * w // step
+            flat = [(v + e * c) % M for v in flat for e in range(n)]
+        out = [0] * self.order
+        for j, v in zip(self.words, flat):
+            out[j] = v
+        return out
 
     def char_order(self, chi: tuple[int, ...]) -> int:
         return math.lcm(
@@ -301,7 +314,9 @@ class CliffordReport:
 def _faithful_dims(
     s_bar: FiniteGroup, n_bar_labels: list[int], M: int
 ) -> tuple[tuple[tuple[int, int], ...], bool | None]:
-    """Dims of Irr(S|psi) for one faithful psi on the central cyclic image of N.
+    """Dims of Irr(S|psi) for one faithful psi on the central cyclic image of N,
+    from the character table of S/ker(psi); _dims_above sends only the
+    non-split ones, which are not abelian.
 
     Returns (dims multiset, extension observable) where the observable compares
     the count against #Irr(Stab/N), the count a cocycle-free extension would give.
@@ -310,11 +325,6 @@ def _faithful_dims(
     phi_m = M - M // p
     if len(set(n_bar_labels)) != M:
         raise AssertionError(f"image of N has {len(set(n_bar_labels))} elements, not {M}")
-
-    if s_bar.is_abelian():
-        count = s_bar.order // M
-        dims = ((1, count),)
-        return dims, True
 
     classes = conjugacy_classes(s_bar)
     # the image of N must be central: singleton classes
@@ -348,13 +358,14 @@ def _faithful_dims(
     if any(c % phi_m for _, c in counts):
         raise AssertionError("faithful rows not balanced across twists")
     dims = tuple((d, c // phi_m) for d, c in counts)
+    return dims, _extension_matches(s_bar, n_bar_labels, dims)
 
-    # extension observable: does the count match what a cocycle-free
-    # extension of psi to the stabilizer would force?
+
+def _extension_matches(s_bar: FiniteGroup, n_bar_labels: list[int], dims) -> bool:
+    """The extension observable: does the count of dims match #Irr(Stab/N), the
+    count a cocycle-free extension of psi to the stabilizer would force?"""
     nq = QuotientGroup(s_bar, n_bar_labels)
-    predicted = conjugacy_classes(nq).n_classes
-    matches = sum(m for _, m in dims) == predicted
-    return dims, matches
+    return sum(m for _, m in dims) == conjugacy_classes(nq).n_classes
 
 
 def _galois_classes(dual: DualGroup, records: list[OrbitRecord]) -> list[int]:
@@ -418,16 +429,99 @@ class _CentralExtension(FiniteGroup):
         return [pos[p // size] * M + (x + b + psi[p % size]) % M for x, p in zip(xs, products)]
 
 
-def _dims_above(cosets: CosetCoordinates, dual: DualGroup, rec: OrbitRecord):
-    """(dims of Irr(Stab | psi), extension observable) for psi = rec.representative."""
+def _solvable_mod(rows, rhs, M: int) -> bool:
+    """Whether rows u = rhs has a solution u mod M.  With U rows V = D the Smith
+    normal form, the system is D w = U rhs for w = V^-1 u, and d w = b has a
+    solution mod M exactly when gcd(d, M) divides b; a row past the diagonal
+    has d = 0.  No pivot need be a unit, so M = p^2 is solved as M = p is."""
+    if not rows:
+        return True
+    u, d, _ = smith_normal_form(rows)
+    width = len(rows[0])
+    for i, row in enumerate(u):
+        b = sum(x * y for x, y in zip(row, rhs))
+        if b % math.gcd(d[i][i] if i < width else 0, M):
+            return False
+    return True
+
+
+def _lifts_commute(s_bar: _CentralExtension, stab: SubgroupView) -> bool:
+    """Whether the lifts (g, 0) of every two commuting greedy generators g of
+    Stab(psi) commute in S/ker(psi); stab is the view of s_bar.stab in G/N, so
+    its ordinal i is the pair (stab[i], 0).  Lifts differ by central elements,
+    so when two do not commute no section exists.  Raises AssertionError if
+    the image of N is not central, checked on the lifts."""
+    gens, products = stab.generators(), stab.right_products
+    lifts = [g * s_bar.M for g in gens]
+    for n_bar in s_bar.image_of_n:
+        for lift in lifts:
+            if s_bar.mul(n_bar, lift) != s_bar.mul(lift, n_bar):
+                raise AssertionError("image of N is not central in Stab/ker(psi)")
+    return all(
+        products[t][g] != products[s][h] or s_bar.mul(lifts[s], lifts[t]) == s_bar.mul(lifts[t], lifts[s])
+        for (s, g), (t, h) in itertools.combinations(enumerate(gens), 2)
+    )
+
+
+def _has_section(s_bar: _CentralExtension, stab: SubgroupView) -> bool:
+    """Whether 1 -> N/ker(psi) -> S/ker(psi) -> Stab(psi) -> 1 splits, stab as
+    for _lifts_commute.
+
+    A section sigma(y) = (y, alpha(y)) is fixed by the lifts (g_t, u_t) of the
+    greedy generators: along the closure tree, y = x g_t gives
+    alpha(y) = alpha(x) + u_t + psi(n(x, g_t)) from alpha(e) the identity's
+    offset, so each alpha(y) is affine in u.  sigma is a homomorphism exactly
+    when every product x g_t obeys the same rule (then sigma(x w) =
+    sigma(x) sigma(w) for every word w), which is linear in u mod M."""
+    M, psi, cosets = s_bar.M, s_bar.psi, s_bar.cosets
+    size, width = cosets.kernel.order, cosets.quotient.order
+    gens, labels = stab.generators(), stab.ordinals
+    cocycle = [[psi[p % size] for p in cosets.products([c * width + labels[g] for c in labels])] for g in gens]
+    # alpha(y) = const[y] + coef[y] . u
+    parent, via, reach = stab.tree
+    const, coef = [0] * stab.order, [()] * stab.order
+    const[stab.identity], coef[stab.identity] = s_bar.identity % M, (0,) * len(gens)
+    for y in reach[1:]:
+        x, t = parent[y], via[y]
+        const[y] = (const[x] + cocycle[t][x]) % M
+        coef[y] = tuple((c + (i == t)) % M for i, c in enumerate(coef[x]))
+    equations = {
+        (
+            tuple((b - a - (i == t)) % M for i, (a, b) in enumerate(zip(coef[x], coef[y]))),
+            (const[x] + cocycle[t][x] - const[y]) % M,
+        )
+        for t, row in enumerate(stab.right_products)
+        for x, y in enumerate(row)
+    }
+    equations.discard(((0,) * len(gens), 0))
+    return _solvable_mod([list(a) for a, _ in equations], [b for _, b in equations], M)
+
+
+def _dims_above(cosets: CosetCoordinates, dual: DualGroup, rec: OrbitRecord, views: dict):
+    """(dims of Irr(Stab | psi), extension observable) for psi = rec.representative.
+    views keeps the view of each stabilizer in G/N with the closure its
+    generators left, for the orbits that share it."""
     M = dual.char_order(rec.representative)
     if M == 1:
         # trivial character: Irr(G | 1) = Irr(G/N)
         return character_degrees(cosets.quotient).entries, True
-    step = dual.exponent // M
-    psi = [dual.phase_num(rec.representative, j) // step for j in range(dual.order)]
-    s_bar = _CentralExtension(cosets, rec.stabilizer, psi, M)
-    return _faithful_dims(s_bar, s_bar.image_of_n, M)
+    s_bar = _CentralExtension(cosets, rec.stabilizer, dual.values(rec.representative, M), M)
+    stab = views.get(rec.stabilizer)
+    if stab is None:
+        stab = views[rec.stabilizer] = SubgroupView(cosets.quotient, rec.stabilizer)
+    if not _lifts_commute(s_bar, stab):
+        return _faithful_dims(s_bar, s_bar.image_of_n, M)
+    if stab.is_abelian():
+        # generated by the central image of N and commuting lifts
+        return ((1, stab.order),), True
+    if not _has_section(s_bar, stab):
+        return _faithful_dims(s_bar, s_bar.image_of_n, M)
+    # S/ker(psi) is the direct product of N/ker(psi) and Stab, and by Gallagher
+    # Irr(S | psi) has the degrees of Irr(Stab).  G/N keeps its table memoized;
+    # a proper Stab is read on a fresh view, since its classes drop the closure
+    whole = stab.order == cosets.quotient.order
+    dims = character_degrees(cosets.quotient if whole else SubgroupView(cosets.quotient, rec.stabilizer)).entries
+    return dims, _extension_matches(s_bar, s_bar.image_of_n, dims)
 
 
 def clifford_dimirr(group: FiniteGroup | CosetGroup, n_view: FiniteGroup) -> CliffordReport:
@@ -449,11 +543,12 @@ def clifford_dimirr(group: FiniteGroup | CosetGroup, n_view: FiniteGroup) -> Cli
         raise NotAbelianNormalError("N is not normal in G") from exc
     # orbits in one Galois-power class share their dimension data
     class_dims: dict[int, tuple] = {}
+    views: dict[tuple[int, ...], SubgroupView] = {}
     orbit_slices = []
     pairs = []
     for rec, c in zip(records, _galois_classes(dual, records)):
         if c not in class_dims:
-            class_dims[c] = _dims_above(cosets, dual, records[c])
+            class_dims[c] = _dims_above(cosets, dual, records[c], views)
         dims, ext = class_dims[c]
         od = OrbitDims(rec.representative, rec.orbit_size, rec.stabilizer_order, dims, ext)
         orbit_slices.append(od)

@@ -407,6 +407,14 @@ class SubgroupView(FiniteGroup):
     def inv(self, i: int) -> int:
         return self.local[self.parent.inv(self.ordinals[i])]
 
+    def mul_right(self, xs, b: int) -> list[int]:
+        ordinals = self.ordinals
+        products = self.parent.mul_right(list(map(ordinals.__getitem__, xs)), ordinals[b])
+        return list(map(self.local.__getitem__, products))
+
+    def drop_tables(self) -> None:
+        self.parent.drop_tables()
+
 
 class QuotientGroup(FiniteGroup):
     """Group on the left cosets of a normal subgroup, numbered by least ordinal.

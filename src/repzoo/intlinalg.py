@@ -2,9 +2,10 @@
 
 Matrices are lists of lists of Python ints (or Fractions over Q).  Row
 reduction serves the mod-ell eigenspace splitting and the fitter's linear
-solves; the one SNF input, the relation matrix of the abelian group N in
-clifford.DualGroup, is tiny (one row per generator), so the classical
-elementary-operation SNF is plenty.
+solves.  The SNF inputs are tiny: the relation matrix of the abelian group N in
+clifford.DualGroup (one row per generator) and the distinct section equations
+of clifford._has_section (one column per generator of a stabilizer), so the
+classical elementary-operation SNF is plenty.
 """
 
 from __future__ import annotations

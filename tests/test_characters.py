@@ -24,7 +24,7 @@ from repzoo.characters import (
     character_table_modp,
     choose_ell,
 )
-from repzoo.clifford import clifford_dimirr, default_normal_subgroup
+from repzoo.clifford import default_normal_subgroup
 from repzoo.groups import (
     FiniteMatrixGroup,
     GroupScheme,
@@ -374,18 +374,21 @@ def _group(scheme, ring):
 
 
 def _stabilizer_quotients(spec):
-    """The S/ker psi whose tables the level-2 Clifford run of GL2 over spec reads."""
+    """The non-abelian S/ker psi of the level-2 Clifford run of GL2 over spec,
+    one per Galois class of orbits in the order the run reaches them, each the
+    central extension the run builds for the class's first orbit."""
+    group = coset_group(GroupScheme("GL", 2), spec)
+    n_view = default_normal_subgroup(group)
+    dual, cosets = clifford.DualGroup(n_view), group.coset_coordinates(n_view)
+    records = clifford.orbits_and_stabilizers(cosets, dual)
     seen = []
-
-    def capture(group):
-        seen.append(group)
-        return character_table_modp(group)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clifford, "character_table_modp", capture)
-        group = coset_group(GroupScheme("GL", 2), spec)
-        clifford_dimirr(group, default_normal_subgroup(group))
-    assert all(isinstance(s_bar, clifford._CentralExtension) for s_bar in seen)
+    for c in sorted(set(clifford._galois_classes(dual, records))):
+        psi = records[c].representative
+        M = dual.char_order(psi)
+        if M > 1:
+            s_bar = clifford._CentralExtension(cosets, records[c].stabilizer, dual.values(psi, M), M)
+            if not s_bar.is_abelian():
+                seen.append(s_bar)
     return seen
 
 

@@ -1,10 +1,13 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -32,7 +35,7 @@ from repzoo.groups import (
     predicted_order,
 )
 from repzoo.intlinalg import smith_normal_form
-from repzoo.localring import RingSpec
+from repzoo.localring import RingSpec, prime_power
 
 GL2 = GroupScheme("GL", 2)
 
@@ -51,14 +54,36 @@ def test_dual_of_elementary_abelian():
     chars = list(dual.characters())
     assert len(chars) == 16
     assert len(set(chars)) == 16
-    # multiplicative on all pairs
-    for chi in chars:
-        for a in range(kernel.order):
-            for b in range(kernel.order):
-                assert (
-                    dual.phase_num(chi, kernel.mul(a, b))
-                    == (dual.phase_num(chi, a) + dual.phase_num(chi, b)) % dual.exponent
-                )
+
+
+def _all_of_t2_z9():
+    """T2(Z/9), of type (6, 6): characters of every order dividing 6."""
+    torus = build_group(GroupScheme("T", 2), RingSpec("unramified", 3, 1, 2))
+    return SubgroupView(torus, range(torus.order))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: congruence_kernel(build_group(GL2, RingSpec("unramified", 2, 1, 2)), 1), id="K^1 of GL2(Z/4)"),
+        pytest.param(_all_of_t2_z9, id="T2(Z/9)"),
+    ],
+)
+def test_character_values_are_the_discrete_log_phases_and_multiplicative(make):
+    kernel = make()
+    dual = DualGroup(kernel)
+    weights = [dual.exponent // n for n in dual.orders]
+    for chi in dual.characters():
+        M = dual.char_order(chi)
+        values = dual.values(chi, M)
+        # chi(k_j) as an exponent of exp(2 pi i / exp N), through the discrete log
+        phases = [sum(a * c * w for a, c, w in zip(chi, dual.dlog[j], weights)) % dual.exponent for j in range(kernel.order)]
+        assert [v * (dual.exponent // M) for v in values] == phases
+        assert all(
+            values[kernel.mul(a, b)] == (values[a] + values[b]) % M
+            for a in range(kernel.order)
+            for b in range(kernel.order)
+        )
 
 
 def test_dual_of_trivial_group():
@@ -250,6 +275,192 @@ def test_faithful_dims_checks_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode != 0
     assert "AssertionError" in proc.stderr
+
+
+def _extensions(scheme, spec):
+    """(psi, S/ker psi, Stab(psi) in G/N) for the first orbit of each Galois
+    class with psi != 1 of the Clifford run of scheme over spec, built as the
+    run builds them."""
+    group = coset_group(scheme, spec) if spec.r >= 2 else build_group(scheme, spec)
+    n_view = default_normal_subgroup(group)
+    dual, cosets = DualGroup(n_view), group.coset_coordinates(n_view)
+    records = orbits_and_stabilizers(cosets, dual)
+    out = []
+    for c in sorted(set(clifford._galois_classes(dual, records))):
+        psi, stab = records[c].representative, records[c].stabilizer
+        M = dual.char_order(psi)
+        if M > 1:
+            s_bar = clifford._CentralExtension(cosets, stab, dual.values(psi, M), M)
+            out.append((psi, s_bar, SubgroupView(cosets.quotient, stab)))
+    return out
+
+
+def _splits(s_bar, stab):
+    """The split verdict of the section equations, which the fail-fast on
+    commuting generators never contradicts."""
+    verdict = clifford._has_section(s_bar, stab)
+    assert clifford._lifts_commute(s_bar, stab) or not verdict
+    return verdict
+
+
+def _label(value):
+    return value.label() if isinstance(value, GroupScheme) else str(value)
+
+
+@pytest.mark.parametrize(
+    "scheme,q,stab_orders",
+    [
+        (GL2, 2, [6]),
+        (GL2, 3, [48]),
+        (GL2, 4, [180, 180, 180]),
+        (GroupScheme("B", 2), 3, [12, 12, 12, 12]),
+        (GroupScheme("B", 3), 2, [8] * 7),
+        # proper stabilizers in G/N, of order 60
+        (GroupScheme("SL", 2), 4, [6, 10]),
+    ],
+    ids=_label,
+)
+def test_split_extensions_have_the_stabilizer_degrees(scheme, q, stab_orders):
+    # Gallagher: where the non-abelian S/ker psi of a level-2 run splits over
+    # the image of N, the faithful rows of its own table have the degrees of
+    # Irr(Stab), and the report reads them
+    spec = RingSpec.for_q(q, 2)
+    dims_of = {o.representative: o.dims for o in harness.compute_clifford_report(scheme, spec).orbits}
+    split = []
+    for psi, s_bar, stab in _extensions(scheme, spec):
+        if not s_bar.is_abelian() and _splits(s_bar, stab):
+            dims, matches = clifford._faithful_dims(s_bar, s_bar.image_of_n, s_bar.M)
+            assert character_degrees(stab).entries == dims == dims_of[psi] and matches
+            split.append(stab.order)
+    assert split == stab_orders
+
+
+@pytest.mark.parametrize(
+    "scheme,level,q,verdicts",
+    [
+        # the Heisenberg quotient: Stab is abelian and the lifts do not commute
+        (GroupScheme("U", 3), 1, 2, [False]),
+        (GroupScheme("U", 3), 2, 2, [False, False, False]),
+        (GL2, 3, 2, [False, False, False, False, True]),
+        (GroupScheme("SL", 2), 2, 4, [False, True, False, True, False, False]),
+    ],
+    ids=_label,
+)
+def test_non_split_extensions_keep_the_table_dims(scheme, level, q, verdicts):
+    # the split test's verdict on each non-abelian S/ker psi, and the report
+    # keeps the faithful rows of the table where there is no section
+    spec = RingSpec.for_q(q, level)
+    dims_of = {o.representative: o.dims for o in harness.compute_clifford_report(scheme, spec).orbits}
+    got = []
+    for psi, s_bar, stab in _extensions(scheme, spec):
+        if not s_bar.is_abelian():
+            got.append(_splits(s_bar, stab))
+            if not got[-1]:
+                assert dims_of[psi] == clifford._faithful_dims(s_bar, s_bar.image_of_n, s_bar.M)[0]
+    assert got == verdicts
+
+
+@pytest.mark.parametrize(
+    "rows,rhs,M,solvable",
+    [
+        ([], [], 9, True),
+        # u = 1 and u = 1 + 3 agree mod 3, not mod 9
+        ([[1], [1]], [1, 4], 3, True),
+        ([[1], [1]], [1, 4], 9, False),
+        # 3u = 3 and u = 0: the same mod 3, inconsistent mod 9
+        ([[3], [1]], [3, 0], 3, True),
+        ([[3], [1]], [3, 0], 9, False),
+        # non-unit pivots: 2u + 4v = 2 has u = 1, 2u + 4v = 1 nothing mod 4
+        ([[2, 4]], [2], 4, True),
+        ([[2, 4]], [1], 4, False),
+        ([[3, 1], [0, 3]], [1, 3], 9, True),
+        ([[3, 1], [0, 3]], [1, 4], 9, False),
+        # a zero row needs a zero right-hand side
+        ([[0, 0], [1, 2]], [5, 1], 25, False),
+    ],
+)
+def test_solvable_mod_on_hand_made_systems(rows, rhs, M, solvable):
+    assert clifford._solvable_mod(rows, rhs, M) is solvable
+
+
+def test_solvable_mod_agrees_with_exhaustive_search():
+    rng = random.Random(0)
+    for _ in range(300):
+        M = rng.choice([2, 4, 8, 3, 9, 27, 5, 25])
+        k = rng.randint(1, 3 if M <= 9 else 2)
+        n = rng.randint(1, 4)
+        # entries of every valuation, units and multiples of p alike
+        rows = [[rng.randrange(M) * rng.choice([1, 1, M // prime_power(M)[0]]) % M for _ in range(k)] for _ in range(n)]
+        rhs = [rng.randrange(M) for _ in range(n)]
+        expected = any(
+            all(sum(a * x for a, x in zip(row, u)) % M == b for row, b in zip(rows, rhs))
+            for u in itertools.product(range(M), repeat=k)
+        )
+        assert clifford._solvable_mod(rows, rhs, M) is expected, (rows, rhs, M)
+
+
+def test_split_test_checks_that_the_image_of_n_is_central_under_python_O():
+    # python -O strips assert statements; a product that adds one whenever the
+    # left factor lies in the image of N makes that image non-central
+    code = textwrap.dedent(
+        """
+        from repzoo import clifford
+        from repzoo.groups import GroupScheme, SubgroupView, coset_group
+        from repzoo.localring import RingSpec
+
+        class Skewed(clifford._CentralExtension):
+            def mul_right(self, xs, y):
+                out = super().mul_right(xs, y)
+                return [z - z % self.M + (z + 1) % self.M if x in self.image_of_n else z for x, z in zip(xs, out)]
+
+        group = coset_group(GroupScheme("GL", 2), RingSpec.for_q(2, 2))
+        n_view = clifford.default_normal_subgroup(group)
+        dual, cosets = clifford.DualGroup(n_view), group.coset_coordinates(n_view)
+        rec = next(r for r in clifford.orbits_and_stabilizers(cosets, dual) if len(r.stabilizer) == cosets.quotient.order > 1 and dual.char_order(r.representative) == 2)
+        s_bar = Skewed(cosets, rec.stabilizer, dual.values(rec.representative, 2), 2)
+        clifford._lifts_commute(s_bar, SubgroupView(cosets.quotient, rec.stabilizer))
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(repzoo.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "AssertionError: image of N is not central" in proc.stderr, proc.stderr
+
+
+# sha256 of repr((report.degrees, report.orbits)), recorded before a split
+# extension read the degrees of Irr(Stab) in place of the S/ker psi table
+PINNED_REPORTS = {
+    ("GL2", 2, 2): "582189b7913038b87775a2695dc99d45cfe3077a71ec06a582e72b3758438a03",
+    ("GL2", 2, 3): "843b208a614aaa64bd00389f854ac43febb0482de4c86dfe9c445df6cfeb43dc",
+    ("GL2", 2, 4): "a7b15e59bcb2604b8568aa29f9ba57c92d2aeca9927ba9d23fd4b40ccb5d63e2",
+    ("SL2", 2, 2): "38b4ccc9bdbb200f5282c49e16b94fa01836b5ffd081f919182c36780d41fcfd",
+    ("SL2", 2, 3): "846653bf916d2bddba7db1e3f85e113627752ec3ad829e5910fe71652cc6bf3b",
+    ("SL2", 2, 4): "2691e3623ba8254eab0e79c0bc61120c26a3e5737e8e275d9653e07c8c5bafe6",
+    ("SL2", 2, 5): "60915b939d12efd089f7a6df194be324094c7f63e2b1e4b68c9cb48a5a33ecb3",
+    ("U2", 3, 2): "097cf3a50e1aeabae3b8762143ce362a379c3d0185f6e3bc39b734e04504cc4b",
+    ("U2", 3, 3): "b5e28c0bf17cff0df392a48c3e2bd8b44338d32cb0847fd85a6f5ec908a2bbe5",
+    ("U2", 3, 4): "6e8cb334c90a0f3b3eea41f615d2f803ca4b6cedd4d4222e5eb67b70d570e9d0",
+    ("U3", 2, 2): "cac980919688803182e39e663318403d26376e4d512a30aa7b91522629aabe60",
+    ("U3", 2, 3): "dad9cf9a5355478405b4bd6bf32283cbf5c824d68c2dfd27da67d988a29accac",
+    ("B2", 2, 2): "b9de5270acb7768f7b06630aed5f4cae88092995bdd308298b47cee2f1c0b958",
+    ("B2", 2, 3): "b6b865b6cb10b3b75992029d9732b37ada2d94028f25b4c44d55cb0f5fe5ead7",
+    ("B2", 2, 4): "e7f80b14388438502455a6fd2d990cc6d89b09f8b8d76e1bb60a03797edc3297",
+    ("GL2", 3, 2): "9df8acf7b14a4dbe2167292fd537c7955ba509eac69a6d42eacc56409a6be09d",
+    ("SL2", 3, 2): "97f95eaa44818569cdec7594da71bddf488386f39c0749fb377f9eaa475e1696",
+    ("SL2", 3, 3): "a06cd508d0df6719b4f4f81e5c5d71880059fe7c43a9d58c81141fb74ec600e5",
+    ("B3", 2, 2): "f8a6b306a5e5b76b396664d4d542a017c8fd5aebd39df0c346201d3b51f1680c",
+    ("U3", 1, 4): "a691aee38a5cceb466709bd8620406d117d92e61f2a942babb316d3d37ce450b",
+    ("U3", 1, 5): "edd040058c28a6d7174f81cf149fde7776f07a8789715f19059f09b9c8d9572b",
+}
+
+
+@pytest.mark.parametrize("scheme,level,q", sorted(PINNED_REPORTS), ids=lambda v: str(v))
+def test_clifford_reports_are_pinned(scheme, level, q):
+    # every orbit's dims and extension observable, on split and non-split
+    # stabilizer quotients alike
+    report = harness.compute_clifford_report(GroupScheme.parse(scheme), RingSpec.for_q(q, level))
+    digest = hashlib.sha256(repr((report.degrees, report.orbits)).encode()).hexdigest()
+    assert digest == PINNED_REPORTS[scheme, level, q]
 
 
 def _small_cases(bound=2000):

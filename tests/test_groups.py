@@ -6,7 +6,7 @@ import pytest
 
 from repzoo import clifford, groups
 from repzoo.characters import DegreeMultiset, _central_blocks, character_table_modp, choose_ell
-from repzoo.clifford import clifford_dimirr, default_normal_subgroup
+from repzoo.clifford import default_normal_subgroup
 from repzoo.groups import (
     _PATTERNS,
     BudgetExceededError,
@@ -268,6 +268,24 @@ def test_batched_products_on_subgroups_and_quotients():
     rng = random.Random(5)
     _assert_batched_products_match(kernel, rng)
     _assert_batched_products_match(QuotientGroup(group, kernel.ordinals), rng)
+
+
+def test_subgroup_view_batches_through_its_parent():
+    # SL2(Z/4) in a fresh GL2(Z/4), whose products by the first six factors
+    # it meets are tables, and all of GL2(Z/4)/K^1, a QuotientGroup, which
+    # has none
+    parent = _fresh(build_group(GL2, Z4))
+    ring = parent.ring
+    sl2 = SubgroupView(parent, [x for x in range(parent.order) if _mat_det(ring, 2, parent.matrix(x)) == ring.one])
+    quotient = QuotientGroup(parent, congruence_kernel(parent, 1).ordinals)
+    for view in (sl2, SubgroupView(quotient, range(quotient.order))):
+        xs = list(range(view.order))
+        for b in xs:
+            assert view.mul_right(xs, b) == [view.mul(x, b) for x in xs]
+    assert len(parent._tables) == parent._table_room == 6
+    # generators() frees the tables its closure made, in the parent
+    sl2.generators()
+    assert parent._tables == {}
 
 
 def test_batched_products_past_the_memo_budget():
@@ -545,14 +563,21 @@ def _classes_by_brute_force(group):
 
 
 def _central_extension_of_gl2_z9():
-    """A fresh copy of the non-abelian S/ker psi of the level-2 Clifford run of GL2(Z/9)."""
-    seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(clifford, "character_table_modp", lambda group: seen.append(group) or character_table_modp(group))
-        group = coset_group(GL2, RingSpec("unramified", 3, 1, 2))
-        clifford_dimirr(group, default_normal_subgroup(group))
-    (s_bar,) = seen
-    return clifford._CentralExtension(s_bar.cosets, s_bar.stab, s_bar.psi, s_bar.M)
+    """A fresh copy of the one non-abelian S/ker psi of the level-2 Clifford run
+    of GL2(Z/9), built as the run builds it for its orbit's Galois class."""
+    group = coset_group(GL2, RingSpec("unramified", 3, 1, 2))
+    n_view = default_normal_subgroup(group)
+    dual, cosets = clifford.DualGroup(n_view), group.coset_coordinates(n_view)
+    records = clifford.orbits_and_stabilizers(cosets, dual)
+    non_abelian = []
+    for c in sorted(set(clifford._galois_classes(dual, records))):
+        psi = records[c].representative
+        M = dual.char_order(psi)
+        args = (cosets, records[c].stabilizer, dual.values(psi, M), M)
+        if M > 1 and not clifford._CentralExtension(*args).is_abelian():
+            non_abelian.append(args)
+    (args,) = non_abelian
+    return clifford._CentralExtension(*args)
 
 
 def _sl2_in_gl2_z4():
